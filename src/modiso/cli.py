@@ -182,7 +182,7 @@ def cmd_iso(args) -> int:
                 modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap), i, j)
             B = modalg.radical_section(
                 modalg.group_algebra(H, F, order_cap=caps.algebra_order_cap), i, j)
-            result = nilpotent_algebra_iso(A, B, cap=caps.enum_cap)
+            result = nilpotent_algebra_iso(A, B, cap=caps.iso_cap)
             if isinstance(result, IsoWitness):
                 _emit({"outcome": "isomorphic", "mode": args.mode, "field": args.field,
                        "dim": A.dim,

@@ -2,8 +2,10 @@
 
 Field elements are stored as integer codes 0..q-1; the code's base-p digits are
 the coefficients of the residue polynomial (ascending powers of the generator).
-All arithmetic goes through precomputed q x q tables, so vector operations are
-plain numpy fancy indexing and stay exact.
+Elementwise arithmetic goes through precomputed q x q tables (numpy fancy
+indexing). Matrix products are float64 BLAS products reduced mod p, exact while
+every intermediate stays below 2^53 (checked); F_q is encoded into F_p for
+them, each element becoming the k x k matrix of multiplication by it.
 """
 
 from __future__ import annotations
@@ -188,11 +190,12 @@ class Scalar:
 
 
 class FiniteField:
-    """F_{p^k} with table-driven arithmetic; immutable once built.
+    """F_{p^k} with table-driven elementwise arithmetic; immutable once built.
 
     Attributes ADD/MUL/NEG/INV are numpy code tables; DIG maps a code to its
-    digit vector. modulus is the defining monic irreducible (ascending
-    coefficients, length k+1).
+    digit vector, PW holds the digit weights p^i and BLK the k x k matrix over
+    F_p of multiplication by each code. modulus is the defining monic
+    irreducible (ascending coefficients, length k+1).
     """
 
     def __init__(self, p: int, k: int, qcap: int = QCAP_DEFAULT):
@@ -230,24 +233,9 @@ class FiniteField:
             inv[a] = self._pow_code(a, q - 2)
         self.INV = inv
 
-        # reduction rows: x^(k+t) mod modulus, for t = 0..k-2 (digit matmul path)
-        red = np.zeros((max(k - 1, 0), k), dtype=np.int64)
-        for t in range(k - 1):
-            r = _poly_mod((0,) * (k + t) + (1,), self.modulus, p)
-            for i, c in enumerate(r):
-                red[t, i] = c
-        self.XRED = red
-
-    def x_power_row(self, e: int) -> np.ndarray:
-        """Digit row of x^e reduced mod the field modulus (length k)."""
-        if not hasattr(self, "_xpow_cache"):
-            self._xpow_cache = {}
-        if e not in self._xpow_cache:
-            r = _poly_mod((0,) * e + (1,), self.modulus, self.p)
-            row = np.zeros(self.k, dtype=np.int64)
-            row[: len(r)] = r
-            self._xpow_cache[e] = row
-        return self._xpow_cache[e]
+        # BLK[c] is the matrix over F_p of multiplication by c on digit
+        # columns: DIG[MUL[c, b]] == BLK[c] @ DIG[b] mod p
+        self.BLK = self.DIG[self.MUL[:, self.PW]].transpose(0, 2, 1)
 
     def _pow_code(self, a, e):
         out = 1
@@ -300,27 +288,26 @@ class FiniteField:
     def matmul(self, A, B):
         """Field-exact product of two code matrices, (m,r) @ (r,n) -> (m,n).
 
-        Integer matmuls are routed through float64 BLAS: every intermediate is
-        bounded by (p-1)^2 * r < 2^53, so the float path is exact.
+        Over F_{p^k} each entry of A becomes its k x k block BLK and each
+        entry of B its digit column, so the product is one F_p product: a
+        float64 BLAS matmul reduced mod p. Every intermediate is at most
+        (p-1)^2 * r * k, which must stay below 2^53 for the float path to be
+        exact.
         """
         A = np.asarray(A, dtype=np.uint8)
         B = np.asarray(B, dtype=np.uint8)
         p, k = self.p, self.k
-        if k == 1:
-            prod = np.rint(A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
-            return (prod % p).astype(np.uint8)
-        Ad = self.DIG[A].astype(np.float64)  # (m, r, k)
-        Bd = self.DIG[B].astype(np.float64)  # (r, n, k)
-        m, r = A.shape
-        n = B.shape[1]
-        conv = np.zeros((m, n, 2 * k - 1), dtype=np.float64)
-        for e1 in range(k):
-            for e2 in range(k):
-                conv[:, :, e1 + e2] += Ad[:, :, e1] @ Bd[:, :, e2]
-        low = np.rint(conv[:, :, :k]
-                      + np.tensordot(conv[:, :, k:], self.XRED.astype(np.float64),
-                                     axes=([2], [0]))).astype(np.int64)
-        return ((low % p) @ self.PW).astype(np.uint8)
+        (m, r), n = A.shape, B.shape[1]
+        if (p - 1) ** 2 * r * k >= 1 << 53:
+            raise OverflowError(f"inner dimension {r} over {self} is too long for exact float64 sums")
+        if k > 1:
+            # inner index (digit f, entry l): B's digit planes stack without a copy
+            A = self.BLK[A].transpose(0, 2, 3, 1).reshape(m * k, k * r)
+            B = self.DIG.T[:, B].reshape(k * r, n)
+        prod = (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+        if k > 1:
+            return (self.PW @ prod.reshape(m, k, n)).astype(np.uint8)
+        return prod.astype(np.uint8)
 
     def vec(self, entries) -> np.ndarray:
         """Code vector from a list of element codes or Scalars."""
@@ -341,19 +328,38 @@ def make_field(p: int, k: int, qcap: int = QCAP_DEFAULT) -> FiniteField:
 
 # -- echelon-form subspaces ---------------------------------------------------
 
+def _sift(field: FiniteField, rows: np.ndarray, pivots, V) -> np.ndarray:
+    """Reduce V (one vector, or a block of rows) by the reduced echelon rows
+    `rows` with pivot columns `pivots`: one coefficient gather and one field
+    matmul. The result is zero in every pivot column, and it is zero in the
+    pivot-eligible columns exactly where V lies in the span."""
+    V = np.asarray(V, dtype=np.uint8)
+    if V.shape[-1:] != rows.shape[1:]:
+        raise ValueError(f"vector length {V.shape[-1:]} != ambient {rows.shape[1]}")
+    if len(pivots):
+        coefs = V[..., list(pivots)]
+        if coefs.any():
+            delta = field.matmul(coefs.reshape(-1, len(pivots)), rows)
+            return field.vsub(V, delta.reshape(V.shape))
+    return V.copy()
+
+
 class EchelonBuilder:
     """Mutable accumulator for a reduced row echelon basis.
 
     Rows are kept fully reduced against each other at all times, so sifting a
-    vector is a single coefficient-gather plus one field matmul. Freeze to get
+    vector is a single coefficient-gather plus one field matmul. Pivots are
+    taken among the first `width` columns (all of them by default); any
+    columns past `width` ride along with every row operation. Freeze to get
     an immutable Subspace (rows sorted by pivot; the RREF basis is canonical,
     so the result does not depend on insertion order).
     """
 
-    def __init__(self, field: FiniteField, ambient: int):
+    def __init__(self, field: FiniteField, ambient: int, width: int | None = None):
         self.field = field
         self.ambient = ambient
-        self._buf = np.zeros((max(ambient, 1), ambient), dtype=np.uint8)
+        self.width = ambient if width is None else width
+        self._buf = np.zeros((max(self.width, 1), ambient), dtype=np.uint8)
         self._pivots = []
 
     @property
@@ -365,20 +371,13 @@ class EchelonBuilder:
         return self._buf[: self.dim]
 
     def sift(self, v: np.ndarray) -> np.ndarray:
-        """Reduce v by every pivot row; the result has zeros in all pivot columns."""
-        v = np.asarray(v, dtype=np.uint8)
-        if v.shape != (self.ambient,):
-            raise ValueError(f"vector length {v.shape} != ambient {self.ambient}")
-        if not self._pivots:
-            return v.copy()
-        F = self.field
-        coefs = v[self._pivots]
-        if not coefs.any():
-            return v.copy()
-        delta = F.matmul(coefs[None, :], self._rows)[0]
-        return F.vsub(v, delta)
+        """Reduce v (or each row of a block) by every pivot row; the result
+        has zeros in all pivot columns."""
+        return _sift(self.field, self._rows, self._pivots, v)
 
-    def _insert_reduced(self, r: np.ndarray, j: int) -> None:
+    def _insert_reduced(self, r: np.ndarray, j: int) -> np.ndarray:
+        """Normalize the sifted row r at its pivot j, clear column j from the
+        other rows and append r; returns the normalized row."""
         F = self.field
         r = F.vsmul(int(F.INV[r[j]]), r)
         d = self.dim
@@ -388,37 +387,39 @@ class EchelonBuilder:
                 self._buf[:d] = F.vsub(self._buf[:d], F.matmul(coefs[:, None], r[None, :]))
         self._buf[d] = r
         self._pivots.append(j)
+        return r
 
-    def add(self, v: np.ndarray) -> bool:
-        """Sift v and insert the residue if nonzero. Returns True if dim grew."""
+    def _add_row(self, v) -> bool:
+        v = np.asarray(v, dtype=np.uint8)
+        if v.shape != (self.ambient,):
+            raise ValueError(f"vector length {v.shape} != ambient {self.ambient}")
         r = self.sift(v)
-        nz = np.nonzero(r)[0]
+        nz = np.nonzero(r[: self.width])[0]
         if nz.size == 0:
             return False
         self._insert_reduced(r, int(nz[0]))
         return True
 
+    def add(self, v: np.ndarray) -> bool:
+        """Sift v and insert the residue if nonzero. Returns True if dim grew."""
+        return self._add_row(v)
+
     def add_block(self, C: np.ndarray) -> int:
-        """Insert many rows at once: the whole block is reduced against the
-        current basis with one matmul per rank gained. Returns the dim growth.
-        (The final subspace is the canonical RREF either way.)"""
-        F = self.field
-        C = np.unique(np.asarray(C, dtype=np.uint8), axis=0)
+        """Insert many rows at once. The block is reduced against the current
+        basis with one matmul, then against each row it contributes, so
+        repeated or dependent rows fall out as zero rows. Returns the dim
+        growth (the final subspace is the canonical RREF either way)."""
+        F, w = self.field, self.width
+        C = self.sift(C)
         added = 0
-        while C.shape[0]:
-            d = self.dim
-            if d:
-                coefs = C[:, self._pivots]
-                if coefs.any():
-                    C = F.vsub(C, F.matmul(coefs, self._buf[:d]))
-            C = C[C.any(axis=1)]
+        while True:
+            C = C[C[:, :w].any(axis=1)]
             if not C.shape[0]:
-                break
-            row = C[0]
-            self._insert_reduced(row.copy(), int(np.nonzero(row)[0][0]))
-            C = C[1:]
+                return added
+            j = int(np.nonzero(C[0, :w])[0][0])
+            r = self._insert_reduced(C[0], j)
+            C = F.vsub(C[1:], F.matmul(C[1:, j, None], r[None, :]))
             added += 1
-        return added
 
     def add_many(self, vectors) -> None:
         for v in vectors:
@@ -453,16 +454,8 @@ class Subspace:
         return len(self.pivots)
 
     def sift(self, v: np.ndarray) -> np.ndarray:
-        if np.asarray(v).shape != (self.ambient,):
-            raise ValueError("dimension mismatch")
-        if not self.pivots:
-            return np.asarray(v, dtype=np.uint8).copy()
-        F = self.field
-        v = np.asarray(v, dtype=np.uint8)
-        coefs = v[list(self.pivots)]
-        if not coefs.any():
-            return v.copy()
-        return F.vsub(v, F.matmul(coefs[None, :], self.rows)[0])
+        """Reduce v (or each row of a block) by the basis; zero exactly on the span."""
+        return _sift(self.field, self.rows, self.pivots, v)
 
     def contains(self, v: np.ndarray):
         """(True, None) if v is in the span, else (False, normalized residue)."""
@@ -477,6 +470,10 @@ class Subspace:
 
     def __contains__(self, v):
         return self.contains(v)[0]
+
+    def contains_rows(self, V) -> np.ndarray:
+        """Boolean mask over the rows of V: True where the row lies in the span."""
+        return ~self.sift(V).any(axis=-1)
 
     def solve(self, v: np.ndarray):
         """Coefficients c with c @ rows == v, or None if v is outside the span."""
@@ -504,7 +501,7 @@ class Subspace:
                 and np.array_equal(self.rows, other.rows))
 
     def __le__(self, other):
-        return all(other.contains(r)[0] for r in self.rows)
+        return bool(other.contains_rows(self.rows).all())
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
@@ -551,87 +548,42 @@ def subspace_combine(A: Subspace, B: Subspace, mode: str) -> Subspace:
     return out
 
 
-class TaggedEchelon:
-    """Echelon accumulator that tracks a tag vector (e.g. quotient
-    coordinates) alongside each row; row operations apply to both."""
+class TaggedEchelon(EchelonBuilder):
+    """Echelon accumulator over augmented rows [v | tag]: pivots are taken in
+    v's columns only, so every row operation carries the tag (e.g. quotient
+    coordinates) along with its vector."""
 
     def __init__(self, field: FiniteField, ambient: int, tagdim: int):
-        self.field = field
-        self.ambient = ambient
-        self.tagdim = tagdim
-        cap = max(ambient, 1)
-        self._rows = np.zeros((cap, ambient), dtype=np.uint8)
-        self._tags = np.zeros((cap, max(tagdim, 1)), dtype=np.uint8)
-        self._pivots = []
-
-    @property
-    def dim(self):
-        return len(self._pivots)
-
-    def _reduce(self, v, t):
-        F = self.field
-        d = self.dim
-        if d:
-            coefs = v[self._pivots]
-            if coefs.any():
-                v = F.vsub(v, F.matmul(coefs[None, :], self._rows[:d])[0])
-                t = F.vsub(t, F.matmul(coefs[None, :], self._tags[:d])[0])
-        return v, t
+        super().__init__(field, ambient + tagdim, width=ambient)
 
     def add(self, v, tag) -> bool:
-        F = self.field
-        v = np.asarray(v, dtype=np.uint8).copy()
-        t = np.zeros(max(self.tagdim, 1), dtype=np.uint8)
-        t[: len(tag)] = tag
-        v, t = self._reduce(v, t)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        j = int(nz[0])
-        s = int(F.INV[v[j]])
-        v, t = F.vsmul(s, v), F.vsmul(s, t)
-        d = self.dim
-        if d:
-            coefs = self._rows[:d, j].copy()
-            if coefs.any():
-                self._rows[:d] = F.vsub(self._rows[:d], F.matmul(coefs[:, None], v[None, :]))
-                self._tags[:d] = F.vsub(self._tags[:d], F.matmul(coefs[:, None], t[None, :]))
-        self._rows[d] = v
-        self._tags[d] = t
-        self._pivots.append(j)
-        return True
+        """Insert v carrying tag. Returns True if dim grew."""
+        return self._add_row(np.concatenate([np.asarray(v, dtype=np.uint8),
+                                             np.asarray(tag, dtype=np.uint8)]))
 
     def solve(self, v) -> np.ndarray:
-        """Tag-combination expressing v; raises if v is outside the span."""
-        F = self.field
+        """Tag combination expressing v (or each row of a block), read off the
+        tag block of its reconstruction; raises if v is outside the span."""
         v = np.asarray(v, dtype=np.uint8)
-        d = self.dim
-        coefs = v[self._pivots] if d else np.zeros(0, dtype=np.uint8)
-        recon = F.matmul(coefs[None, :], self._rows[:d])[0] if d else np.zeros(self.ambient, np.uint8)
-        if not np.array_equal(recon, v):
+        if v.shape[-1:] != (self.width,):
+            raise ValueError(f"vector length {v.shape[-1:]} != {self.width}")
+        rows = v.reshape(-1, self.width)
+        recon = self.field.matmul(rows[:, self._pivots], self._rows)
+        if not np.array_equal(recon[:, : self.width], rows):
             raise ValueError("vector outside the accumulated span")
-        if d:
-            return F.matmul(coefs[None, :], self._tags[:d])[0][: self.tagdim]
-        return np.zeros(self.tagdim, dtype=np.uint8)
+        return recon[:, self.width:].reshape(v.shape[:-1] + (self.ambient - self.width,))
 
 
 def invert_matrix(M, field: FiniteField) -> np.ndarray:
     """Inverse of a square code matrix (rows must be independent)."""
     M = np.asarray(M, dtype=np.uint8)
-    d = M.shape[0]
-    te = TaggedEchelon(field, d, d)
-    for i in range(d):
-        tag = np.zeros(d, dtype=np.uint8)
-        tag[i] = 1
-        if not te.add(M[i], tag):
+    eye = np.eye(M.shape[0], dtype=np.uint8)
+    te = TaggedEchelon(field, M.shape[0], M.shape[0])
+    for row, tag in zip(M, eye):
+        if not te.add(row, tag):
             raise ValueError("matrix is singular")
-    out = np.zeros((d, d), dtype=np.uint8)
-    for i in range(d):
-        e = np.zeros(d, dtype=np.uint8)
-        e[i] = 1
-        out[i] = te.solve(e)
-    # rows of out give e_i = out[i] @ M, i.e. out @ M = I
-    return out
+    # row i of the result expresses e_i in the rows of M: out @ M = I
+    return te.solve(eye)
 
 
 def null_space(M, field: FiniteField) -> Subspace:

@@ -204,23 +204,6 @@ def _algebra_generators(A: QuotientAlgebra):
     return gens, words, V, Vinv, c
 
 
-def _lincomb_batch(F, coefs, U):
-    """Sum_k coefs[k] * U[:, k, :] over the field; U has shape (N, d, dd)."""
-    p, k = F.p, F.k
-    if k == 1:
-        return ((coefs.astype(np.int64)[None, :, None] * U).sum(axis=1) % p).astype(np.uint8)
-    cd = F.DIG[coefs].astype(np.int64)  # (d, k)
-    Ud = F.DIG[U].astype(np.int64)      # (N, d, dd, k)
-    acc = np.zeros((U.shape[0], U.shape[2], 2 * k - 1), dtype=np.int64)
-    for e1 in range(k):
-        for e2 in range(k):
-            acc[:, :, e1 + e2] += np.einsum("d,ndl->nl", cd[:, e1], Ud[..., e2])
-    for e in range(2 * k - 2, k - 1, -1):
-        acc[:, :, :k] += acc[:, :, e, None] * F.x_power_row(e)[None, None, :]
-        acc[:, :, e] = 0
-    return ((acc[:, :, :k] % p) @ F.PW).astype(np.uint8)
-
-
 def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 << 24):
     """Exhaustive isomorphism search between two nilpotent structure-constant
     algebras; the witness maps A's chosen generators to B elements."""
@@ -261,9 +244,10 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 <
                 val = B.mul_batch(val, imgs[:, t, :])
             U[:, j, :] = val
         ok = np.ones(N, dtype=bool)
+        Ucols = U.transpose(1, 0, 2).reshape(d, N * d)  # row t: U[:, t, :] flattened
         for i in range(d):
             for j in range(d):
-                lhs = _lincomb_batch(F, c[i, j], U)
+                lhs = F.matmul(c[i, j][None, :], Ucols)[0].reshape(N, d)
                 rhs = B.mul_batch(U[:, i, :], U[:, j, :])
                 ok &= (lhs == rhs).all(axis=1)
                 if not ok.any():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapExceeded
-from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis
+from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis, make_field
 from .groups import FiniteGroup, Subgroup
 
 ALGEBRA_ORDER_CAP = 256
@@ -94,10 +94,6 @@ def group_algebra(G: FiniteGroup, F: FiniteField, order_cap: int = ALGEBRA_ORDER
     return G._cache[key]
 
 
-def alg_mul(A: GroupAlgebra, x, y) -> np.ndarray:
-    return A.mul(x, y)
-
-
 class Ideal:
     """A two-sided ideal of FG, carried by an echelonized subspace.
 
@@ -111,10 +107,8 @@ class Ideal:
         if check:
             for g in algebra.group.gens:
                 for side in ("left", "right"):
-                    moved = algebra.translate(space.rows, g, side)
-                    for row in moved:
-                        if not space.contains(row)[0]:
-                            raise ValueError("subspace is not a two-sided ideal")
+                    if not space.contains_rows(algebra.translate(space.rows, g, side)).all():
+                        raise ValueError("subspace is not a two-sided ideal")
         self.two_sided_verified = True
 
     @property
@@ -245,9 +239,10 @@ def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
     G = A.group
     pows = augmentation_powers(A, n_max=n_max)
     out = []
+    g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
     for P in pows:
-        members = [g for g in range(A.n) if P.contains(A.basis_minus_one(g))]
-        out.append(G.subgroup(np.array(members, dtype=np.int32)))
+        members = np.nonzero(P.space.contains_rows(g_minus_one))[0]
+        out.append(G.subgroup(members.astype(np.int32)))
         if n_max is None and out[-1].order == 1:
             break
     return out
@@ -274,11 +269,10 @@ class QuotientAlgebra:
         self._cache = {}
         self._check_associative()
         if unital:
-            for i in range(self.dim):
-                e = np.zeros(self.dim, dtype=np.uint8)
-                e[i] = 1
-                assert np.array_equal(self.mul(self.unit, e), e)
-                assert np.array_equal(self.mul(e, self.unit), e)
+            E = np.eye(self.dim, dtype=np.uint8)
+            U = np.broadcast_to(self.unit, E.shape)
+            assert np.array_equal(self.mul_batch(U, E), E)
+            assert np.array_equal(self.mul_batch(E, U), E)
 
     def _check_associative(self):
         """Exhaustive on basis triples for small dimensions, sampled beyond
@@ -320,34 +314,31 @@ class QuotientAlgebra:
         return F.matmul(y[None, :], T)[0]
 
     def mul_batch(self, X, Y) -> np.ndarray:
-        """Row-wise products of two (N, dim) coordinate batches."""
+        """Row-wise products of two (N, dim) coordinate batches, computed over
+        the prime field: the rows are encoded to digits, multiplied in the
+        prime restriction and decoded."""
         F = self.field
-        p, k = F.p, F.k
+        P = _prime_restriction(self)
         X = np.asarray(X, dtype=np.uint8)
         Y = np.asarray(Y, dtype=np.uint8)
-        d = self.dim
-        if d == 0:
-            return X.copy()
-        # float64 einsums are exact here: all intermediates < 2^53
-        if k == 1:
-            Xi, Yi, sci = (a.astype(np.float64) for a in (X, Y, self.sc))
-            out = np.rint(np.einsum("ni,nj,ijl->nl", Xi, Yi, sci, optimize=True)).astype(np.int64) % p
-            return out.astype(np.uint8)
-        Xd = F.DIG[X].astype(np.float64)
-        Yd = F.DIG[Y].astype(np.float64)
-        Sd = F.DIG[self.sc].astype(np.float64)
-        acc = np.zeros((X.shape[0], d, 3 * k - 2), dtype=np.float64)
-        for e1 in range(k):
-            for e2 in range(k):
-                for e3 in range(k):
-                    acc[:, :, e1 + e2 + e3] += np.einsum(
-                        "ni,nj,ijl->nl", Xd[..., e1], Yd[..., e2], Sd[..., e3], optimize=True)
-        # fold digits >= k down through the modulus, highest first
-        for e in range(3 * k - 3, k - 1, -1):
-            acc[:, :, :k] += acc[:, :, e, None] * F.x_power_row(e)[None, None, :].astype(np.float64)
-            acc[:, :, e] = 0
-        codes = (np.rint(acc[:, :, :k]).astype(np.int64) % p) @ F.PW
-        return codes.astype(np.uint8)
+        N = len(X)
+        if F.k > 1:
+            X, Y = F.DIG[X].reshape(N, P.dim), F.DIG[Y].reshape(N, P.dim)
+        # out = einsum("ni,nj,ijl->nl", X, Y, P.sc), one slice of P.sc at a
+        # time so that neither P.sc nor X is copied to float64 whole; every
+        # sum is an integer below 2^53, so the float path is exact
+        Yf = Y.astype(np.float64)
+        out = np.zeros((N, P.dim))
+        t = np.empty_like(out)
+        for i in range(P.dim):
+            np.matmul(Yf, P.sc[i].astype(np.float64), out=t)
+            t *= X[:, i, None]
+            out += t
+        del Yf, t  # free the float buffers before the integer reduction
+        out = out.astype(np.int64) % F.p
+        if F.k > 1:
+            return (out.reshape(N, self.dim, F.k) @ F.PW).astype(np.uint8)
+        return out.astype(np.uint8)
 
     def power_map_batch(self, X, pk_rounds: int) -> np.ndarray:
         """x -> x^(p^pk_rounds) applied to every row of X."""
@@ -411,9 +402,8 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal | None, J: Ideal | None, label=""
     else:
         carrier = I.space
         unital = False
-    for row in J.space.rows:
-        if not carrier.contains(row)[0]:
-            raise ValueError("J is not contained in I")
+    if not J.space <= carrier:
+        raise ValueError("J is not contained in I")
 
     jpiv = set(J.space.pivots)
     reps = np.array([r for r, pv in zip(carrier.rows, carrier.pivots) if pv not in jpiv],
@@ -431,10 +421,8 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal | None, J: Ideal | None, label=""
 
     sc = np.zeros((d, d, d), dtype=np.uint8)
     for j in range(d):
-        RM = A.right_mul_matrix(reps[j])
-        prods = F.matmul(reps, RM)  # (d, n): rep_i * rep_j over all i
-        for i in range(d):
-            sc[i, j] = solver.solve(prods[i])
+        # rep_i * rep_j for all i, then their section coordinates
+        sc[:, j] = solver.solve(F.matmul(reps, A.right_mul_matrix(reps[j])))
 
     unit = solver.solve(A.unit()) if unital else None
     return QuotientAlgebra(F, sc, reps=reps, solver=solver, unital=unital, unit=unit, label=label)
@@ -457,7 +445,6 @@ def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
         return Q
     if "prime_restriction" in Q._cache:
         return Q._cache["prime_restriction"]
-    from .gfq import make_field
     Fp = make_field(F.p, 1)
     d, k = Q.dim, F.k
     gen_pows = [1]
@@ -534,15 +521,9 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) 
                         "enum_cap",
                         f"Zassenhaus section of dim {sect.dim} over GF({F.q}) "
                         "exceeds the enumeration cap")
-                Pq = _prime_restriction(Q)
-                kq = F.k
                 for block in _enumerate_coords(F.q, sect.dim):
                     coords = F.matmul(block, sect.rows) if sect.dim else np.zeros((1, Q.dim), np.uint8)
-                    if kq > 1:
-                        coords = F.DIG[coords].reshape(coords.shape[0], Q.dim * kq)
-                    powered = Pq.power_map_batch(coords, j)
-                    if kq > 1:
-                        powered = (powered.reshape(-1, Q.dim, kq).astype(np.int64) @ F.PW).astype(np.uint8)
+                    powered = Q.power_map_batch(coords, j)
                     for row in np.unique(powered, axis=0):
                         b.add(row)
             if pj >= n:  # higher powers of anything in Δ land inside Δ^(n+1)

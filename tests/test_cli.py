@@ -171,6 +171,18 @@ def test_iso_algebra_modes(capsys):
     assert json.loads(out)["outcome"] == "isomorphic"
 
 
+def test_iso_algebra_mode_uses_iso_cap(tmp_path, capsys):
+    # the D8/Q8 section over GF(4) has 4^(4*2) = 4^8 candidate assignments
+    args = ("iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2")
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps({"iso_cap": 100}), encoding="utf-8")
+    assert run(capsys, *args, "--caps", str(caps))[0] == 4
+    caps.write_text(json.dumps({"enum_cap": 4}), encoding="utf-8")
+    code, out, _ = run(capsys, *args, "--caps", str(caps))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "isomorphic"
+
+
 def test_iso_usage_errors(capsys):
     assert run(capsys, "iso", "D8", "Q8", "--mode", "algebra:1,3")[0] == 64  # no field
     assert run(capsys, "iso", "D8", "Q8", "--mode", "wat")[0] == 64

@@ -5,8 +5,11 @@ import pytest
 
 from modiso.errors import CapExceeded
 from modiso.gfq import (
+    EchelonBuilder,
+    TaggedEchelon,
     contains,
     echelon_basis,
+    invert_matrix,
     make_field,
     null_space,
     subspace_combine,
@@ -85,6 +88,84 @@ def test_frobenius_additive_and_bijective(p, k):
         frob_s = F.MUL[frob_s, s]
     assert np.array_equal(frob_s, F.ADD[frob[:, None], frob[None, :]])
     assert sorted(frob.tolist()) == list(range(F.q))
+
+
+def _matmul_by_tables(F, A, B):
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint8)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for t in range(A.shape[1]):
+                acc = F.ADD[acc, F.MUL[A[i, t], B[t, j]]]
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_matmul_matches_scalar_table_loop(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(100 * p + k)
+    for m, r, n in [(1, 6, 5), (5, 7, 4), (3, 0, 2), (1, 1, 1)]:
+        A = rng.integers(0, F.q, size=(m, r)).astype(np.uint8)
+        B = rng.integers(0, F.q, size=(r, n)).astype(np.uint8)
+        assert np.array_equal(F.matmul(A, B), _matmul_by_tables(F, A, B))
+
+
+def test_matmul_rejects_inner_dimension_beyond_exact_float_sums():
+    F = make_field(7, 1)
+    r = (1 << 53) // 36 + 1  # (p-1)^2 * r >= 2^53; zero-stride views allocate nothing
+    A = np.broadcast_to(np.uint8(1), (1, r))
+    B = np.broadcast_to(np.uint8(1), (r, 1))
+    with pytest.raises(OverflowError):
+        F.matmul(A, B)
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_invert_matrix_random_invertible(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(7 * p + k)
+    for d in (1, 2, 5, 8):
+        while True:
+            M = rng.integers(0, F.q, size=(d, d)).astype(np.uint8)
+            if echelon_basis(list(M), F, d).dim == d:
+                break
+        assert np.array_equal(F.matmul(invert_matrix(M, F), M), np.eye(d, dtype=np.uint8))
+
+
+def test_invert_matrix_singular_raises():
+    F = make_field(3, 1)
+    M = F.vec([1, 2, 0, 2, 1, 0, 0, 0, 1]).reshape(3, 3)  # row 2 = 2 * row 1
+    with pytest.raises(ValueError):
+        invert_matrix(M, F)
+
+
+def test_tagged_solve_outside_span_raises():
+    F = make_field(2, 2)
+    te = TaggedEchelon(F, 3, 2)
+    assert te.add(F.vec([1, 2, 0]), F.vec([1, 0]))
+    assert te.add(F.vec([0, 1, 3]), F.vec([0, 1]))
+    v = F.vadd(F.vsmul(3, F.vec([1, 2, 0])), F.vec([0, 1, 3]))
+    assert te.solve(v).tolist() == [3, 1]
+    with pytest.raises(ValueError):
+        te.solve(F.vec([0, 0, 1]))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_add_block_with_duplicates_matches_add_many(p, k):
+    F = make_field(p, k)
+    rng = np.random.default_rng(5 * p + k)
+    for _ in range(10):
+        base = rng.integers(0, F.q, size=(4, 9)).astype(np.uint8)
+        C = base[rng.integers(0, 4, size=12)]  # every row repeated, in random order
+        C[rng.integers(0, 12)] = F.vsmul(int(rng.integers(1, F.q)), C[0])
+        b1, b2 = EchelonBuilder(F, 9), EchelonBuilder(F, 9)
+        b1.add(base[0])
+        b2.add(base[0])
+        before = b1.dim
+        grown = b1.add_block(C)
+        b2.add_many(C)
+        assert b1.freeze() == b2.freeze()
+        assert grown == b1.dim - before
 
 
 def test_echelon_rank_with_minor_oracle():

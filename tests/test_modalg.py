@@ -212,6 +212,27 @@ def test_unital_quotient_has_unit():
         assert np.array_equal(Q.mul(e, v), v)
 
 
+@pytest.mark.parametrize("spec,p,k,section", [
+    ("D8", 2, 1, (1, 3)),
+    ("Q8", 2, 2, (1, 4)),
+    ("D8", 2, 3, (1, 3)),
+    ("EA:3,2", 3, 2, (1, 3)),
+    ("Ab:4,4,2", 2, 2, None),  # all of Δ, dim 31: the sampled associativity path
+])
+def test_mul_batch_matches_rowwise_mul(spec, p, k, section):
+    F = make_field(p, k)
+    A = alg(spec, F)
+    if section is None:
+        Q = M.quotient_algebra(A, M.augmentation_ideal(A), None)
+        assert Q.dim > 24
+    else:
+        Q = M.radical_section(A, *section)
+    rng = np.random.default_rng(Q.dim)
+    X, Y = rng.integers(0, F.q, size=(2, 30, Q.dim)).astype(np.uint8)
+    rowwise = np.array([Q.mul(x, y) for x, y in zip(X, Y)], dtype=np.uint8)
+    assert np.array_equal(Q.mul_batch(X, Y), rowwise)
+
+
 # -- algebra-side dimension subgroups ---------------------------------------------------
 
 def test_algebraic_dimension_subgroups_c4():
