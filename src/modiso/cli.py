@@ -211,8 +211,9 @@ def make_parser() -> _Parser:
     p = sub.add_parser("report", help="fingerprint one group over one field")
     p.add_argument("spec")
     p.add_argument("--field", required=True)
-    p.add_argument("--json", action="store_true", default=True)
-    p.add_argument("--csv", action="store_true")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output (the default)")
+    fmt.add_argument("--csv", action="store_true", help="key,value lines instead of JSON")
     common(p)
     p.set_defaults(func=cmd_report)
 

@@ -19,6 +19,15 @@ ASSOC_EXHAUSTIVE_LIMIT = 512
 ASSOC_SAMPLES = 100_000
 
 
+def sample_ints(high: int, shape) -> np.ndarray:
+    """Deterministic pseudo-random integers in [0, high): the splitmix64
+    finalizer applied to 1, 2, 3, ... (no numpy.random, no global state)."""
+    z = np.arange(1, int(np.prod(shape)) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
+    return ((z ^ (z >> np.uint64(31))) % np.uint64(high)).astype(np.int64).reshape(shape)
+
+
 def _is_prime_power(n: int):
     """(p, e) with n = p^e, or None."""
     if n < 2:
@@ -83,8 +92,7 @@ class FiniteGroup:
                 if not np.array_equal(mul[mul[i], :], mul[i][mul]):
                     raise ValueError("table is not associative")
         else:
-            rng = np.random.default_rng(0)
-            i, j, k = rng.integers(0, n, size=(3, ASSOC_SAMPLES))
+            i, j, k = sample_ints(n, (3, ASSOC_SAMPLES))
             if not np.array_equal(mul[mul[i, j], k], mul[i, mul[j, k]]):
                 raise ValueError("table is not associative")
 

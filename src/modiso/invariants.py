@@ -23,7 +23,6 @@ from .groups import (
     agemo,
     char_series,
     conjugacy_classes,
-    dimension_subgroups_lazard,
     exponent,
     jennings_ranks,
     max_elem_abelian_direct_factor,
@@ -132,6 +131,15 @@ class Fingerprint:
 
 
 def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fingerprint:
+    """The invariant battery of FG. Only `kernel_sizes` builds the group
+    algebra. Every other entry is read off the group side, including three
+    algebra dimensions that theory pins (derivations in notes/decisions.md;
+    the algebra-side routes stay in `modalg` as test oracles):
+    `jennings_dims` from Jennings' product over the ranks d_n of D_n/D_(n+1),
+    `small_group_ring_dim` = |G:G'| + d(G') and `zassenhaus_dims` =
+    dim Δ^(n+1) + d_n. Each entry keeps the availability gates of its
+    algebra route; `enum_cap` fires where enumerating the widest Zassenhaus
+    section, Δ/Δ^(depth+1), would have."""
     p, _ = G.require_p_group()
     if p != F.p:
         raise ValueError(f"field characteristic {F.p} does not match group prime {p}")
@@ -145,9 +153,10 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
         e += 1
 
     ranks = jennings_ranks(G)
+    derived_rank = min_generators(cs.derived)
     flags = {
         "exponent_is_p": exp == p,
-        "derived_cyclic": min_generators(cs.derived) <= 1,
+        "derived_cyclic": derived_rank <= 1,
         "class_two": cs.nilpotency_class == 2,
         "maximal_class": cs.nilpotency_class >= 2 and G.n == p**(cs.nilpotency_class + 1),
     }
@@ -161,40 +170,35 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     except CapExceeded as err:
         factor_rank = Unavailable(err.cap_name)
 
-    jdims = Unavailable("algebra_order_cap")
-    kernel = []
-    sgr_dim = Unavailable("algebra_order_cap")
-    zass = Unavailable("algebra_order_cap")
-    if G.n <= caps.algebra_order_cap:
-        A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
-        jdims = modalg.jennings_dims(A)
-        sgr_dim = modalg.small_group_ring(A).dim
-        if G.n <= caps.kernel_order_cap and F.q <= caps.kernel_q_cap:
-            for (i, j, k) in caps.kernel_sections:
-                try:
-                    sect = modalg.radical_section(A, i, j)
-                    counts = modalg.kernel_size_power_map(sect, k, enum_cap=caps.enum_cap)
-                except CapExceeded as err:
-                    counts = Unavailable(err.cap_name)
-                kernel.append({"section": (i, j), "power": k, "counts": counts})
-        else:
-            kernel = [{"section": (i, j), "power": k, "counts": Unavailable("kernel_order_cap")}
-                      for (i, j, k) in caps.kernel_sections]
-        if F.k == 1 and G.n <= caps.zassenhaus_order_cap:
-            D = dimension_subgroups_lazard(G)
-            depth = max((n + 1 for n, S in enumerate(D) if S.order > 1), default=0)
-            try:
-                zass = [modalg.zassenhaus_ideal(A, n, enum_cap=caps.enum_cap).dim
-                        for n in range(1, depth + 1)]
-            except CapExceeded as err:
-                zass = Unavailable(err.cap_name)
-        elif F.k != 1:
-            zass = Unavailable("prime_field_only")
-        else:
-            zass = Unavailable("zassenhaus_order_cap")
+    if G.n > caps.algebra_order_cap:
+        jdims = sgr_dim = zass = Unavailable("algebra_order_cap")
     else:
-        kernel = [{"section": (i, j), "power": k, "counts": Unavailable("algebra_order_cap")}
-                  for (i, j, k) in caps.kernel_sections]
+        jdims = jennings_polynomial(p, ranks)[1:]
+        sgr_dim = G.n // cs.derived.order + derived_rank
+        depth = len(ranks)
+        if F.k != 1:
+            zass = Unavailable("prime_field_only")
+        elif G.n > caps.zassenhaus_order_cap:
+            zass = Unavailable("zassenhaus_order_cap")
+        elif p ** sum(jdims[:depth]) > caps.enum_cap:
+            zass = Unavailable("enum_cap")
+        else:
+            zass = [sum(jdims[n:]) + ranks[n - 1] for n in range(1, depth + 1)]
+
+    kernel = []
+    for (i, j, k) in caps.kernel_sections:
+        if G.n > caps.algebra_order_cap:
+            counts = Unavailable("algebra_order_cap")
+        elif G.n > caps.kernel_order_cap or F.q > caps.kernel_q_cap:
+            counts = Unavailable("kernel_order_cap")
+        else:
+            try:
+                A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
+                sect = modalg.radical_section(A, i, j)
+                counts = modalg.kernel_size_power_map(sect, k, enum_cap=caps.enum_cap)
+            except CapExceeded as err:
+                counts = Unavailable(err.cap_name)
+        kernel.append({"section": (i, j), "power": k, "counts": counts})
 
     return Fingerprint(
         field_spec=(F.p, F.k),

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis, make_field
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, char_series, sample_ints
 
 ALGEBRA_ORDER_CAP = 256
 ENUM_CAP_DEFAULT = 1 << 24
@@ -133,9 +133,7 @@ def augmentation_ideal(A: GroupAlgebra) -> Ideal:
     key = "delta1"
     if key not in A._cache:
         b = EchelonBuilder(A.field, A.n)
-        for g in range(A.n):
-            if g != A.group.id:
-                b.add(A.basis_minus_one(g))
+        b.add_block(np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8))
         A._cache[key] = Ideal(A, b.freeze())
     return A._cache[key]
 
@@ -183,21 +181,12 @@ def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:
         raise ValueError("N must be a normal subgroup of G")
     key = ("relaug", N._key)
     if key not in A._cache:
-        G = A.group
+        rep = A.group.mul[N.elems].min(axis=0)  # least element of each coset Ng
+        xs = np.nonzero(rep != np.arange(A.n))[0]
+        rows = np.eye(A.n, dtype=np.uint8)[xs]
+        rows[np.arange(len(xs)), rep[xs]] = A.field.NEG[1]
         b = EchelonBuilder(A.field, A.n)
-        seen = np.zeros(A.n, dtype=bool)
-        F = A.field
-        for g in range(A.n):
-            if seen[g]:
-                continue
-            coset = np.sort(G.mul[N.elems, g])
-            seen[coset] = True
-            rep = int(coset[0])
-            for x in coset[1:].tolist():
-                v = A.zero()
-                v[x] = 1
-                v[rep] = F.NEG[1]
-                b.add(v)
+        b.add_block(rows)
         space = b.freeze()
         assert space.dim == A.n - A.n // N.order
         A._cache[key] = Ideal(A, space)
@@ -290,8 +279,7 @@ class QuotientAlgebra:
                 if not np.array_equal(lhs, rhs):
                     raise AssertionError("structure constants are not associative")
         else:
-            rng = np.random.default_rng(0)
-            X, Y, Z = rng.integers(0, F.q, size=(3, 200, d)).astype(np.uint8)
+            X, Y, Z = sample_ints(F.q, (3, 200, d)).astype(np.uint8)
             if not np.array_equal(self.mul_batch(self.mul_batch(X, Y), Z),
                                   self.mul_batch(X, self.mul_batch(Y, Z))):
                 raise AssertionError("structure constants are not associative")
@@ -367,13 +355,9 @@ class QuotientAlgebra:
         m = 1
         while cur.dim > 0 and m <= bound:
             nxt = EchelonBuilder(self.field, self.dim)
-            for u in cur.rows:
-                T = self.field.matmul(u[None, :], self.sc.reshape(self.dim, -1))[0] \
-                    .reshape(self.dim, self.dim)
-                for e in range(self.dim):
-                    v = np.zeros(self.dim, dtype=np.uint8)
-                    v[e] = 1
-                    nxt.add(self.field.matmul(v[None, :], T)[0])
+            # row (u, e) of the block is u * e_e
+            nxt.add_block(self.field.matmul(cur.rows, self.sc.reshape(self.dim, -1))
+                          .reshape(-1, self.dim))
             new = nxt.freeze()
             if new.dim >= cur.dim:
                 return None
@@ -513,8 +497,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) 
             if i * pj >= n:
                 # image of the i-th Lie ideal inside Q
                 img = EchelonBuilder(F, Q.dim)
-                for row in L.space.rows:
-                    img.add(Q.project(row))
+                img.add_block(Q.project(L.space.rows))
                 sect = img.freeze()
                 if sect.dim > 0 and p**sect.dim > enum_cap:
                     raise CapExceeded(
@@ -522,10 +505,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) 
                         f"Zassenhaus section of dim {sect.dim} over GF({F.q}) "
                         "exceeds the enumeration cap")
                 for block in _enumerate_coords(F.q, sect.dim):
-                    coords = F.matmul(block, sect.rows) if sect.dim else np.zeros((1, Q.dim), np.uint8)
-                    powered = Q.power_map_batch(coords, j)
-                    for row in np.unique(powered, axis=0):
-                        b.add(row)
+                    b.add_block(Q.power_map_batch(F.matmul(block, sect.rows), j))
             if pj >= n:  # higher powers of anything in Δ land inside Δ^(n+1)
                 break
             pj *= p
@@ -533,24 +513,18 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) 
     span_q = b.freeze()
 
     out = EchelonBuilder(F, A.n)
-    for row in Jnp1.space.rows:
-        out.add(row)
-    for row in span_q.rows:
-        out.add(F.matmul(row[None, :], Q.reps)[0])
+    out.add_block(np.vstack([Jnp1.space.rows, F.matmul(span_q.rows, Q.reps)]))
     return Ideal(A, out.freeze())
 
 
 def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
     """FG / (Δ(FG) · Δ(G')FG) as a unital structure-constant algebra."""
-    from .groups import char_series
     F = A.field
     derived = char_series(A.group).derived
     rel = relative_augmentation_ideal(A, derived)
     delta = augmentation_ideal(A)
     b = EchelonBuilder(F, A.n)
     for v in rel.space.rows:
-        RM = A.right_mul_matrix(v)
-        for row in F.matmul(delta.space.rows, RM):
-            b.add(row)
+        b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
     K = Ideal(A, b.freeze())
     return quotient_algebra(A, None, K, label="small-group-ring")

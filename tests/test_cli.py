@@ -37,6 +37,13 @@ def test_report_csv(capsys):
     assert rows["order"] == "8"
 
 
+def test_report_json_and_csv_are_exclusive(capsys):
+    code, out, err = run(capsys, "report", "D8", "--field", "2", "--json", "--csv")
+    assert code == 64
+    assert out == ""
+    assert "not allowed with" in err
+
+
 def test_report_round_trip_stable(capsys):
     code, first, _ = run(capsys, "report", "Q8", "--field", "2")
     code2, second, _ = run(capsys, "report", "Q8", "--field", "2")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from modiso.caps import Caps
+from modiso.errors import CapExceeded
 from modiso.families import build, paper_pair
 from modiso.gfq import make_field
-from modiso.groups import conjugacy_classes
+from modiso.groups import conjugacy_classes, jennings_ranks
 from modiso.invariants import (
     Unavailable,
     class_power_stats,
@@ -340,7 +341,6 @@ def test_fingerprint_invariant_under_relabeling():
 
 def test_jennings_polynomial_d8():
     # ranks 2, 1, 1 give (1+t)^2 (1+t^2)(1+t^3)... for D8 the ranks are [2, 1]
-    from modiso.groups import jennings_ranks
     G = build("D8")
     assert jennings_ranks(G) == [2, 1]
     assert jennings_polynomial(2, [2, 1]) == [1, 2, 2, 2, 1]
@@ -353,6 +353,38 @@ def test_jennings_prediction_matches_algebra(corpus_small):
         F = make_field(p, 1)
         A = modalg.group_algebra(G, F)
         assert modalg.jennings_dims(A) == predicted_jennings_dims(G), spec
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_group_side_entries_match_algebra_oracles(corpus_small, k):
+    for spec, G in corpus_small:
+        p = G.require_p_group()[0]
+        F = make_field(p, k)
+        fp = fingerprint(G, F)
+        A = modalg.group_algebra(G, F)
+        assert fp.jennings_dims == modalg.jennings_dims(A), spec
+        assert fp.small_group_ring_dim == modalg.small_group_ring(A).dim, spec
+        if k == 1:
+            depth = len(jennings_ranks(G))
+            assert fp.zassenhaus_dims == [modalg.zassenhaus_ideal(A, n).dim
+                                          for n in range(1, depth + 1)], spec
+        else:
+            assert fp.zassenhaus_dims == Unavailable("prime_field_only"), spec
+
+
+def test_zassenhaus_enum_cap_gate_matches_enumeration():
+    # C16 has Jennings ranks [1, 1, 0, 1, 0, 0, 0, 1]: the widest section
+    # enumerated is Δ/Δ^9, with 2^8 elements
+    G = build("C:16")
+    A = modalg.group_algebra(G, F2)
+    for cap, available in [(255, False), (256, True)]:
+        zass = fingerprint(G, F2, Caps(enum_cap=cap)).zassenhaus_dims
+        try:
+            dims = [modalg.zassenhaus_ideal(A, n, enum_cap=cap).dim for n in range(1, 9)]
+        except CapExceeded:
+            dims = Unavailable("enum_cap")
+        assert isinstance(zass, list) == available
+        assert zass == dims
 
 
 # -- serialization ---------------------------------------------------------------------

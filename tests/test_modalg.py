@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,6 +235,40 @@ def test_mul_batch_matches_rowwise_mul(spec, p, k, section):
     X, Y = rng.integers(0, F.q, size=(2, 30, Q.dim)).astype(np.uint8)
     rowwise = np.array([Q.mul(x, y) for x, y in zip(X, Y)], dtype=np.uint8)
     assert np.array_equal(Q.mul_batch(X, Y), rowwise)
+
+
+def test_sampled_associativity_check_rejects_nonassociative_tensor():
+    # e0*e0 = e1, e1*e0 = e2 and every other basis product 0, in dim 25 (past
+    # the exhaustive limit): (e0 e0) e0 = e2 but e0 (e0 e0) = e0 e1 = 0
+    d = 25
+    sc = np.zeros((d, d, d), dtype=np.uint8)
+    sc[0, 0, 1] = 1
+    sc[1, 0, 2] = 1
+    square = sc[0, 0].astype(np.int64)  # e0 e0
+    left = square @ sc[:, 0] % 2        # (e0 e0) e0: row k of sc[:, 0] is e_k e0
+    right = square @ sc[0, :] % 2       # e0 (e0 e0): row k of sc[0, :] is e0 e_k
+    assert not np.array_equal(left, right)
+    with pytest.raises(AssertionError, match="not associative"):
+        M.QuotientAlgebra(F2, sc)
+
+
+def test_sampled_associativity_checks_do_not_load_numpy_random():
+    code = (
+        "import sys\n"
+        "from modiso import build, group_algebra, make_field\n"
+        "from modiso import modalg\n"
+        "G = build('T:1,6')\n"
+        "assert G.n > 512\n"
+        "A = group_algebra(build('C:32'), make_field(2, 1))\n"
+        "Q = modalg.quotient_algebra(A, modalg.augmentation_ideal(A), None)\n"
+        "assert Q.dim > 24\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- algebra-side dimension subgroups ---------------------------------------------------
