@@ -47,7 +47,7 @@ def _is_prime_power(n: int):
 class FiniteGroup:
     """A finite group as an n x n multiplication table of element indices."""
 
-    def __init__(self, mul, gens=None, presentation=None, elem_words=None, labels=None):
+    def __init__(self, mul, gens, presentation=None, elem_words=None, labels=None):
         mul = np.asarray(mul, dtype=np.int32)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
@@ -79,8 +79,6 @@ class FiniteGroup:
         self._labels = labels
         self._cache = {}
 
-        if gens is None:
-            gens = self._greedy_generators()
         self.gens = tuple(int(g) for g in gens)
         if len(self.closure(self.gens)) != n:
             raise ValueError("distinguished generators do not generate the group")
@@ -95,17 +93,6 @@ class FiniteGroup:
             i, j, k = sample_ints(n, (3, ASSOC_SAMPLES))
             if not np.array_equal(mul[mul[i, j], k], mul[i, mul[j, k]]):
                 raise ValueError("table is not associative")
-
-    def _greedy_generators(self):
-        gens = []
-        have = {self.id}
-        for g in range(self.n):
-            if g not in have:
-                gens.append(g)
-                have = set(self.closure(gens))
-                if len(have) == self.n:
-                    break
-        return gens
 
     # -- element arithmetic ----------------------------------------------------
 
@@ -194,7 +181,9 @@ class FiniteGroup:
         return Subgroup(self, self.closure(seed))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, np.arange(self.n, dtype=np.int32))
+        if "full" not in self._cache:
+            self._cache["full"] = Subgroup(self, np.arange(self.n, dtype=np.int32))
+        return self._cache["full"]
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.array([self.id], dtype=np.int32))
@@ -468,14 +457,15 @@ def _section(X: Subgroup, Y: Subgroup):
 
 @dataclass(frozen=True)
 class ConjClass:
+    """A conjugacy class. It carries no centralizer: a reader that needs one
+    builds it with `centralizer(G, c.rep)`."""
     rep: int
     elems: np.ndarray
     length: int
-    centralizer: Subgroup
 
 
 def conjugacy_classes(G: FiniteGroup):
-    """Classes in order of least representative, with centralizers."""
+    """Classes in order of least representative."""
     if "classes" not in G._cache:
         n = G.n
         mul, inv = G.mul, G.inv
@@ -487,9 +477,8 @@ def conjugacy_classes(G: FiniteGroup):
                 continue
             cls = np.unique(mul[mul[inv, g], ar])
             seen[cls] = True
-            cent = centralizer(G, g)
-            assert len(cls) * cent.order == n
-            out.append(ConjClass(rep=g, elems=cls, length=len(cls), centralizer=cent))
+            assert len(cls) * (mul[g] == mul[:, g]).sum() == n
+            out.append(ConjClass(rep=g, elems=cls, length=len(cls)))
         assert sum(c.length for c in out) == n
         G._cache["classes"] = out
     return G._cache["classes"]

@@ -21,6 +21,7 @@ from .groups import (
     FiniteGroup,
     abelian_type,
     agemo,
+    centralizer,
     char_series,
     conjugacy_classes,
     exponent,
@@ -53,14 +54,17 @@ TRANSFER_SECTION_NAMES = (
 def hh1_dimension(G: FiniteGroup) -> int:
     """Dimension of the first Hochschild cohomology of FG: the sum over
     conjugacy classes of the minimal number of generators of the centralizer
-    (a purely group-theoretic value, independent of the field size)."""
+    (a purely group-theoretic value, independent of the field size).
+
+    Classes carry no centralizer; this builds `centralizer(G, c.rep)` once
+    per distinct centralizer, keyed on the bytes of its membership mask."""
     G.require_p_group()
     total = 0
     seen = {}
     for c in conjugacy_classes(G):
-        key = c.centralizer._key
+        key = (G.mul[c.rep] == G.mul[:, c.rep]).tobytes()
         if key not in seen:
-            seen[key] = min_generators(c.centralizer)
+            seen[key] = min_generators(centralizer(G, c.rep))
         total += seen[key]
     return total
 
@@ -82,11 +86,12 @@ def class_power_stats(G: FiniteGroup, k: int):
 
 def transfer_sections(G: FiniteGroup, k_max: int | None = None):
     """For k = 0..k_max, the types of the six invariant abelian sections built
-    from Z(G), ℧_k, Ω_k, and G'. Default k_max: the least k with ℧_k(G) = 1."""
+    from Z(G), ℧_k, Ω_k, and G'. Default k_max: the least k with ℧_k(G) = 1,
+    which is log_p exp(G), since g^(p^k) = 1 for all g iff p^k >= exp(G)."""
     p, _ = G.require_p_group()
     if k_max is None:
-        k_max = 0
-        while agemo(G, k_max).order > 1:
+        exp, k_max = exponent(G), 0
+        while p**k_max < exp:
             k_max += 1
     cs = char_series(G)
     Z, derived = cs.center, cs.derived
@@ -139,7 +144,8 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     `small_group_ring_dim` = |G:G'| + d(G') and `zassenhaus_dims` =
     dim Δ^(n+1) + d_n. Each entry keeps the availability gates of its
     algebra route; `enum_cap` fires where enumerating the widest Zassenhaus
-    section, Δ/Δ^(depth+1), would have."""
+    section, Δ/Δ^(depth+1), would have. `min_gens` is d_1, since
+    D_2 = G^p G' = Φ(G)."""
     p, _ = G.require_p_group()
     if p != F.p:
         raise ValueError(f"field characteristic {F.p} does not match group prime {p}")
@@ -206,7 +212,7 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
         abelianization=abelian_type(G.full_subgroup(), cs.derived),
         center_type=abelian_type(cs.center),
         jennings_factors=[(p,) * r for r in ranks],
-        min_gens=min_generators(G),
+        min_gens=ranks[0] if ranks else 0,
         exponent=exp,
         nilpotency_class=cs.nilpotency_class,
         class_flags=flags,

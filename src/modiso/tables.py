@@ -16,6 +16,7 @@ from .gfq import make_field
 from .groups import (
     abelian_type,
     center,
+    centralizer,
     char_series,
     conjugacy_classes,
     dimension_subgroups_lazard,
@@ -92,17 +93,17 @@ def table_hh1(ns=(4, 5, 6)):
     return rows
 
 
-def _segment_stats(G, classes, members):
+def _segment_stats(classes, cents, members):
     seg = [c for c in classes if members(c.rep)]
     elements = sum(c.length for c in seg)
     lengths = sorted(set(c.length for c in seg))
-    cents = sorted(set(c.centralizer.order for c in seg))
+    orders = sorted(set(cents[c.rep].order for c in seg))
     return {
         "elements": elements,
         "classes": len(seg),
         "length": lengths[0] if len(lengths) == 1 else tuple(lengths),
-        "centralizer": cents[0] if len(cents) == 1 else tuple(cents),
-    }, seg
+        "centralizer": orders[0] if len(orders) == 1 else tuple(orders),
+    }
 
 
 def table_class_data(which: str, ns=None):
@@ -120,6 +121,7 @@ def table_class_data(which: str, ns=None):
             G = build(f"T:{i},{n}")
             label = f"T{i}(n={n})"
             classes = conjugacy_classes(G)
+            cents = {c.rep: centralizer(G, c.rep) for c in classes}
             Z = center(G)
             N = subgroup_generated(G, list(G.gens[1:]))  # <b, c, d>
             segments = []
@@ -152,21 +154,21 @@ def table_class_data(which: str, ns=None):
                       "length": 3 ** (n - 2), "centralizer": 9}),
                 ]
             for seg_name, members, want in segments:
-                got, seg = _segment_stats(G, classes, members)
+                got = _segment_stats(classes, cents, members)
                 for key in ("elements", "classes", "length", "centralizer"):
                     rows.append(TableRow(label, f"{seg_name}.{key}", want[key], got[key]))
             # centralizer structure spot-checks
             outer = [c for c in classes if not N.contains(c.rep)]
-            ok = all(c.centralizer == subgroup_generated(G, [c.rep] + Z.elems.tolist())
+            ok = all(cents[c.rep] == subgroup_generated(G, [c.rep] + Z.elems.tolist())
                      for c in outer)
             rows.append(TableRow(label, "G-N.centralizer_is_<g,Z>", True, ok))
             inner = [c for c in classes
                      if N.contains(c.rep) and not Z.contains(c.rep) and c.length == 3]
-            ok = all(c.centralizer.elems.tolist() == N.elems.tolist() for c in inner)
+            ok = all(cents[c.rep].elems.tolist() == N.elems.tolist() for c in inner)
             rows.append(TableRow(label, "len3.centralizer_is_N", True, ok))
             if which == "table3":
                 mid = [c for c in classes if c.length == 9]
-                ok = all(c.centralizer == subgroup_generated(G, [c.rep] + M.elems.tolist())
+                ok = all(cents[c.rep] == subgroup_generated(G, [c.rep] + M.elems.tolist())
                          for c in mid)
                 rows.append(TableRow(label, "N-M.centralizer_is_<g,M>", True, ok))
     return rows
@@ -180,7 +182,8 @@ def table_contributions(ns=(4, 5, 6)):
         label = f"T{i}(n={n})"
         got = {"type1": 0, "type2": 0, "type3": 0, "type4": 0}
         for c in conjugacy_classes(G):
-            size = c.centralizer.order
+            C = centralizer(G, c.rep)
+            size = C.order
             if size == 3**n:
                 kind = "type1"
             elif size == 3 ** (n - 1):
@@ -189,7 +192,7 @@ def table_contributions(ns=(4, 5, 6)):
                 kind = "type4"
             else:
                 kind = "type3"
-            got[kind] += min_generators(c.centralizer)
+            got[kind] += min_generators(C)
         want = hh1_contributions(i, n)
         for kind in ("type1", "type2", "type3", "type4"):
             rows.append(TableRow(label, kind, want[kind], got[kind]))

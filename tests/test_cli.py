@@ -1,6 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from modiso.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -51,6 +57,20 @@ def test_report_round_trip_stable(capsys):
     assert first == second
     doc = json.loads(first)
     assert json.dumps(doc, indent=2) + "\n" == first
+
+
+def test_stdout_independent_of_hash_seed():
+    commands = [["report", "T:2,5", "--field", "3"],
+                ["compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2"]]
+    for argv in commands:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-m", "modiso", *argv], cwd=ROOT,
+                                  env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv
 
 
 def test_report_parse_error_exit_64(capsys):

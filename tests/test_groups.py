@@ -6,10 +6,15 @@ import pytest
 from modiso.errors import CapExceeded
 from modiso.families import broche_case2, build
 from modiso.groups import (
+    ASSOC_EXHAUSTIVE_LIMIT,
+    ASSOC_SAMPLES,
+    FiniteGroup,
+    Subgroup,
     abelian_type,
     agemo,
     agemo_omega,
     center,
+    centralizer,
     char_series,
     conjugacy_classes,
     dimension_subgroups_lazard,
@@ -21,6 +26,7 @@ from modiso.groups import (
     omega,
     omega_in,
     quotient_group,
+    sample_ints,
     section_group,
     subgroup_generated,
     subgroup_intersection,
@@ -34,6 +40,53 @@ def D8():
 
 def Q8():
     return build("Q8")
+
+
+# -- table validation ------------------------------------------------------------
+
+def cyclic_table(n):
+    ar = np.arange(n)
+    return (ar[:, None] + ar[None, :]) % n
+
+
+def twisted_table(n):
+    """0 is a unique two-sided identity and -x the inverse of x, but every
+    other product x∘y is -(x + y) mod n, so (x∘y)∘z = x + y - z while
+    x∘(y∘z) = -x + y + z."""
+    t = (-cyclic_table(n)) % n
+    t[0, :] = t[:, 0] = np.arange(n)
+    return t
+
+
+def test_finite_group_rejects_bad_tables():
+    with pytest.raises(ValueError, match="square"):
+        FiniteGroup(np.zeros((2, 3)), gens=[0])
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteGroup([[0, 1], [1, 2]], gens=[1])
+    with pytest.raises(ValueError, match="unique identity"):
+        FiniteGroup([[0, 0], [0, 0]], gens=[0])
+    with pytest.raises(ValueError, match="inverse"):
+        FiniteGroup([[0, 1, 2], [1, 1, 1], [2, 1, 2]], gens=[1, 2])
+    assert FiniteGroup(cyclic_table(4), gens=[1]).n == 4
+    with pytest.raises(ValueError, match="do not generate"):
+        FiniteGroup(cyclic_table(4), gens=[2])
+
+
+def test_finite_group_rejects_nonassociative_exhaustive():
+    t = twisted_table(12)
+    assert t[t[1, 1], 3] != t[1, t[1, 3]]
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(t, gens=[1])
+
+
+def test_finite_group_rejects_nonassociative_sampled():
+    n = ASSOC_EXHAUSTIVE_LIMIT + 88
+    t = twisted_table(n)
+    assert t[t[1, 1], 3] != t[1, t[1, 3]]
+    i, j, k = sample_ints(n, (3, ASSOC_SAMPLES))
+    assert (t[t[i, j], k] != t[i, t[j, k]]).any()
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(t, gens=[1])
 
 
 # -- subgroup_generated --------------------------------------------------------
@@ -174,6 +227,21 @@ def test_classes_abelian_singletons():
     assert all(c.length == 1 for c in cls)
 
 
+def test_conjugacy_classes_build_no_subgroup(monkeypatch):
+    built = []
+    init = Subgroup.__init__
+
+    def counting_init(self, parent, elems):
+        built.append(len(elems))
+        init(self, parent, elems)
+
+    G = build("T:2,5")
+    fresh = FiniteGroup(G.mul, gens=G.gens)
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    assert sum(c.length for c in conjugacy_classes(fresh)) == fresh.n
+    assert built == []
+
+
 def test_class_partition_and_centralizer_identity():
     G = build("T:2,4")
     cls = conjugacy_classes(G)
@@ -181,7 +249,7 @@ def test_class_partition_and_centralizer_identity():
     seen = np.concatenate([c.elems for c in cls])
     assert len(np.unique(seen)) == G.n
     for c in cls:
-        assert c.length * c.centralizer.order == G.n
+        assert c.length * centralizer(G, c.rep).order == G.n
 
 
 # -- abelian type ------------------------------------------------------------------
@@ -263,7 +331,7 @@ def test_min_generators():
 def test_min_generators_type2_centralizer_T2_4():
     G = build("T:2,4")
     cls = conjugacy_classes(G)
-    three_gen = [c for c in cls if c.length == 3 and min_generators(c.centralizer) == 3]
+    three_gen = [c for c in cls if c.length == 3 and min_generators(centralizer(G, c.rep)) == 3]
     assert len(three_gen) == 8  # all type-2 classes are three-generated here
 
 

@@ -7,7 +7,7 @@ from modiso.caps import Caps
 from modiso.errors import CapExceeded
 from modiso.families import build, paper_pair
 from modiso.gfq import make_field
-from modiso.groups import conjugacy_classes, jennings_ranks
+from modiso.groups import agemo, conjugacy_classes, jennings_ranks, min_generators
 from modiso.invariants import (
     Unavailable,
     class_power_stats,
@@ -137,6 +137,14 @@ def test_transfer_sections_abelian():
     assert rows[1]["tor_center_derived_mod_derived"] == (2, 2)  # Ω_1(G)
 
 
+def test_transfer_sections_default_depth_is_agemo_depth(corpus_small):
+    for spec, G in corpus_small:
+        k = 0
+        while agemo(G, k).order > 1:
+            k += 1
+        assert len(transfer_sections(G)) == k + 1, spec
+
+
 # -- fingerprints and comparison ------------------------------------------------------
 
 def test_fingerprint_d8_q8_basic_entries_agree():
@@ -158,6 +166,12 @@ def test_fingerprint_c2():
     assert fp.abelianization == (2,)
     assert fp.center_type == (2,)
     assert fp.jennings_dims == [1]
+
+
+def test_fingerprint_min_gens_matches_frattini_route(corpus_small):
+    for spec, G in corpus_small:
+        F = make_field(G.require_p_group()[0], 1)
+        assert fingerprint(G, F).min_gens == min_generators(G), spec
 
 
 def test_fingerprint_field_mismatch():
