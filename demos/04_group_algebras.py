@@ -1,8 +1,8 @@
 """The modular group algebra: radical filtration, sections, kernel sizes."""
 
-from modiso import build, group_algebra, make_field
+from modiso import build, fingerprint, group_algebra, make_field
 from modiso import modalg
-from modiso.groups import char_series, dimension_subgroups_lazard
+from modiso.groups import dimension_subgroups_lazard
 from modiso.invariants import predicted_jennings_dims
 
 F2 = make_field(2, 1)
@@ -14,16 +14,10 @@ print("radical power dimensions:", [P.dim for P in powers])
 print("section dims:", modalg.jennings_dims(A),
       " predicted from the group side:", predicted_jennings_dims(G))
 
-# dimension subgroups two ways: group-theoretic product formula vs
-# membership in radical powers
+# Lazard's product formula gives the dimension subgroups D_n = G ∩ (1 + Δ^n);
+# their ranks fix the Jennings prediction above
 laz = dimension_subgroups_lazard(G)
-alg = modalg.dimension_subgroups_algebraic(A)
-print("dimension subgroup orders (group side):", [S.order for S in laz])
-print("dimension subgroup orders (algebra side):", [S.order for S in alg])
-
-rel = modalg.relative_augmentation_ideal(A, char_series(G).derived)
-print("\ndim of the commutator ideal:", rel.dim, "= |G| - [G:G'] =", G.n - 4)
-print("second Lie power equals it:", modalg.lie_power_ideals(A, 2)[1] == rel)
+print("dimension subgroup orders:", [S.order for S in laz])
 
 # the radical section between the first and third powers, as a
 # structure-constant algebra
@@ -32,6 +26,9 @@ print("\nsection dim", S.dim, " nilpotency degree", S.nilpotency_degree())
 kill, survive = modalg.kernel_size_power_map(S, 1)
 print("squares vanish for", kill, "of", kill + survive, "elements")
 
-print("small group ring dimension:", modalg.small_group_ring(A).dim)
-print("Zassenhaus ideal dims:",
-      [modalg.zassenhaus_ideal(A, n).dim for n in (1, 2, 3)])
+# two more algebra dimensions the fingerprint reads off the group side:
+# |G:G'| + d(G') and dim Δ^(n+1) + d_n (the algebra-side constructions are
+# the test oracles in tests/oracles.py)
+fp = fingerprint(G, F2)
+print("\nsmall group ring dimension:", fp.small_group_ring_dim)
+print("Zassenhaus ideal dims Z_1, Z_2, ... while D_n != 1:", fp.zassenhaus_dims)

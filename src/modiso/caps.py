@@ -24,20 +24,42 @@ class Caps:
     kernel_sections: tuple = ((1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 3, 2))
 
     @staticmethod
-    def from_json(data: dict) -> "Caps":
+    def from_json(data) -> "Caps":
+        """Caps from a decoded JSON object; raises ValueError on unknown names
+        and on values of the wrong shape."""
+        if not isinstance(data, dict):
+            raise ValueError("caps must be a JSON object")
         fields = {f.name for f in dataclasses.fields(Caps)}
         unknown = set(data) - fields
         if unknown:
             raise ValueError(f"unknown cap names: {sorted(unknown)}")
-        if "kernel_sections" in data:
-            data = dict(data)
-            data["kernel_sections"] = tuple(tuple(x) for x in data["kernel_sections"])
+        data = dict(data)
+        for name, value in data.items():
+            if name == "kernel_sections":
+                data[name] = _kernel_sections(value)
+            elif not _is_count(value):
+                raise ValueError(f"cap {name} must be an integer >= 0, got {value!r}")
         return Caps(**data)
 
     @staticmethod
     def load(path) -> "Caps":
         with open(path, encoding="utf-8") as fh:
             return Caps.from_json(json.load(fh))
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
+def _kernel_sections(value) -> tuple:
+    """kernel_sections as a tuple of (i, j, k): the section Δ^i/Δ^j with
+    1 <= i < j and the power p^k, k >= 0."""
+    if not (isinstance(value, list) and all(
+            isinstance(entry, list) and len(entry) == 3 and all(map(_is_count, entry))
+            and 1 <= entry[0] < entry[1] for entry in value)):
+        raise ValueError("kernel_sections must be a list of [i, j, k] with 1 <= i < j "
+                         f"and k >= 0, got {value!r}")
+    return tuple(map(tuple, value))
 
 
 DEFAULT_CAPS = Caps()

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 a table cell failed or --assert-distinguished was not
 met; 3 not isomorphic; 4 a cap was exceeded; 64 parse/usage error; 65 group
-construction failed.
+construction failed, or the group is not a p-group of the field's
+characteristic.
 """
 
 from __future__ import annotations
@@ -84,6 +85,25 @@ def _fingerprint_or_die(G, F, caps):
         raise SystemExit(EX_BUILD) from None
 
 
+def _algebra_or_die(G, F, caps):
+    try:
+        return modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
+    except ValueError as err:
+        print(f"mip: cannot build the group algebra: {err}", file=sys.stderr)
+        raise SystemExit(EX_BUILD) from None
+
+
+def _parse_section(text: str, what: str):
+    """The pair i,j of a radical section Δ^i/Δ^j, with 1 <= i < j."""
+    try:
+        i, j = (int(x) for x in text.split(","))
+    except ValueError:
+        raise SpecParseError(f"bad {what} {text!r}, want i,j") from None
+    if not 1 <= i < j:
+        raise SpecParseError(f"bad {what} {text!r}, need 1 <= i < j")
+    return i, j
+
+
 def cmd_report(args) -> int:
     caps = _load_caps(args.caps)
     G = _build(args.spec, caps)
@@ -141,13 +161,11 @@ def cmd_kernel_size(args) -> int:
     caps = _load_caps(args.caps)
     G = _build(args.spec, caps)
     F = _parse_field(args.field)
+    i, j = _parse_section(args.section, "--section")
+    if args.power < 0:
+        raise SpecParseError(f"bad --power {args.power}, need >= 0")
     try:
-        i, j = (int(x) for x in args.section.split(","))
-    except ValueError:
-        raise SpecParseError(f"bad --section {args.section!r}, want i,j") from None
-    try:
-        A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
-        sect = modalg.radical_section(A, i, j)
+        sect = modalg.radical_section(_algebra_or_die(G, F, caps), i, j)
         kill, survive = modalg.kernel_size_power_map(sect, args.power, enum_cap=caps.enum_cap)
     except CapExceeded as err:
         print(f"mip: {err}", file=sys.stderr)
@@ -173,15 +191,10 @@ def cmd_iso(args) -> int:
         elif args.mode.startswith("algebra:"):
             if args.field is None:
                 raise SpecParseError("algebra mode needs --field")
-            try:
-                i, j = (int(x) for x in args.mode[len("algebra:"):].split(","))
-            except ValueError:
-                raise SpecParseError(f"bad mode {args.mode!r}, want algebra:i,j") from None
+            i, j = _parse_section(args.mode[len("algebra:"):], "algebra mode section")
             F = _parse_field(args.field)
-            A = modalg.radical_section(
-                modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap), i, j)
-            B = modalg.radical_section(
-                modalg.group_algebra(H, F, order_cap=caps.algebra_order_cap), i, j)
+            A = modalg.radical_section(_algebra_or_die(G, F, caps), i, j)
+            B = modalg.radical_section(_algebra_or_die(H, F, caps), i, j)
             result = nilpotent_algebra_iso(A, B, cap=caps.iso_cap)
             if isinstance(result, IsoWitness):
                 _emit({"outcome": "isomorphic", "mode": args.mode, "field": args.field,

@@ -389,20 +389,12 @@ class EchelonBuilder:
         self._pivots.append(j)
         return r
 
-    def _add_row(self, v) -> bool:
+    def add(self, v: np.ndarray) -> bool:
+        """Sift v and insert the residue if nonzero. Returns True if dim grew."""
         v = np.asarray(v, dtype=np.uint8)
         if v.shape != (self.ambient,):
             raise ValueError(f"vector length {v.shape} != ambient {self.ambient}")
-        r = self.sift(v)
-        nz = np.nonzero(r[: self.width])[0]
-        if nz.size == 0:
-            return False
-        self._insert_reduced(r, int(nz[0]))
-        return True
-
-    def add(self, v: np.ndarray) -> bool:
-        """Sift v and insert the residue if nonzero. Returns True if dim grew."""
-        return self._add_row(v)
+        return self.add_block(v[None, :]) > 0
 
     def add_block(self, C: np.ndarray) -> int:
         """Insert many rows at once. The block is reduced against the current
@@ -420,10 +412,6 @@ class EchelonBuilder:
             r = self._insert_reduced(C[0], j)
             C = F.vsub(C[1:], F.matmul(C[1:, j, None], r[None, :]))
             added += 1
-
-    def add_many(self, vectors) -> None:
-        for v in vectors:
-            self.add(v)
 
     def freeze(self) -> "Subspace":
         d = self.dim
@@ -475,18 +463,6 @@ class Subspace:
         """Boolean mask over the rows of V: True where the row lies in the span."""
         return ~self.sift(V).any(axis=-1)
 
-    def solve(self, v: np.ndarray):
-        """Coefficients c with c @ rows == v, or None if v is outside the span."""
-        v = np.asarray(v, dtype=np.uint8)
-        coefs = v[list(self.pivots)] if self.pivots else np.zeros(0, dtype=np.uint8)
-        if self.dim:
-            recon = self.field.matmul(coefs[None, :], self.rows)[0]
-        else:
-            recon = np.zeros(self.ambient, dtype=np.uint8)
-        if not np.array_equal(recon, v):
-            return None
-        return coefs
-
     def builder(self) -> EchelonBuilder:
         """A mutable copy, for extending this subspace."""
         b = EchelonBuilder(self.field, self.ambient)
@@ -516,12 +492,8 @@ def echelon_basis(vectors, field: FiniteField, ambient: int | None = None) -> Su
         if v.shape != (ambient,):
             raise ValueError("ragged input lengths")
     b = EchelonBuilder(field, ambient)
-    b.add_many(vectors)
+    b.add_block(np.array(vectors, dtype=np.uint8).reshape(len(vectors), ambient))
     return b.freeze()
-
-
-def contains(S: Subspace, v) -> tuple:
-    return S.contains(np.asarray(v, dtype=np.uint8))
 
 
 def subspace_combine(A: Subspace, B: Subspace, mode: str) -> Subspace:
@@ -532,7 +504,7 @@ def subspace_combine(A: Subspace, B: Subspace, mode: str) -> Subspace:
         raise ValueError("field mismatch")
     if mode == "sum":
         b = A.builder()
-        b.add_many(B.rows)
+        b.add_block(B.rows)
         return b.freeze()
     if mode != "intersection":
         raise ValueError(f"unknown mode {mode!r}")
@@ -558,8 +530,8 @@ class TaggedEchelon(EchelonBuilder):
 
     def add(self, v, tag) -> bool:
         """Insert v carrying tag. Returns True if dim grew."""
-        return self._add_row(np.concatenate([np.asarray(v, dtype=np.uint8),
-                                             np.asarray(tag, dtype=np.uint8)]))
+        return super().add(np.concatenate([np.asarray(v, dtype=np.uint8),
+                                           np.asarray(tag, dtype=np.uint8)]))
 
     def solve(self, v) -> np.ndarray:
         """Tag combination expressing v (or each row of a block), read off the
@@ -579,9 +551,8 @@ def invert_matrix(M, field: FiniteField) -> np.ndarray:
     M = np.asarray(M, dtype=np.uint8)
     eye = np.eye(M.shape[0], dtype=np.uint8)
     te = TaggedEchelon(field, M.shape[0], M.shape[0])
-    for row, tag in zip(M, eye):
-        if not te.add(row, tag):
-            raise ValueError("matrix is singular")
+    if te.add_block(np.hstack([M, eye])) < M.shape[0]:
+        raise ValueError("matrix is singular")
     # row i of the result expresses e_i in the rows of M: out @ M = I
     return te.solve(eye)
 

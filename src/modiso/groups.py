@@ -250,9 +250,6 @@ class Subgroup:
                 return False
         return True
 
-    def conjugate_by(self, g: int) -> "Subgroup":
-        return Subgroup(self.parent, self.parent.conj_perm(g)[self.elems])
-
     def as_group(self):
         """This subgroup as a standalone FiniteGroup plus the index embedding."""
         G = self.parent
@@ -357,16 +354,6 @@ def omega_in(G: FiniteGroup, N: Subgroup, k: int) -> Subgroup:
         raise ValueError("N must be normal in G")
     pk = G.pow_map(p**k)
     return G.generated(np.nonzero(N._member[pk])[0])
-
-
-def agemo_omega(G: FiniteGroup, N, k: int, mode: str) -> Subgroup:
-    if mode == "agemo":
-        return agemo(G, k)
-    if mode == "omega":
-        return omega(G, k)
-    if mode == "omega_rel":
-        return omega_in(G, N, k)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _unpack(X):

@@ -139,7 +139,7 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     """The invariant battery of FG. Only `kernel_sizes` builds the group
     algebra. Every other entry is read off the group side, including three
     algebra dimensions that theory pins (derivations in notes/decisions.md;
-    the algebra-side routes stay in `modalg` as test oracles):
+    the algebra-side routes are the test oracles in tests/oracles.py):
     `jennings_dims` from Jennings' product over the ranks d_n of D_n/D_(n+1),
     `small_group_ring_dim` = |G:G'| + d(G') and `zassenhaus_dims` =
     dim Δ^(n+1) + d_n. Each entry keeps the availability gates of its

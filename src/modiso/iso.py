@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, invert_matrix
 from .groups import FiniteGroup, conjugacy_classes
-from .modalg import QuotientAlgebra
+from .modalg import QuotientAlgebra, _enumerate_coords
 
 
 @dataclass
@@ -226,14 +226,7 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 <
     if F.q ** (d * m) > cap:
         raise CapExceeded("iso_cap", f"{F.q}^{d * m} assignments exceed cap {cap}")
 
-    total = F.q ** (d * m)
-    chunk = 1 << 14
-    radix = np.array([F.q ** (d * m - 1 - i) for i in range(d * m)], dtype=np.int64)
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        flat = ((idx[:, None] // radix[None, :]) % F.q).astype(np.uint8)
+    for flat in _enumerate_coords(F.q, d * m, chunk=1 << 14):
         imgs = flat.reshape(-1, m, d)
         N = imgs.shape[0]
         # evaluate every monomial word at the candidate images
@@ -255,17 +248,13 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 <
             if not ok.any():
                 break
         for ci in np.nonzero(ok)[0].tolist():
-            rank = EchelonBuilder(F, d)
-            for row in U[ci]:
-                rank.add(row)
-            if rank.dim != d:
+            if EchelonBuilder(F, d).add_block(U[ci]) != d:
                 continue
             w = IsoWitness(kind="algebra",
                            images=[imgs[ci, t, :].copy() for t in range(m)],
                            source_gens=[g.copy() for g in gens])
             assert verify_witness(w, A, B)
             return w
-        start = stop
     return NotIsomorphic("exhausted")
 
 
@@ -308,10 +297,7 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
         # linear map on the standard basis: e_i -> coords_V(e_i) @ U
         M = F.matmul(Vinv, U)
         w.full_map = M
-        rank = EchelonBuilder(F, d)
-        for row in M:
-            rank.add(row)
-        if rank.dim != d:
+        if EchelonBuilder(F, d).add_block(M) != d:
             return False
         for i in range(d):
             for j in range(d):

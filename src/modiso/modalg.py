@@ -1,10 +1,13 @@
 """Modular group algebra engine.
 
 Elements of FG are uint8 code vectors indexed by group elements. The module
-computes the augmentation-ideal filtration, relative augmentation ideals, Lie
-power ideals, Zassenhaus ideals, structure-constant quotient algebras (both
-unital quotients FG/J and radical sections I/J), algebra-side dimension
-subgroups, power-map kernel sizes, and the small group ring.
+computes the augmentation-ideal filtration, structure-constant quotient
+algebras (both unital quotients FG/J and radical sections I/J) and power-map
+kernel sizes: the routes `mip` runs. The algebra-side routes to entries that
+the fingerprint reads off the group side (relative augmentation ideals, Lie
+power ideals, Zassenhaus ideals, algebra-side dimension subgroups and the
+small group ring) live in `tests/oracles.py`, where the tests compare them
+with the group-side values.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis, make_field
-from .groups import FiniteGroup, Subgroup, char_series, sample_ints
+from .groups import FiniteGroup, sample_ints
 
 ALGEBRA_ORDER_CAP = 256
 ENUM_CAP_DEFAULT = 1 << 24
@@ -22,11 +25,7 @@ ENUM_CAP_DEFAULT = 1 << 24
 class GroupAlgebra:
     """FG for a finite group G and finite field F."""
 
-    def __init__(self, group: FiniteGroup, field: FiniteField, order_cap: int = ALGEBRA_ORDER_CAP):
-        if group.n > order_cap:
-            raise CapExceeded(
-                "algebra_order_cap",
-                f"|G| = {group.n} exceeds the algebra-side cap {order_cap}")
+    def __init__(self, group: FiniteGroup, field: FiniteField):
         self.group = group
         self.field = field
         self.n = group.n
@@ -83,14 +82,18 @@ class GroupAlgebra:
 
 
 def group_algebra(G: FiniteGroup, F: FiniteField, order_cap: int = ALGEBRA_ORDER_CAP) -> GroupAlgebra:
-    """FG, cached on the group so radical filtrations are computed once."""
+    """FG for a p-group G and a field F of characteristic p, cached on the
+    group so radical filtrations are computed once."""
     if G.n > order_cap:
         raise CapExceeded(
             "algebra_order_cap",
             f"|G| = {G.n} exceeds the algebra-side cap {order_cap}")
+    p, _ = G.require_p_group()
+    if p != F.p:
+        raise ValueError(f"field characteristic {F.p} does not match group prime {p}")
     key = ("algebra", F.p, F.k)
     if key not in G._cache:
-        G._cache[key] = GroupAlgebra(G, F, order_cap)
+        G._cache[key] = GroupAlgebra(G, F)
     return G._cache[key]
 
 
@@ -172,71 +175,6 @@ def jennings_dims(A: GroupAlgebra):
     return [a - b for a, b in zip(dims, dims[1:] + [0] * (dims[-1] > 0))]
 
 
-def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:
-    """Δ(N)FG for N normal in G: the ideal generated by {u - 1 : u in N}.
-
-    Spanned by e_x - e_rep over the right cosets of N, so dim = |G| - [G:N].
-    """
-    if N.parent is not A.group or not N.is_normal():
-        raise ValueError("N must be a normal subgroup of G")
-    key = ("relaug", N._key)
-    if key not in A._cache:
-        rep = A.group.mul[N.elems].min(axis=0)  # least element of each coset Ng
-        xs = np.nonzero(rep != np.arange(A.n))[0]
-        rows = np.eye(A.n, dtype=np.uint8)[xs]
-        rows[np.arange(len(xs)), rep[xs]] = A.field.NEG[1]
-        b = EchelonBuilder(A.field, A.n)
-        b.add_block(rows)
-        space = b.freeze()
-        assert space.dim == A.n - A.n // N.order
-        A._cache[key] = Ideal(A, space)
-    return A._cache[key]
-
-
-def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
-    """The Lie power series: first term Δ, each next the ideal closure of the
-    span of commutators [g, u] with u running over the previous basis."""
-    chain = A._cache.setdefault("lie_chain", [augmentation_ideal(A)])
-    while chain[-1].dim > 0 and (i_max is None or len(chain) < i_max):
-        prev = chain[-1].space
-        b = EchelonBuilder(A.field, A.n)
-        F = A.field
-        for g in range(A.n):
-            b.add_block(F.vsub(A.translate(prev.rows, g, "left"),
-                               A.translate(prev.rows, g, "right")))
-        # ideal closure to a fixed point (translation by every group element)
-        grew = True
-        while grew:
-            grew = False
-            cur = b.freeze()
-            for g in range(A.n):
-                for side in ("left", "right"):
-                    grew |= b.add_block(A.translate(cur.rows, g, side)) > 0
-        chain.append(Ideal(A, b.freeze()))
-        if chain[-1].dim == chain[-2].dim and chain[-1].dim > 0:
-            raise AssertionError("Lie power series stalled above zero")
-    if i_max is None:
-        return list(chain)
-    out = list(chain[:i_max])
-    while len(out) < i_max:
-        out.append(chain[-1])
-    return out
-
-
-def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
-    """D_n = {g : g - 1 in Δ^n}, read off the radical filtration directly."""
-    G = A.group
-    pows = augmentation_powers(A, n_max=n_max)
-    out = []
-    g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
-    for P in pows:
-        members = np.nonzero(P.space.contains_rows(g_minus_one))[0]
-        out.append(G.subgroup(members.astype(np.int32)))
-        if n_max is None and out[-1].order == 1:
-            break
-    return out
-
-
 # -- structure-constant quotients ---------------------------------------------
 
 class QuotientAlgebra:
@@ -289,10 +227,6 @@ class QuotientAlgebra:
         if self._solver is None:
             raise ValueError("abstract algebra has no ambient projection")
         return self._solver.solve(ambient_vec)
-
-    def lift(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.uint8)
-        return self.field.matmul(coords[None, :], self.reps)[0]
 
     def mul(self, x, y) -> np.ndarray:
         F = self.field
@@ -390,18 +324,14 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal | None, J: Ideal | None, label=""
         raise ValueError("J is not contained in I")
 
     jpiv = set(J.space.pivots)
-    reps = np.array([r for r, pv in zip(carrier.rows, carrier.pivots) if pv not in jpiv],
-                    dtype=np.uint8)
+    reps = carrier.rows[[i for i, pv in enumerate(carrier.pivots) if pv not in jpiv]]
     d = len(reps)
     assert d == carrier.dim - J.space.dim
 
+    # J's rows carry the zero tag and rep_i carries e_i
     solver = TaggedEchelon(F, A.n, d)
-    for row in J.space.rows:
-        solver.add(row, np.zeros(d, dtype=np.uint8))
-    for i in range(d):
-        tag = np.zeros(d, dtype=np.uint8)
-        tag[i] = 1
-        solver.add(reps[i], tag)
+    solver.add_block(np.block([[J.space.rows, np.zeros((J.space.dim, d), dtype=np.uint8)],
+                               [reps, np.eye(d, dtype=np.uint8)]]))
 
     sc = np.zeros((d, d, d), dtype=np.uint8)
     for j in range(d):
@@ -474,57 +404,3 @@ def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = ENUM_CAP_D
         powered = P.power_map_batch(block, k)
         zero += int((~powered.any(axis=1)).sum())
     return zero, total - zero
-
-
-def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) -> Ideal:
-    """Z_n(FG): the sum over i * p^j >= n of the spans of p^j-th powers of the
-    i-th Lie power ideal, plus Δ^(n+1); computed inside FG/Δ^(n+1) (legitimate
-    because Z_n contains Δ^(n+1)) with the power images enumerated exhaustively.
-    """
-    F = A.field
-    p = A.group.require_p_group()[0]
-    pows = augmentation_powers(A, n_max=n + 1)
-    Jnp1 = pows[n] if len(pows) > n else _zero_ideal(A)
-    Q = quotient_algebra(A, None, Jnp1, label=f"mod-delta^{n + 1}")
-
-    lies = lie_power_ideals(A)
-    b = EchelonBuilder(F, Q.dim)
-    for i, L in enumerate(lies, start=1):
-        if L.dim == 0:
-            break
-        pj, j = 1, 0
-        while True:
-            if i * pj >= n:
-                # image of the i-th Lie ideal inside Q
-                img = EchelonBuilder(F, Q.dim)
-                img.add_block(Q.project(L.space.rows))
-                sect = img.freeze()
-                if sect.dim > 0 and p**sect.dim > enum_cap:
-                    raise CapExceeded(
-                        "enum_cap",
-                        f"Zassenhaus section of dim {sect.dim} over GF({F.q}) "
-                        "exceeds the enumeration cap")
-                for block in _enumerate_coords(F.q, sect.dim):
-                    b.add_block(Q.power_map_batch(F.matmul(block, sect.rows), j))
-            if pj >= n:  # higher powers of anything in Δ land inside Δ^(n+1)
-                break
-            pj *= p
-            j += 1
-    span_q = b.freeze()
-
-    out = EchelonBuilder(F, A.n)
-    out.add_block(np.vstack([Jnp1.space.rows, F.matmul(span_q.rows, Q.reps)]))
-    return Ideal(A, out.freeze())
-
-
-def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
-    """FG / (Δ(FG) · Δ(G')FG) as a unital structure-constant algebra."""
-    F = A.field
-    derived = char_series(A.group).derived
-    rel = relative_augmentation_ideal(A, derived)
-    delta = augmentation_ideal(A)
-    b = EchelonBuilder(F, A.n)
-    for v in rel.space.rows:
-        b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
-    K = Ideal(A, b.freeze())
-    return quotient_algebra(A, None, K, label="small-group-ring")

@@ -1,0 +1,146 @@
+"""Algebra-side oracles for entries the product reads off the group side.
+
+`invariants.fingerprint` computes `jennings_dims`, `small_group_ring_dim`,
+`zassenhaus_dims` and the dimension subgroups from group-side data (the
+derivations are in notes/decisions.md). The routes here compute the same
+objects inside the group algebra FG, so the tests can check the group-side
+values against an independent construction. No `mip` command runs them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from modiso.errors import CapExceeded
+from modiso.gfq import EchelonBuilder
+from modiso.groups import Subgroup, char_series
+from modiso.modalg import (
+    ENUM_CAP_DEFAULT,
+    GroupAlgebra,
+    Ideal,
+    QuotientAlgebra,
+    _enumerate_coords,
+    _zero_ideal,
+    augmentation_ideal,
+    augmentation_powers,
+    quotient_algebra,
+)
+
+
+def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:
+    """Δ(N)FG for N normal in G: the ideal generated by {u - 1 : u in N}.
+
+    Spanned by e_x - e_rep over the right cosets of N, so dim = |G| - [G:N].
+    """
+    if N.parent is not A.group or not N.is_normal():
+        raise ValueError("N must be a normal subgroup of G")
+    key = ("relaug", N._key)
+    if key not in A._cache:
+        rep = A.group.mul[N.elems].min(axis=0)  # least element of each coset Ng
+        xs = np.nonzero(rep != np.arange(A.n))[0]
+        rows = np.eye(A.n, dtype=np.uint8)[xs]
+        rows[np.arange(len(xs)), rep[xs]] = A.field.NEG[1]
+        b = EchelonBuilder(A.field, A.n)
+        b.add_block(rows)
+        space = b.freeze()
+        assert space.dim == A.n - A.n // N.order
+        A._cache[key] = Ideal(A, space)
+    return A._cache[key]
+
+
+def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
+    """The Lie power series: first term Δ, each next the ideal closure of the
+    span of commutators [g, u] with u running over the previous basis."""
+    chain = A._cache.setdefault("lie_chain", [augmentation_ideal(A)])
+    while chain[-1].dim > 0 and (i_max is None or len(chain) < i_max):
+        prev = chain[-1].space
+        b = EchelonBuilder(A.field, A.n)
+        F = A.field
+        for g in range(A.n):
+            b.add_block(F.vsub(A.translate(prev.rows, g, "left"),
+                               A.translate(prev.rows, g, "right")))
+        # ideal closure to a fixed point (translation by every group element)
+        grew = True
+        while grew:
+            grew = False
+            cur = b.freeze()
+            for g in range(A.n):
+                for side in ("left", "right"):
+                    grew |= b.add_block(A.translate(cur.rows, g, side)) > 0
+        chain.append(Ideal(A, b.freeze()))
+        if chain[-1].dim == chain[-2].dim and chain[-1].dim > 0:
+            raise AssertionError("Lie power series stalled above zero")
+    if i_max is None:
+        return list(chain)
+    out = list(chain[:i_max])
+    while len(out) < i_max:
+        out.append(chain[-1])
+    return out
+
+
+def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
+    """D_n = {g : g - 1 in Δ^n}, read off the radical filtration directly."""
+    G = A.group
+    pows = augmentation_powers(A, n_max=n_max)
+    out = []
+    g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
+    for P in pows:
+        members = np.nonzero(P.space.contains_rows(g_minus_one))[0]
+        out.append(G.subgroup(members.astype(np.int32)))
+        if n_max is None and out[-1].order == 1:
+            break
+    return out
+
+
+def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) -> Ideal:
+    """Z_n(FG): the sum over i * p^j >= n of the spans of p^j-th powers of the
+    i-th Lie power ideal, plus Δ^(n+1); computed inside FG/Δ^(n+1) (legitimate
+    because Z_n contains Δ^(n+1)) with the power images enumerated exhaustively.
+    """
+    F = A.field
+    p = A.group.require_p_group()[0]
+    pows = augmentation_powers(A, n_max=n + 1)
+    Jnp1 = pows[n] if len(pows) > n else _zero_ideal(A)
+    Q = quotient_algebra(A, None, Jnp1, label=f"mod-delta^{n + 1}")
+
+    lies = lie_power_ideals(A)
+    b = EchelonBuilder(F, Q.dim)
+    for i, L in enumerate(lies, start=1):
+        if L.dim == 0:
+            break
+        pj, j = 1, 0
+        while True:
+            if i * pj >= n:
+                # image of the i-th Lie ideal inside Q
+                img = EchelonBuilder(F, Q.dim)
+                img.add_block(Q.project(L.space.rows))
+                sect = img.freeze()
+                if sect.dim > 0 and p**sect.dim > enum_cap:
+                    raise CapExceeded(
+                        "enum_cap",
+                        f"Zassenhaus section of dim {sect.dim} over GF({F.q}) "
+                        "exceeds the enumeration cap")
+                for block in _enumerate_coords(F.q, sect.dim):
+                    b.add_block(Q.power_map_batch(F.matmul(block, sect.rows), j))
+            if pj >= n:  # higher powers of anything in Δ land inside Δ^(n+1)
+                break
+            pj *= p
+            j += 1
+    span_q = b.freeze()
+
+    out = EchelonBuilder(F, A.n)
+    out.add_block(np.vstack([Jnp1.space.rows, F.matmul(span_q.rows, Q.reps)]))
+    return Ideal(A, out.freeze())
+
+
+def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
+    """FG / (Δ(FG) · Δ(G')FG) as a unital structure-constant algebra."""
+    F = A.field
+    derived = char_series(A.group).derived
+    rel = relative_augmentation_ideal(A, derived)
+    delta = augmentation_ideal(A)
+    b = EchelonBuilder(F, A.n)
+    for v in rel.space.rows:
+        b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
+    K = Ideal(A, b.freeze())
+    return quotient_algebra(A, None, K, label="small-group-ring")

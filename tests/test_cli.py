@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from modiso.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -61,7 +63,8 @@ def test_report_round_trip_stable(capsys):
 
 def test_stdout_independent_of_hash_seed():
     commands = [["report", "T:2,5", "--field", "3"],
-                ["compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2"]]
+                ["compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2"],
+                ["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2"]]
     for argv in commands:
         outs = []
         for seed in ("0", "1"):
@@ -198,6 +201,18 @@ def test_iso_algebra_modes(capsys):
     assert json.loads(out)["outcome"] == "isomorphic"
 
 
+def test_iso_algebra_least_witness_pinned(capsys):
+    # the first accepting assignment in the search order: A's generators e_0,
+    # e_1 of Δ/Δ^3 over GF(4) and their images in the Q8 section
+    code, out, _ = run(capsys, "iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2")
+    assert code == 0
+    assert json.loads(out) == {
+        "outcome": "isomorphic", "mode": "algebra:1,3", "field": "2^2", "dim": 4,
+        "generators": [[1, 0, 0, 0], [0, 1, 0, 0]],
+        "images": [[0, 1, 2, 0], [0, 1, 3, 0]]}
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
 def test_iso_algebra_mode_uses_iso_cap(tmp_path, capsys):
     # the D8/Q8 section over GF(4) has 4^(4*2) = 4^8 candidate assignments
     args = ("iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2")
@@ -224,6 +239,32 @@ def test_caps_file_round_trip(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}), encoding="utf-8")
     assert run(capsys, "report", "D8", "--field", "2", "--caps", str(bad))[0] == 64
+
+
+@pytest.mark.parametrize("argv,caps,code", [
+    (["kernel-size", "D8", "--field", "2", "--section", "0,3"], None, 64),
+    (["iso", "D8", "Q8", "--mode", "algebra:0,3", "--field", "2"], None, 64),
+    (["kernel-size", "C:6", "--field", "2", "--section", "1,2"], None, 65),
+    (["kernel-size", "D8", "--field", "3", "--section", "1,2"], None, 65),
+    (["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "3"], None, 65),
+    (["kernel-size", "D8", "--field", "2", "--section", "1,3", "--power", "-1"], None, 64),
+    (["report", "D8", "--field", "2"], "5", 64),
+    (["report", "D8", "--field", "2"], '{"enum_cap": "x"}', 64),
+    (["report", "D8", "--field", "2"], '{"enum_cap": true}', 64),
+    (["report", "D8", "--field", "2"], '{"kernel_sections": 5}', 64),
+    (["report", "D8", "--field", "2"], '{"kernel_sections": [[0, 3, 1]]}', 64),
+], ids=["kernel-size-section-0,3", "iso-section-0,3", "kernel-size-C6", "kernel-size-D8-GF3",
+        "iso-D8-GF3", "kernel-size-power-minus-1", "caps-not-object", "caps-str-value",
+        "caps-bool-value", "caps-sections-not-list", "caps-section-0,3"])
+def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, caps, code):
+    if caps is not None:
+        path = tmp_path / "caps.json"
+        path.write_text(caps, encoding="utf-8")
+        argv = [*argv, "--caps", str(path)]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_caps_coset_cap_construction_failure(tmp_path, capsys):

