@@ -46,7 +46,7 @@ def _load_caps(path) -> Caps:
         return DEFAULT_CAPS
     try:
         return Caps.load(path)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise SpecParseError(f"bad caps file: {err}") from None
 
 

@@ -2,9 +2,11 @@
 
 Groups are immutable multiplication tables on element indices 0..n-1; all
 subgroup operators, characteristic series, and section invariants work on
-index sets inside a parent group. Everything is deterministic: subgroups are
-sorted index arrays, coset representatives are minimal indices, conjugacy
-classes are ordered by least representative.
+index sets inside a parent group. A subgroup is a trusted membership mask
+plus the generators `FiniteGroup.generated` kept; only `FiniteGroup.subgroup`
+checks an arbitrary element set for closure. Everything is deterministic: kept
+generators follow seed order, coset representatives are minimal indices,
+conjugacy classes are ordered by least representative.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class FiniteGroup:
         self._cache = {}
 
         self.gens = tuple(int(g) for g in gens)
-        if len(self.closure(self.gens)) != n:
+        if self.generated(self.gens).order != n:
             raise ValueError("distinguished generators do not generate the group")
 
     def _check_associative(self):
@@ -158,35 +160,44 @@ class FiniteGroup:
 
     # -- subgroup plumbing -------------------------------------------------------
 
-    def closure(self, seed) -> np.ndarray:
-        """Sorted element set of the subgroup generated by the seed indices."""
+    def generated(self, seed) -> "Subgroup":
+        """The subgroup generated by the seed indices, walked in order; an
+        element is kept as a generator only if it is not yet a member."""
         mul = self.mul
+        seed = np.asarray(seed, dtype=np.int32)
         member = np.zeros(self.n, dtype=bool)
         member[self.id] = True
-        seed = np.unique(np.asarray(list(seed), dtype=np.int32))
-        if seed.size == 0:
-            return np.nonzero(member)[0].astype(np.int32)
-        frontier = seed[~member[seed]]
-        member[seed] = True
-        while frontier.size:
-            prods = np.unique(mul[np.ix_(frontier, seed)])
-            frontier = prods[~member[prods]]
-            member[prods] = True
-        return np.nonzero(member)[0].astype(np.int32)
+        gens, start = [], 0
+        while (rest := np.flatnonzero(~member[seed[start:]])).size:
+            start += int(rest[0])
+            gens.append(int(seed[start]))
+            # the members times the new generator, then new ones times all
+            frontier, cols = np.flatnonzero(member), gens[-1:]
+            while frontier.size:
+                fresh = np.zeros(self.n, dtype=bool)
+                fresh[mul[np.ix_(frontier, cols)]] = True
+                fresh &= ~member
+                member |= fresh
+                frontier, cols = np.flatnonzero(fresh), gens
+        return Subgroup(self, member, gens)
 
     def subgroup(self, elems) -> "Subgroup":
-        return Subgroup(self, np.asarray(elems, dtype=np.int32))
-
-    def generated(self, seed) -> "Subgroup":
-        return Subgroup(self, self.closure(seed))
+        """The subgroup on an arbitrary element set: a non-empty finite set
+        closed under products holds the identity and every inverse."""
+        elems = np.asarray(elems, dtype=np.int32)
+        member = np.zeros(self.n, dtype=bool)
+        member[elems] = True
+        if elems.size == 0 or not member[self.mul[np.ix_(elems, elems)]].all():
+            raise ValueError("element set is not a subgroup")
+        return Subgroup(self, member)
 
     def full_subgroup(self) -> "Subgroup":
         if "full" not in self._cache:
-            self._cache["full"] = Subgroup(self, np.arange(self.n, dtype=np.int32))
+            self._cache["full"] = Subgroup(self, np.ones(self.n, dtype=bool))
         return self._cache["full"]
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, np.array([self.id], dtype=np.int32))
+        return self.generated([])
 
     def prime_power(self):
         return _is_prime_power(self.n)
@@ -213,25 +224,26 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup as a sorted index set inside a parent FiniteGroup."""
+    """A subgroup of a parent FiniteGroup: a trusted membership mask, its
+    sorted int32 index set, and generators."""
 
-    __slots__ = ("parent", "elems", "_member", "_key")
+    __slots__ = ("parent", "elems", "_member", "_key", "_gens")
 
-    def __init__(self, parent: FiniteGroup, elems):
-        elems = np.unique(np.asarray(elems, dtype=np.int32))
-        member = np.zeros(parent.n, dtype=bool)
-        member[elems] = True
-        if not member[parent.id]:
-            raise ValueError("subgroup must contain the identity")
-        prods = parent.mul[np.ix_(elems, elems)]
-        if not member[prods].all() or not member[parent.inv[elems]].all():
-            raise ValueError("element set is not closed")
+    def __init__(self, parent: FiniteGroup, member: np.ndarray, gens=None):
         self.parent = parent
-        self.elems = elems
-        self.elems.setflags(write=False)
         self._member = member
         self._member.setflags(write=False)
-        self._key = (id(parent), elems.tobytes())
+        self.elems = np.flatnonzero(member).astype(np.int32)
+        self.elems.setflags(write=False)
+        self._key = (id(parent), self.elems.tobytes())
+        self._gens = gens
+
+    @property
+    def gens(self) -> list:
+        """The kept generators, or the greedy walk of the sorted elements."""
+        if self._gens is None:
+            self._gens = self.parent.generated(self.elems).gens
+        return self._gens
 
     @property
     def order(self) -> int:
@@ -256,8 +268,7 @@ class Subgroup:
         local = np.full(G.n, -1, dtype=np.int32)
         local[self.elems] = np.arange(self.order, dtype=np.int32)
         table = local[G.mul[np.ix_(self.elems, self.elems)]]
-        gens = [int(local[g]) for g in _greedy_subgroup_gens(self)]
-        return FiniteGroup(table, gens=gens), self.elems
+        return FiniteGroup(table, gens=local[self.gens]), self.elems
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self._key == other._key
@@ -269,31 +280,14 @@ class Subgroup:
         return f"Subgroup(order={self.order} in {self.parent})"
 
 
-def _greedy_subgroup_gens(S: Subgroup):
-    G = S.parent
-    gens = []
-    have = {G.id}
-    for g in S.elems.tolist():
-        if g not in have:
-            gens.append(g)
-            have = set(G.closure(gens))
-            if len(have) == S.order:
-                break
-    return gens or [G.id]
-
-
 # -- spec operations ----------------------------------------------------------
 
-def subgroup_generated(G: FiniteGroup, seed) -> Subgroup:
-    return G.generated(seed)
-
-
 def subgroup_product(A: Subgroup, B: Subgroup) -> Subgroup:
-    """The set product AB (requires A or B normal so that AB is a subgroup)."""
+    """The set product AB, built as ⟨A, B⟩; the order check asserts that the
+    two agree, as they do when A or B is normal."""
     G = A.parent
     assert B.parent is G
-    prods = np.unique(G.mul[np.ix_(A.elems, B.elems)])
-    S = Subgroup(G, prods)
+    S = G.generated(A.gens + B.gens)
     assert S.order * _intersection_order(A, B) == A.order * B.order
     return S
 
@@ -304,29 +298,28 @@ def _intersection_order(A: Subgroup, B: Subgroup) -> int:
 
 def subgroup_intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     assert A.parent is B.parent
-    return Subgroup(A.parent, np.nonzero(A._member & B._member)[0])
+    return Subgroup(A.parent, A._member & B._member)
 
 
 def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
-    """⟨[a,b] : a in A, b in B⟩."""
+    """[A, B] for A ⊆ B, generated by [a, b] over a in A.gens and b in B.
+    B normalizes that set, since [a,b]^c = [a,c]^-1 [a,bc]."""
+    assert B.contains_set(A)
     G = A.parent
     mul, inv = G.mul, G.inv
-    a = A.elems[:, None]
+    a = np.asarray(A.gens, dtype=np.int32)[:, None]
     b = B.elems[None, :]
-    comms = mul[mul[inv[a], inv[b]], mul[a, b]]
-    return G.generated(np.unique(comms))
+    return G.generated(mul[mul[inv[a], inv[b]], mul[a, b]].ravel())
 
 
 def center(G: FiniteGroup) -> Subgroup:
     if "center" not in G._cache:
-        mask = (G.mul == G.mul.T).all(axis=1)
-        G._cache["center"] = Subgroup(G, np.nonzero(mask)[0])
+        G._cache["center"] = Subgroup(G, (G.mul == G.mul.T).all(axis=1))
     return G._cache["center"]
 
 
 def centralizer(G: FiniteGroup, g: int) -> Subgroup:
-    mask = G.mul[g] == G.mul[:, g]
-    return Subgroup(G, np.nonzero(mask)[0])
+    return Subgroup(G, G.mul[g] == G.mul[:, g])
 
 
 def agemo(X, k: int) -> Subgroup:
@@ -411,8 +404,7 @@ def _section(X: Subgroup, Y: Subgroup):
     G = X.parent
     if Y.parent is not G or not X.contains_set(Y):
         raise ValueError("Y must be a subgroup of X")
-    xgens = G.gens if X.order == G.n else _greedy_subgroup_gens(X)
-    for x in xgens:
+    for x in X.gens:
         if not Y._member[G.conj_perm(x)[Y.elems]].all():
             raise ValueError("Y is not normal in X")
 
@@ -436,7 +428,7 @@ def _section(X: Subgroup, Y: Subgroup):
     table = local[rep_of[G.mul[np.ix_(reps, reps)]]]
     proj = np.full(G.n, -1, dtype=np.int32)
     proj[X.elems] = local[rep_of[X.elems]]
-    gens = sorted(set(int(local[rep_of[g]]) for g in _greedy_subgroup_gens(X)))
+    gens = sorted(set(local[rep_of[X.gens]].tolist()))
     Q = FiniteGroup(table, gens=gens)
     assert Q.n * Y.order == X.order
     return Q, proj, reps
@@ -558,8 +550,8 @@ def min_generators(X) -> int:
     p, _ = G.require_p_group()
     S = X if isinstance(X, Subgroup) else G.full_subgroup()
     derived = commutator_subgroup(S, S)
-    frat_elems = G.closure(np.concatenate([G.pow_map(p)[elems], derived.elems]))
-    index = elems.size // len(frat_elems)
+    frat = G.generated(np.concatenate([G.pow_map(p)[elems], derived.elems]))
+    index = elems.size // frat.order
     r = round(np.log(index) / np.log(p))
     assert p**r == index
     return r
@@ -575,15 +567,8 @@ def exponent(G: FiniteGroup) -> int:
 
 def is_metacyclic(G: FiniteGroup):
     """(True, witness cyclic normal subgroup with cyclic quotient) or (False, None)."""
-    seen = set()
-    candidates = []
-    for g in range(G.n):
-        S = G.generated([g])
-        if S._key not in seen:
-            seen.add(S._key)
-            candidates.append(S)
-    candidates.sort(key=lambda S: (-S.order, S.elems.tolist()))
-    for S in candidates:
+    cyclic = dict.fromkeys(G.generated([g]) for g in range(G.n))
+    for S in sorted(cyclic, key=lambda S: (-S.order, S.elems.tolist())):
         if not S.is_normal():
             continue
         Q, _ = quotient_group(G, S)

@@ -56,16 +56,16 @@ def hh1_dimension(G: FiniteGroup) -> int:
     conjugacy classes of the minimal number of generators of the centralizer
     (a purely group-theoretic value, independent of the field size).
 
-    Classes carry no centralizer; this builds `centralizer(G, c.rep)` once
-    per distinct centralizer, keyed on the bytes of its membership mask."""
+    Classes carry no centralizer; this builds `centralizer(G, c.rep)` for
+    each class and reads d once per distinct centralizer subgroup."""
     G.require_p_group()
     total = 0
     seen = {}
     for c in conjugacy_classes(G):
-        key = (G.mul[c.rep] == G.mul[:, c.rep]).tobytes()
-        if key not in seen:
-            seen[key] = min_generators(centralizer(G, c.rep))
-        total += seen[key]
+        C = centralizer(G, c.rep)
+        if C not in seen:
+            seen[C] = min_generators(C)
+        total += seen[C]
     return total
 
 

@@ -141,7 +141,7 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = 10**7):
         for ci in np.nonzero(ok)[0].tolist():
             final = [int(im[ci]) if isinstance(im, np.ndarray) else int(im)
                      for im in images]
-            if len(H.closure(final)) != H.n:
+            if H.generated(final).order != H.n:
                 continue
             w = IsoWitness(kind="group", images=final, source_gens=list(G.gens))
             if verify_witness(w, G, H):
@@ -266,7 +266,7 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
             raise ValueError("group witness needs two groups")
         if G.elem_words is None or len(w.images) != len(G.gens):
             raise ValueError("source group must carry element words")
-        the_map = np.zeros(G.n, dtype=np.int64)
+        the_map = np.zeros(G.n, dtype=np.int32)
         for g in range(G.n):
             the_map[g] = _eval_letters(H, G.elem_words[g], w.images)
         w.full_map = the_map

@@ -22,7 +22,6 @@ from .groups import (
     dimension_subgroups_lazard,
     min_generators,
     omega_in,
-    subgroup_generated,
 )
 from .invariants import hh1_dimension, predicted_jennings_dims
 from . import modalg
@@ -123,7 +122,7 @@ def table_class_data(which: str, ns=None):
             classes = conjugacy_classes(G)
             cents = {c.rep: centralizer(G, c.rep) for c in classes}
             Z = center(G)
-            N = subgroup_generated(G, list(G.gens[1:]))  # <b, c, d>
+            N = G.generated(list(G.gens[1:]))  # <b, c, d>
             segments = []
             if which == "table2":
                 segments = [
@@ -138,7 +137,7 @@ def table_class_data(which: str, ns=None):
                 ]
             else:
                 c3 = G.power(G.gens[2], 3)
-                M = subgroup_generated(G, [c3, G.gens[3]])  # <c^3, d>
+                M = G.generated([c3, G.gens[3]])  # <c^3, d>
                 segments = [
                     ("Z", lambda g: Z.contains(g),
                      {"elements": 3, "classes": 3, "length": 1, "centralizer": 3**n}),
@@ -159,7 +158,7 @@ def table_class_data(which: str, ns=None):
                     rows.append(TableRow(label, f"{seg_name}.{key}", want[key], got[key]))
             # centralizer structure spot-checks
             outer = [c for c in classes if not N.contains(c.rep)]
-            ok = all(cents[c.rep] == subgroup_generated(G, [c.rep] + Z.elems.tolist())
+            ok = all(cents[c.rep] == G.generated([c.rep] + Z.elems.tolist())
                      for c in outer)
             rows.append(TableRow(label, "G-N.centralizer_is_<g,Z>", True, ok))
             inner = [c for c in classes
@@ -168,7 +167,7 @@ def table_class_data(which: str, ns=None):
             rows.append(TableRow(label, "len3.centralizer_is_N", True, ok))
             if which == "table3":
                 mid = [c for c in classes if c.length == 9]
-                ok = all(cents[c.rep] == subgroup_generated(G, [c.rep] + M.elems.tolist())
+                ok = all(cents[c.rep] == G.generated([c.rep] + M.elems.tolist())
                          for c in mid)
                 rows.append(TableRow(label, "N-M.centralizer_is_<g,M>", True, ok))
     return rows

@@ -44,10 +44,7 @@ def word_inverse(w: Word) -> Word:
 def word_power(w: Word, e: int) -> Word:
     if e < 0:
         w, e = word_inverse(w), -e
-    out: Word = ()
-    for _ in range(e):
-        out = word_concat(out, w)
-    return out
+    return word_concat(*([w] * e))
 
 
 def word_commutator(u: Word, v: Word) -> Word:
@@ -96,6 +93,8 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             e = self.parse_int()
+            if len(base) * abs(e) > EXPONENT_CAP:
+                self.error(f"power too long (more than {EXPONENT_CAP} letters)")
             return word_power(base, e)
         return base
 
@@ -143,7 +142,10 @@ class _Parser:
 def parse_word(text: str, gens) -> Word:
     """Parse text into a freely reduced word over the named generators."""
     p = _Parser(text, gens)
-    w = p.parse_word()
+    try:
+        w = p.parse_word()
+    except RecursionError:
+        p.error("word nested too deeply")
     p.skip_ws()
     if p.pos != len(text):
         p.error("trailing input")
@@ -194,14 +196,20 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict) -> "Presentation":
-        if not isinstance(data, dict) or "generators" not in data or "relators" not in data:
-            raise SpecParseError("presentation JSON needs 'generators' and 'relators'")
+        if not isinstance(data, dict) or not all(
+                isinstance(data.get(key), list) and all(isinstance(t, str) for t in data[key])
+                for key in ("generators", "relators")):
+            raise SpecParseError("presentation JSON needs string lists 'generators' and 'relators'")
         return Presentation.parse(data["generators"], data["relators"])
 
     @staticmethod
     def load(path) -> "Presentation":
-        with open(path, encoding="utf-8") as fh:
-            return Presentation.from_json(json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError, RecursionError) as err:
+            raise SpecParseError(f"bad presentation file: {err}") from None
+        return Presentation.from_json(data)
 
 
 # -- Todd-Coxeter -------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Algebra-side oracles for entries the product reads off the group side.
+"""Oracles for values the product computes by a shorter route.
 
 `invariants.fingerprint` computes `jennings_dims`, `small_group_ring_dim`,
 `zassenhaus_dims` and the dimension subgroups from group-side data (the
-derivations are in notes/decisions.md). The routes here compute the same
-objects inside the group algebra FG, so the tests can check the group-side
-values against an independent construction. No `mip` command runs them.
+derivations are in notes/decisions.md). The algebra-side routes here compute
+the same objects inside the group algebra FG, so the tests can check the
+group-side values against an independent construction. The commutator
+subgroup route forms every commutator [a, b], where the product uses only
+generators of A. No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,15 @@ from modiso.modalg import (
     augmentation_powers,
     quotient_algebra,
 )
+
+
+def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:
+    """⟨[a,b] : a in A, b in B⟩ from all |A|·|B| commutators."""
+    G = A.parent
+    mul, inv = G.mul, G.inv
+    a = A.elems[:, None]
+    b = B.elems[None, :]
+    return G.generated(np.unique(mul[mul[inv[a], inv[b]], mul[a, b]]))
 
 
 def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:

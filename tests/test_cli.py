@@ -64,7 +64,10 @@ def test_report_round_trip_stable(capsys):
 def test_stdout_independent_of_hash_seed():
     commands = [["report", "T:2,5", "--field", "3"],
                 ["compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2"],
-                ["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2"]]
+                ["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2"],
+                ["compare", "T:2,6", "T:3,6", "--field", "3"],
+                ["iso", "T:3,7", "T:3,7"],
+                ["report", "B2G:2,3", "--field", "2"]]
     for argv in commands:
         outs = []
         for seed in ("0", "1"):
@@ -241,27 +244,38 @@ def test_caps_file_round_trip(tmp_path, capsys):
     assert run(capsys, "report", "D8", "--field", "2", "--caps", str(bad))[0] == 64
 
 
-@pytest.mark.parametrize("argv,caps,code", [
+@pytest.mark.parametrize("argv,text,code", [
     (["kernel-size", "D8", "--field", "2", "--section", "0,3"], None, 64),
     (["iso", "D8", "Q8", "--mode", "algebra:0,3", "--field", "2"], None, 64),
     (["kernel-size", "C:6", "--field", "2", "--section", "1,2"], None, 65),
     (["kernel-size", "D8", "--field", "3", "--section", "1,2"], None, 65),
     (["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "3"], None, 65),
     (["kernel-size", "D8", "--field", "2", "--section", "1,3", "--power", "-1"], None, 64),
-    (["report", "D8", "--field", "2"], "5", 64),
-    (["report", "D8", "--field", "2"], '{"enum_cap": "x"}', 64),
-    (["report", "D8", "--field", "2"], '{"enum_cap": true}', 64),
-    (["report", "D8", "--field", "2"], '{"kernel_sections": 5}', 64),
-    (["report", "D8", "--field", "2"], '{"kernel_sections": [[0, 3, 1]]}', 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], "5", 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], '{"enum_cap": "x"}', 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], '{"enum_cap": true}', 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], '{"kernel_sections": 5}', 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], '{"kernel_sections": [[0, 3, 1]]}', 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], "[" * 5000 + "]" * 5000, 64),
+    (["report", "Pres:{file}", "--field", "2"], None, 64),
+    (["report", "Pres:{file}", "--field", "2"], '{"generators": ["a"], ', 64),
+    (["report", "Pres:{file}", "--field", "2"], '{"generators": ["a"], "relators": [5]}', 64),
+    (["report", "Pres:{file}", "--field", "2"], '{"generators": "a", "relators": []}', 64),
+    (["report", "Pres:{file}", "--field", "2"],
+     json.dumps({"generators": ["a"], "relators": ["(" * 5000 + "a" + ")" * 5000]}), 64),
+    (["report", "Pres:{file}", "--field", "2"],
+     json.dumps({"generators": ["a"], "relators": ["(a^1048576)^1048576"]}), 64),
 ], ids=["kernel-size-section-0,3", "iso-section-0,3", "kernel-size-C6", "kernel-size-D8-GF3",
         "iso-D8-GF3", "kernel-size-power-minus-1", "caps-not-object", "caps-str-value",
-        "caps-bool-value", "caps-sections-not-list", "caps-section-0,3"])
-def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, caps, code):
-    if caps is not None:
-        path = tmp_path / "caps.json"
-        path.write_text(caps, encoding="utf-8")
-        argv = [*argv, "--caps", str(path)]
-    got, out, err = run(capsys, *argv)
+        "caps-bool-value", "caps-sections-not-list", "caps-section-0,3", "caps-deep-json",
+        "pres-missing-file", "pres-malformed-json", "pres-relator-not-str",
+        "pres-generators-not-list", "pres-deep-word", "pres-power-too-long"])
+def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, text, code):
+    """`{file}` in argv names a file holding `text` (absent when text is None)."""
+    path = tmp_path / "input.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    got, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
     assert got == code
     assert out == ""
     assert "Traceback" not in err

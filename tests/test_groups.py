@@ -15,6 +15,7 @@ from modiso.groups import (
     center,
     centralizer,
     char_series,
+    commutator_subgroup,
     conjugacy_classes,
     dimension_subgroups_lazard,
     exponent,
@@ -27,10 +28,11 @@ from modiso.groups import (
     quotient_group,
     sample_ints,
     section_group,
-    subgroup_generated,
     subgroup_intersection,
     subgroup_product,
 )
+
+import oracles as O
 
 
 def D8():
@@ -88,29 +90,29 @@ def test_finite_group_rejects_nonassociative_sampled():
         FiniteGroup(t, gens=[1])
 
 
-# -- subgroup_generated --------------------------------------------------------
+# -- FiniteGroup.generated -----------------------------------------------------
 
 def test_generated_central_involution():
     G = D8()
     r = G.gens[0]
     r2 = G.mul[r, r]
-    assert subgroup_generated(G, [r2]).order == 2
+    assert G.generated([r2]).order == 2
 
 
 def test_generated_whole_quaternion():
     G = Q8()
-    assert subgroup_generated(G, list(G.gens)).order == 8
+    assert G.generated(list(G.gens)).order == 8
 
 
 def test_generated_T1_maximal_subgroup():
     G = build("T:1,4")
-    N = subgroup_generated(G, list(G.gens[1:]))  # <b, c, d>
+    N = G.generated(list(G.gens[1:]))  # <b, c, d>
     assert N.order == 27
 
 
 def test_generated_empty_seed():
     G = D8()
-    assert subgroup_generated(G, []).order == 1
+    assert G.generated([]).order == 1
 
 
 # -- characteristic series -----------------------------------------------------
@@ -158,18 +160,18 @@ def test_omega_in_broche_case2():
     U = omega_in(G, char_series(G).derived, 1)
     assert U.order == 8
     a, b = G.gens
-    want = subgroup_generated(G, [G.mul[a, a], b, G.word_image((-2, -1, 2, 1), G.gens)])
+    want = G.generated([G.mul[a, a], b, G.word_image((-2, -1, 2, 1), G.gens)])
     assert U == want
 
 
 def test_agemo_omega_dispatcher_and_guards():
     G = Q8()
-    S = subgroup_generated(G, [G.gens[0]])  # <i> is normal
+    S = G.generated([G.gens[0]])  # <i> is normal
     assert omega_in(G, S, 0) == S
     H = build("X:C:2*D8")
     nonnormal = next(
-        subgroup_generated(H, [g]) for g in range(H.n)
-        if not subgroup_generated(H, [g]).is_normal())
+        H.generated([g]) for g in range(H.n)
+        if not H.generated([g]).is_normal())
     with pytest.raises(ValueError):
         omega_in(H, nonnormal, 1)
 
@@ -199,9 +201,9 @@ def test_quotient_by_whole_group():
 def test_quotient_requires_normal():
     G = D8()
     s = next(g for g in range(G.n)
-             if G.element_orders()[g] == 2 and not subgroup_generated(G, [g]).is_normal())
+             if G.element_orders()[g] == 2 and not G.generated([g]).is_normal())
     with pytest.raises(ValueError):
-        quotient_group(G, subgroup_generated(G, [s]))
+        quotient_group(G, G.generated([s]))
 
 
 # -- conjugacy classes -----------------------------------------------------------
@@ -285,7 +287,7 @@ def test_lazard_c4():
     D = dimension_subgroups_lazard(G)
     assert [S.order for S in D] == [4, 2, 1]
     a = G.gens[0]
-    assert D[1] == subgroup_generated(G, [G.mul[a, a]])
+    assert D[1] == G.generated([G.mul[a, a]])
 
 
 def test_lazard_broche_case2_unit():
@@ -436,9 +438,56 @@ def test_derived_of_order_p_criterion(corpus_small):
 def test_subgroup_product_and_intersection():
     G = D8()
     Z = center(G)
-    A = subgroup_generated(G, [G.gens[0]])
+    A = G.generated([G.gens[0]])
     P = subgroup_product(Z, A)
     assert P == A  # Z is inside <r>
-    B = subgroup_generated(G, [G.gens[1]])
+    B = G.generated([G.gens[1]])
     assert subgroup_product(A, B).order == 8
     assert subgroup_intersection(A, B).order == 1
+
+
+# -- trusted subgroups and generator commutators ---------------------------------
+
+def _commutator_cases(G):
+    """(A, B) with A ⊆ B: each γ_i, D_n, Z(G) and class centralizer against
+    B = G, and each centralizer against itself."""
+    full = G.full_subgroup()
+    cents = list(dict.fromkeys(centralizer(G, c.rep) for c in conjugacy_classes(G)))
+    tops = (char_series(G).lower_central + dimension_subgroups_lazard(G)
+            + [center(G)] + cents)
+    return [(A, full) for A in tops] + [(C, C) for C in cents]
+
+
+def test_commutator_subgroup_matches_all_pairs_oracle(corpus_small):
+    # in T:2,4, [a, b] over generators a and b of G generate less than G',
+    # so b must range over all of B
+    for spec, G in corpus_small + [("T:2,4", build("T:2,4"))]:
+        for A, B in _commutator_cases(G):
+            assert commutator_subgroup(A, B) == O.commutator_subgroup_all_pairs(A, B), spec
+
+
+def test_generated_keeps_a_generating_set(corpus_small):
+    for spec, G in corpus_small:
+        for S in dict.fromkeys(S for case in _commutator_cases(G) for S in case):
+            T = G.generated(S.gens)
+            assert T == S, spec
+            assert T.gens == S.gens, spec  # each kept generator is new
+
+
+def test_subgroup_rejects_non_subgroup_sets():
+    G = D8()
+    r, s = G.gens
+    r2 = int(G.mul[r, r])
+    for elems in ([], [r2], [G.id, r], [G.id, s, r2]):  # the first two lack 1
+        with pytest.raises(ValueError, match="not a subgroup"):
+            G.subgroup(elems)
+    assert G.subgroup([r2, G.id]) == G.generated([r2])
+
+
+def test_subgroup_product_asserts_a_normal_factor():
+    G = D8()
+    r, s = G.gens
+    A, B = G.generated([s]), G.generated([G.mul[s, r]])
+    assert not A.is_normal() and not B.is_normal()
+    with pytest.raises(AssertionError):
+        subgroup_product(A, B)  # <s, sr> = D8, but |<s>||<sr>| = 4

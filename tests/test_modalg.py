@@ -14,7 +14,6 @@ from modiso.groups import (
     char_series,
     dimension_subgroups_lazard,
     quotient_group,
-    subgroup_generated,
 )
 from modiso import modalg as M
 
@@ -159,9 +158,9 @@ def test_relative_ideal_requires_normal():
     A = alg("D8")
     G = A.group
     s = next(g for g in range(G.n)
-             if not subgroup_generated(G, [g]).is_normal())
+             if not G.generated([g]).is_normal())
     with pytest.raises(ValueError):
-        O.relative_augmentation_ideal(A, subgroup_generated(G, [s]))
+        O.relative_augmentation_ideal(A, G.generated([s]))
 
 
 # -- quotient algebras ---------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from modiso.errors import CapExceeded, SpecParseError
 from modiso.words import (
+    EXPONENT_CAP,
     Presentation,
     parse_word,
     print_word,
@@ -60,6 +61,24 @@ def test_parse_errors_report_position():
         parse_word(f"a^{1 << 21}", GENS)
 
 
+def test_power_length_is_capped_by_expanded_length():
+    # len(w) * |e| is checked before the power is expanded
+    assert len(letters(f"a^{EXPONENT_CAP}")) == EXPONENT_CAP
+    assert letters(f"(a*b)^-{EXPONENT_CAP // 2}") == (-2, -1) * (EXPONENT_CAP // 2)
+    k = EXPONENT_CAP // 3
+    assert letters(f"(a*b*a^-1)^{k}") == (1,) + (2,) * k + (-1,)
+    for text in (f"(a*b)^{EXPONENT_CAP // 2 + 1}", f"(a*b)^-{EXPONENT_CAP // 2 + 1}",
+                 f"(a^{EXPONENT_CAP})^{EXPONENT_CAP}"):
+        with pytest.raises(SpecParseError, match="power too long"):
+            letters(text)
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert letters("(" * 50 + "a" + ")" * 50) == (1,)
+    with pytest.raises(SpecParseError, match="nested too deeply"):
+        letters("(" * 5000 + "a" + ")" * 5000)
+
+
 @settings(max_examples=150)
 @given(st.lists(st.integers(min_value=1, max_value=3).flatmap(
     lambda g: st.sampled_from([g, -g])), max_size=12))
@@ -91,6 +110,20 @@ def test_presentation_json_roundtrip(tmp_path):
     path.write_text(json.dumps(P.to_json()), encoding="utf-8")
     Q = Presentation.load(path)
     assert Q == P
+
+
+def test_presentation_load_rejects_bad_files(tmp_path):
+    path = tmp_path / "pres.json"
+    with pytest.raises(SpecParseError, match="bad presentation file"):
+        Presentation.load(path)  # missing
+    for text in ('{"generators": ["a"], ', "[" * 5000 + "]" * 5000):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SpecParseError, match="bad presentation file"):
+            Presentation.load(path)
+    for data in ({"generators": ["a"], "relators": [5]}, {"generators": "ab", "relators": []},
+                 {"generators": [["a"]], "relators": []}, {"generators": ["a"]}, ["a"]):
+        with pytest.raises(SpecParseError, match="string lists"):
+            Presentation.from_json(data)
 
 
 def test_presentation_validation():
