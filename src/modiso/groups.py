@@ -61,10 +61,10 @@ class FiniteGroup:
         self.mul.setflags(write=False)
 
         ar = np.arange(n, dtype=np.int32)
-        ids = [g for g in range(n) if np.array_equal(mul[g], ar) and np.array_equal(mul[:, g], ar)]
-        if len(ids) != 1:
+        ids = np.flatnonzero((mul == ar).all(axis=1) & (mul == ar[:, None]).all(axis=0))
+        if ids.size != 1:
             raise ValueError("table has no unique identity")
-        self.id = ids[0]
+        self.id = int(ids[0])
 
         ii, jj = np.nonzero(mul == self.id)
         inv = np.full(n, -1, dtype=np.int32)

@@ -2,9 +2,11 @@
 witnesses: generator-image search for small groups, and exhaustive
 generator-assignment search for small nilpotent structure-constant algebras.
 
-NotIsomorphic is only ever returned after a provably exhaustive search: all
-pruning is by isomorphism invariants (element order, class size, section
-dimensions), never heuristic.
+NotIsomorphic is only ever returned after a provably exhaustive search. The
+group search is pruned by element order, class size and the socle, the
+algebra search by section dimensions: the invariants are preserved by every
+isomorphism, and the socle prune removes only homomorphisms that are not
+injective. No pruning is heuristic.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, invert_matrix
-from .groups import FiniteGroup, conjugacy_classes
+from .groups import FiniteGroup, _is_prime_power, conjugacy_classes
 from .modalg import QuotientAlgebra, _enumerate_coords
 
 
@@ -40,6 +42,17 @@ def _class_size_of(G: FiniteGroup):
     return sizes
 
 
+def _socle_words(G: FiniteGroup, sizes, orders):
+    """One element word for each central subgroup of prime order, named by
+    its least element."""
+    reps = set()
+    for z in np.flatnonzero((sizes == 1) & (orders > 1)).tolist():
+        o = int(orders[z])
+        if _is_prime_power(o) == (o, 1):
+            reps.add(min(G.power(z, k) for k in range(1, o)))
+    return [G.elem_words[z] for z in sorted(reps)]
+
+
 def _eval_letters(H: FiniteGroup, word, images):
     """Evaluate a word at generator images; images may be ints or candidate
     vectors (evaluation broadcasts)."""
@@ -55,15 +68,21 @@ def _eval_letters(H: FiniteGroup, word, images):
 
 def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = 10**7):
     """Search for an isomorphism G -> H by assigning images to G's
-    presentation generators, pruned by element order and class size.
+    presentation generators, pruned by element order, class size and the
+    socle.
 
     Generators that occur exactly once in some relator whose other letters are
-    already assigned are deduced instead of searched. The returned witness is
-    the lexicographically least accepting assignment; NotIsomorphic means the
-    pruned search was exhausted.
+    already assigned are deduced instead of searched. An assignment that
+    satisfies every relator is a homomorphism between groups of equal order;
+    it is dropped if it sends an element of a central subgroup of prime order
+    to the identity, since for nilpotent G every nontrivial normal subgroup,
+    the kernel included, meets the centre. Closure in H is the final check on
+    the survivors, which decides for groups that are not nilpotent. The
+    returned witness is the lexicographically least accepting assignment;
+    NotIsomorphic means the pruned search was exhausted.
     """
-    if G.presentation is None:
-        raise ValueError("source group must carry its defining presentation")
+    if G.presentation is None or G.elem_words is None:
+        raise ValueError("source group must carry its defining presentation and element words")
     if G.n != H.n:
         return NotIsomorphic("order mismatch")
     if Counter(G.element_orders().tolist()) != Counter(H.element_orders().tolist()):
@@ -76,6 +95,7 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = 10**7):
 
     P = G.presentation
     ngens = len(P.generators)
+    socle = _socle_words(G, g_sizes, g_orders)
 
     # decide which generators are deduced from a relator (single occurrence,
     # all other letters earlier) and which must be searched
@@ -138,6 +158,8 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = 10**7):
         ok = np.ones(cands.shape, dtype=bool)
         for w in P.relators:
             ok &= _eval_letters(H, w, images) == H.id
+        for w in socle:
+            ok &= _eval_letters(H, w, images) != H.id
         for ci in np.nonzero(ok)[0].tolist():
             final = [int(im[ci]) if isinstance(im, np.ndarray) else int(im)
                      for im in images]
@@ -264,17 +286,29 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
         G, H = source, target
         if not isinstance(G, FiniteGroup) or not isinstance(H, FiniteGroup):
             raise ValueError("group witness needs two groups")
-        if G.elem_words is None or len(w.images) != len(G.gens):
+        if G.elem_words is None:
             raise ValueError("source group must carry element words")
-        the_map = np.zeros(G.n, dtype=np.int32)
-        for g in range(G.n):
-            the_map[g] = _eval_letters(H, G.elem_words[g], w.images)
+        if len(w.images) != len(G.gens) or not all(
+                isinstance(h, (int, np.integer)) and 0 <= h < H.n for h in w.images):
+            return False
+        # all element words at once, padded with letter 0 (the identity)
+        ngens = len(G.gens)
+        images = np.asarray(w.images, dtype=np.int32)
+        letter_image = np.concatenate([H.inv[images[::-1]], [H.id], images])
+        depth = max(map(len, G.elem_words))
+        letters = np.array([word + (0,) * (depth - len(word)) for word in G.elem_words],
+                           dtype=np.int64).reshape(G.n, depth) + ngens
+        the_map = np.full(G.n, H.id, dtype=np.int32)
+        for col in letters.T:
+            the_map = H.mul[the_map, letter_image[col]]
         w.full_map = the_map
         if sorted(the_map.tolist()) != list(range(H.n)):
             return False
-        lhs = the_map[G.mul]
-        rhs = H.mul[the_map[:, None], the_map[None, :]]
-        return bool(np.array_equal(lhs, rhs))
+        # phi(a*b) == phi(a)*phi(b) for every pair, a block of rows at a time
+        step = max(1, (1 << 17) // G.n)
+        return all(np.array_equal(the_map[G.mul[i:i + step]],
+                                  H.mul[the_map[i:i + step]][:, the_map])
+                   for i in range(0, G.n, step))
 
     if w.kind == "algebra":
         A, B = source, target

@@ -347,36 +347,46 @@ def todd_coxeter(P: Presentation, coset_cap: int = 100000):
             cur = act[x][cur]
         assert np.array_equal(cur, ar), "relator does not close"
 
-    # spanning tree in BFS order gives each element a defining word
-    parent = np.full(n, -1, dtype=np.int64)
+    # spanning tree in BFS order gives each element a defining word; each
+    # layer lists its new elements in (parent, column) order of discovery
+    parent = np.zeros(n, dtype=np.int64)
     parent_col = np.zeros(n, dtype=np.int64)
-    order = [0]
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for x in range(ncols):
-            v = int(act[x, u])
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                parent_col[v] = x
-                order.append(v)
+    layers = [np.zeros(1, dtype=np.int64)]
+    while True:
+        reached = act[:, layers[-1]].T.ravel()
+        pos = np.flatnonzero(~seen[reached])
+        pos = pos[np.sort(np.unique(reached[pos], return_index=True)[1])]
+        if not pos.size:
+            break
+        layer = reached[pos].astype(np.int64)
+        parent[layer] = layers[-1][pos // ncols]
+        parent_col[layer] = pos % ncols
+        seen[layer] = True
+        layers.append(layer)
     assert seen.all(), "generators do not act transitively"
 
-    mul = np.zeros((n, n), dtype=np.int32)
-    mul[:, 0] = ar
-    for v in order[1:]:
-        mul[:, v] = act[parent_col[v]][mul[:, parent[v]]]
+    # the table one BFS layer at a time, grouped by the column that reached
+    # each element: v = p*g_x gives g_y*v = (g_y*p)*g_x, so left[y] (left
+    # multiplication by generator column y) is one gather per group, and then
+    # row v of the table is row p permuted by left[x]
+    groups = [(x, kids) for layer in layers[1:] for x in range(ncols)
+              if (kids := layer[parent_col[layer] == x]).size]
+    left = np.empty((ncols, n), dtype=np.int32)
+    left[:, 0] = act[:, 0]
+    for x, kids in groups:
+        left[:, kids] = act[x][left[:, parent[kids]]]
+    mul = np.empty((n, n), dtype=np.int32)
+    mul[0] = ar
+    for x, kids in groups:
+        mul[kids] = mul[parent[kids]][:, left[x]]
 
-    words = [None] * n
-    words[0] = ()
-    for v in order[1:]:
-        x = int(parent_col[v])
+    words = [()] * n
+    for x, kids in groups:
         letter = (x // 2 + 1) if x % 2 == 0 else -(x // 2 + 1)
-        words[v] = words[int(parent[v])] + (letter,)
+        for v, p in zip(kids.tolist(), parent[kids].tolist()):
+            words[v] = words[p] + (letter,)
 
     gens = tuple(int(act[2 * g, 0]) for g in range(ngens))
     return FiniteGroup(mul, gens=gens, presentation=P, elem_words=tuple(words))

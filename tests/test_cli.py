@@ -67,7 +67,9 @@ def test_stdout_independent_of_hash_seed():
                 ["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2"],
                 ["compare", "T:2,6", "T:3,6", "--field", "3"],
                 ["iso", "T:3,7", "T:3,7"],
-                ["report", "B2G:2,3", "--field", "2"]]
+                ["report", "B2G:2,3", "--field", "2"],
+                ["compare", "D8", "Q8", "--field", "2"],
+                ["report", "B1G:2", "--field", "2"]]
     for argv in commands:
         outs = []
         for seed in ("0", "1"):

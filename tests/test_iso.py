@@ -1,11 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
 from modiso.errors import CapExceeded
-from modiso.families import build, paper_pair
+from modiso.families import build, from_presentation, paper_pair
 from modiso.gfq import make_field
 from modiso.groups import FiniteGroup
-from modiso.invariants import compare, fingerprint
+from modiso.invariants import compare, fingerprint, fingerprint_to_dict
 from modiso.iso import (
     IsoWitness,
     NotIsomorphic,
@@ -14,6 +16,9 @@ from modiso.iso import (
     verify_witness,
 )
 from modiso import modalg
+from modiso.words import Presentation, todd_coxeter, word_concat, word_inverse
+
+from conftest import CORPUS_SMALL, build_corpus_group
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -74,6 +79,12 @@ def test_group_iso_requires_presentation():
     table_only = FiniteGroup(G.mul.copy(), gens=list(G.gens))
     with pytest.raises(ValueError):
         group_isomorphic(table_only, G)
+    # without element words the search could not be verified, so it does
+    # not start, whatever the target
+    wordless = FiniteGroup(G.mul.copy(), gens=list(G.gens), presentation=G.presentation)
+    for H in (G, build("Q8")):
+        with pytest.raises(ValueError):
+            group_isomorphic(wordless, H)
 
 
 def test_group_verify_rejects_wrong_images():
@@ -83,6 +94,87 @@ def test_group_verify_rejects_wrong_images():
     bad = IsoWitness(kind="group", images=[good.images[0], H.id],
                      source_gens=list(G.gens))
     assert not verify_witness(bad, G, H)
+
+
+def test_group_verify_rejects_malformed_images():
+    # images outside [0, |H|) must not wrap around, and the image count must
+    # match the source generators
+    G, H = build("D8"), build("Meta:2,2,1,0,3")
+    for images in ([-7, -4], [99, 1], [1]):
+        bad = IsoWitness(kind="group", images=images, source_gens=list(G.gens))
+        assert verify_witness(bad, G, H) is False, images
+
+
+def test_group_iso_socle_prune_leaves_one_closure(monkeypatch):
+    # every relator-satisfying assignment but the isomorphisms is rejected
+    # by the socle prune, so at most one closure runs in H
+    G = build("T:2,5")
+    calls = []
+    generated = FiniteGroup.generated
+
+    def counting_generated(self, seed):
+        calls.append(self.n)
+        return generated(self, seed)
+
+    monkeypatch.setattr(FiniteGroup, "generated", counting_generated)
+    r = group_isomorphic(G, G)
+    assert isinstance(r, IsoWitness)
+    assert r.images == [22, 1, 5, 9]
+    assert len(calls) <= 1
+
+
+def test_group_iso_trivial_centre_keeps_closure_check():
+    # S3 has trivial centre, so the socle prune is empty and closure in H
+    # decides alone
+    S = from_presentation(("a", "b"), ("a^3", "b^2", "(a*b)^2"), declared_order=6)
+    T = from_presentation(("x", "y"), ("x^2", "y^2", "(x*y)^3"), declared_order=6)
+    for G, H in ((S, T), (T, S)):
+        r = group_isomorphic(G, H)
+        assert isinstance(r, IsoWitness)
+        assert verify_witness(r, G, H)
+
+
+def adversarial_presentation(P: Presentation, rng: random.Random) -> Presentation:
+    """The same group through the Tietze substitution a -> a'*b^-1 (a' = ab)
+    for two distinct generators a and b, then every relator rotated and
+    possibly inverted, the relators shuffled and the generators renamed and
+    reordered."""
+    ngens = len(P.generators)
+    a, b = (g + 1 for g in rng.sample(range(ngens), 2))
+    sub = {a: (a, -b), -a: (b, -a)}
+    rels = []
+    for w in P.relators:
+        w = list(word_concat(*(sub.get(x, (x,)) for x in w)))
+        if w:
+            r = rng.randrange(len(w))
+            w = w[r:] + w[:r]
+        if rng.random() < 0.5:
+            w = word_inverse(w)
+        rels.append(word_concat(w))
+    rng.shuffle(rels)
+    slot = rng.sample(range(ngens), ngens)
+    rels = [tuple((slot[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in w) for w in rels]
+    names = rng.sample([f"{c}{i}" for c in "uvwxyz" for i in range(10)], ngens)
+    return Presentation(tuple(names), tuple(rels))
+
+
+ADVERSARIAL_SPECS = [spec for spec in CORPUS_SMALL
+                     if len(build_corpus_group(spec).gens) >= 2] + ["T:2,5"]
+
+
+@pytest.mark.parametrize("spec", ADVERSARIAL_SPECS)
+def test_adversarial_presentation_is_isomorphic(spec):
+    G = build_corpus_group(spec)
+    H = todd_coxeter(adversarial_presentation(G.presentation, random.Random(spec)))
+    assert H.n == G.n
+    for X, Y in ((G, H), (H, G)):
+        r = group_isomorphic(X, Y)
+        assert isinstance(r, IsoWitness), (spec, r)
+        assert verify_witness(r, X, Y)
+    F = make_field(G.require_p_group()[0], 1)
+    fg, fh = fingerprint(G, F), fingerprint(H, F)
+    assert not compare(fg, fh).distinguished
+    assert fingerprint_to_dict(fg) == fingerprint_to_dict(fh)
 
 
 def test_group_witness_full_map_is_isomorphism():

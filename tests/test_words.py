@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modiso.errors import CapExceeded, SpecParseError
+from modiso.families import build
 from modiso.words import (
     EXPONENT_CAP,
     Presentation,
@@ -179,3 +181,18 @@ def test_element_words_are_defining_words():
     G = todd_coxeter(P)
     for g in range(G.n):
         assert G.word_image(G.elem_words[g], G.gens) == g
+
+
+def test_table_columns_are_regular_actions_of_element_words(corpus_small):
+    # column v of the table is u -> u*v; reading v's word letter by letter
+    # through the generator columns must give the same permutation
+    for spec, G in corpus_small + [("T:2,5", build("T:2,5"))]:
+        ar = np.arange(G.n)
+        column = {}
+        for i, g in enumerate(G.gens):
+            column[i + 1], column[-i - 1] = G.mul[:, g], G.mul[:, G.inv[g]]
+        for v, word in enumerate(G.elem_words):
+            action = ar
+            for x in word:
+                action = column[x][action]
+            assert np.array_equal(G.mul[:, v], action), (spec, v)
