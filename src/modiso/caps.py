@@ -11,7 +11,6 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Caps:
     coset_cap: int = 100000
-    q_cap: int = 81
     group_order_cap: int = 2187
     algebra_order_cap: int = 256
     enum_cap: int = 1 << 24

@@ -241,7 +241,6 @@ def make_parser() -> _Parser:
     p = sub.add_parser("tables", help="recompute a named reference table")
     p.add_argument("name")
     p.add_argument("--json", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("kernel-size", help="power-map kernel size of a radical section")

@@ -129,11 +129,13 @@ def broche_case2(variant, m, n, coset_cap=COSET_CAP_DEFAULT):
     return _tc(("a", "b"), rels, 2**(n + 2 * m), coset_cap)
 
 
-def direct_product(factors, coset_cap=COSET_CAP_DEFAULT):
+def direct_product(factors, coset_cap=COSET_CAP_DEFAULT, order_cap=ORDER_CAP_DEFAULT):
     """Direct product via a combined presentation (generators get _k suffixes)."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
+    declared = prod(F.n for F in factors)
+    _check_cap(declared, order_cap)
     gens = []
     relators = []
     offset = 0
@@ -154,14 +156,13 @@ def direct_product(factors, coset_cap=COSET_CAP_DEFAULT):
         off += k
     P = Presentation(tuple(gens), tuple(relators))
     G = todd_coxeter(P, coset_cap=coset_cap)
-    declared = prod(F.n for F in factors)
     if G.n != declared:
         raise ValueError(f"direct product order {G.n} != {declared}")
     return G
 
 
-def presented(path, coset_cap=COSET_CAP_DEFAULT):
-    return todd_coxeter(Presentation.load(path), coset_cap=coset_cap)
+def presented(path, coset_cap=COSET_CAP_DEFAULT, order_cap=ORDER_CAP_DEFAULT):
+    return todd_coxeter(Presentation.load(path), coset_cap=coset_cap, order_cap=order_cap)
 
 
 def from_presentation(gens, relator_texts, declared_order=None, coset_cap=COSET_CAP_DEFAULT):
@@ -193,9 +194,10 @@ def build(spec: str, order_cap: int = ORDER_CAP_DEFAULT, coset_cap: int = COSET_
         parts = spec[2:].split("*")
         if len(parts) < 2:
             raise SpecParseError("X: needs at least two *-separated factors")
-        return direct_product([build(p, order_cap, coset_cap) for p in parts], coset_cap)
+        return direct_product([build(p, order_cap, coset_cap) for p in parts], coset_cap,
+                              order_cap)
     if spec.startswith("Pres:"):
-        return presented(spec[5:], coset_cap)
+        return presented(spec[5:], coset_cap, order_cap)
     head, _, rest = spec.partition(":")
     if not rest:
         raise SpecParseError(f"unknown family spec {spec!r}")

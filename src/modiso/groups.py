@@ -46,6 +46,16 @@ def _is_prime_power(n: int):
     return (n, 1)
 
 
+def _log_p(n: int, p: int) -> int:
+    """The exact r with p^r = n."""
+    r = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        r += 1
+    assert n == 1, "not a power of p"
+    return r
+
+
 class FiniteGroup:
     """A finite group as an n x n multiplication table of element indices."""
 
@@ -373,7 +383,7 @@ def char_series(G: FiniteGroup) -> CharSeries:
             lc.append(commutator_subgroup(lc[-1], full))
         derived = lc[1] if len(lc) > 1 else lc[0]
         frat = G.generated(np.unique(np.concatenate([
-            G.pow_map(p)[np.arange(G.n)], derived.elems])))
+            G.pow_map(p), derived.elems])))
         G._cache["char_series"] = CharSeries(
             lower_central=lc,
             derived=derived,
@@ -384,54 +394,32 @@ def char_series(G: FiniteGroup) -> CharSeries:
     return G._cache["char_series"]
 
 
-def quotient_group(G: FiniteGroup, N: Subgroup):
-    """(G/N as a FiniteGroup, projection array G -> G/N)."""
-    if not N.is_normal():
-        raise ValueError("subgroup is not normal")
-    Q, proj, _ = _section(G.full_subgroup(), N)
-    return Q, proj
-
-
-def section_group(X: Subgroup, Y: Subgroup | None = None):
-    """The quotient X/Y as a standalone group (Y normal in X; Y=None means trivial)."""
-    if Y is None:
-        Y = X.parent.trivial_subgroup()
-    Q, _, _ = _section(X, Y)
-    return Q
-
-
-def _section(X: Subgroup, Y: Subgroup):
+def _check_normal_in(X: Subgroup, N: Subgroup):
+    """Raise ValueError unless N is a subgroup of X normalized by X's generators."""
     G = X.parent
-    if Y.parent is not G or not X.contains_set(Y):
-        raise ValueError("Y must be a subgroup of X")
+    if N.parent is not G or not X.contains_set(N):
+        raise ValueError("subgroup is not contained in X")
     for x in X.gens:
-        if not Y._member[G.conj_perm(x)[Y.elems]].all():
-            raise ValueError("Y is not normal in X")
+        if not N._member[G.conj_perm(x)[N.elems]].all():
+            raise ValueError("subgroup is not normal in X")
 
-    # coset of x is represented by its minimal element
-    cosets = G.mul[np.ix_(X.elems, Y.elems)]
+
+def quotient_group(X, N: Subgroup):
+    """(X/N as a FiniteGroup, projection array G -> X/N, -1 off X), for a
+    group or subgroup X and N normal in X. Cosets are numbered in order of
+    their least elements."""
+    if isinstance(X, FiniteGroup):
+        X = X.full_subgroup()
+    _check_normal_in(X, N)
+    G = X.parent
     rep_of = np.full(G.n, -1, dtype=np.int32)
-    reps_sorted = []
-    seen = np.zeros(G.n, dtype=bool)
-    for i, x in enumerate(X.elems.tolist()):
-        if not seen[x]:
-            cs = cosets[i]
-            r = int(cs.min())
-            rep_of[cs] = r
-            seen[cs] = True
-            reps_sorted.append(r)
-    reps_sorted.sort()
-    reps = np.array(reps_sorted, dtype=np.int32)
-    local = np.full(G.n, -1, dtype=np.int32)
-    local[reps] = np.arange(len(reps), dtype=np.int32)
-
-    table = local[rep_of[G.mul[np.ix_(reps, reps)]]]
+    rep_of[X.elems] = G.mul[np.ix_(X.elems, N.elems)].min(axis=1)
+    reps = np.unique(rep_of[X.elems])
     proj = np.full(G.n, -1, dtype=np.int32)
-    proj[X.elems] = local[rep_of[X.elems]]
-    gens = sorted(set(local[rep_of[X.gens]].tolist()))
-    Q = FiniteGroup(table, gens=gens)
-    assert Q.n * Y.order == X.order
-    return Q, proj, reps
+    proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])
+    Q = FiniteGroup(proj[G.mul[np.ix_(reps, reps)]], gens=np.unique(proj[X.gens]))
+    assert Q.n * N.order == X.order
+    return Q, proj
 
 
 @dataclass(frozen=True)
@@ -464,34 +452,35 @@ def conjugacy_classes(G: FiniteGroup):
 
 
 def abelian_type(X, Y: Subgroup | None = None) -> tuple:
-    """Invariant-factor type of an abelian p-group or abelian section X/Y,
-    recovered from the orders of the subgroups Ω_k.
+    """Invariant-factor type of an abelian p-group X or abelian section X/Y
+    (Y normal in X; None means trivial), read without building X/Y: if X/Y
+    has type (p^e_1, ..., p^e_r), then |{x in X : x^(p^k) in Y}| =
+    |Y| p^(min(e_1, k) + ... + min(e_r, k)), so the step of that exponent
+    from k - 1 to k counts the e_i >= k.
     """
     if isinstance(X, FiniteGroup):
-        Q = X
-    else:
-        Q = section_group(X, Y)
-    if Q.n == 1:
+        X = X.full_subgroup()
+    G = X.parent
+    if Y is None:
+        Y = G.trivial_subgroup()
+    _check_normal_in(X, Y)
+    index = X.order // Y.order
+    if index == 1:
         return ()
-    p, e = Q.require_p_group()
-    if not (Q.mul == Q.mul.T).all():
+    if (pe := _is_prime_power(index)) is None:
+        raise ValueError(f"section of order {index} is not a p-group")
+    p, e = pe
+    # with Y normal, X/Y is abelian iff [a, b] in Y for generators a, b of X
+    mul, inv = G.mul, G.inv
+    a = np.asarray(X.gens, dtype=np.int32)
+    if not Y._member[mul[mul[inv[a][:, None], inv[a]], mul[a[:, None], a]]].all():
         raise ValueError("section is not abelian")
     logs = [0]
-    k = 0
-    while p**logs[-1] < Q.n:
-        k += 1
-        cnt = int((Q.pow_map(p**k) == Q.id).sum())
-        lg = round(np.log(cnt) / np.log(p))
-        assert p**lg == cnt
-        logs.append(lg)
-    ge = [logs[k] - logs[k - 1] for k in range(1, len(logs))]  # #parts with exponent >= k
-    ge.append(0)
-    parts = []
-    for k in range(1, len(ge)):
-        parts.extend([p**k] * (ge[k - 1] - ge[k]))
-    parts.sort(reverse=True)
-    assert (int(np.prod(parts)) if parts else 1) == Q.n
-    return tuple(parts)
+    while logs[-1] < e:
+        hits = int(Y._member[G.pow_map(p ** len(logs))[X.elems]].sum())
+        logs.append(_log_p(hits // Y.order, p))
+    ge = [hi - lo for lo, hi in zip(logs, logs[1:])] + [0]  # ge[k - 1] = #{i : e_i >= k}
+    return tuple(p**k for k in range(len(ge) - 1, 0, -1) for _ in range(ge[k - 1] - ge[k]))
 
 
 def dimension_subgroups_lazard(G: FiniteGroup, n_max: int | None = None):
@@ -531,12 +520,7 @@ def jennings_ranks(G: FiniteGroup):
     D = dimension_subgroups_lazard(G)
     if D[-1].order != 1:
         D = D + [G.trivial_subgroup()]
-    ranks = []
-    for a, b in zip(D, D[1:]):
-        q = a.order // b.order
-        r = round(np.log(q) / np.log(p))
-        assert p**r == q
-        ranks.append(r)
+    ranks = [_log_p(a.order // b.order, p) for a, b in zip(D, D[1:])]
     while ranks and ranks[-1] == 0:
         ranks.pop()
     return ranks
@@ -551,18 +535,11 @@ def min_generators(X) -> int:
     S = X if isinstance(X, Subgroup) else G.full_subgroup()
     derived = commutator_subgroup(S, S)
     frat = G.generated(np.concatenate([G.pow_map(p)[elems], derived.elems]))
-    index = elems.size // frat.order
-    r = round(np.log(index) / np.log(p))
-    assert p**r == index
-    return r
+    return _log_p(elems.size // frat.order, p)
 
 
 def exponent(G: FiniteGroup) -> int:
-    orders = G.element_orders()
-    out = int(orders[0])
-    for o in orders.tolist():
-        out = out * o // int(np.gcd(out, o))
-    return out
+    return int(np.lcm.reduce(G.element_orders()))
 
 
 def is_metacyclic(G: FiniteGroup):
@@ -578,28 +555,31 @@ def is_metacyclic(G: FiniteGroup):
 
 
 def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = 10**6) -> dict:
-    """rank -> number of conjugacy classes of maximal elementary abelian subgroups."""
+    """rank -> number of conjugacy classes of maximal elementary abelian subgroups.
+
+    The search grows elementary abelian subgroups by one commuting element of
+    order p at a time from Ω_1(Z(G)), which every maximal one E contains,
+    since E·Ω_1(Z(G)) is elementary abelian. `cap` bounds the number of
+    subgroups the search visits.
+    """
     p, _ = G.require_p_group()
     mul = G.mul
     order_p = np.nonzero((G.pow_map(p) == G.id) & (np.arange(G.n) != G.id))[0].astype(np.int32)
-
-    def commuting_mask(elems):
-        return (mul[:, elems] == mul[elems, :].T).all(axis=1)
-
-    trivial = (G.id,)
-    level = {trivial}
-    visited = {trivial}
+    root = tuple(omega(center(G), 1).elems.tolist())
+    # subgroup -> the elements added to Ω_1(Z(G)); commuting with the subgroup
+    # means commuting with these
+    level = {root: []}
+    visited = {root}
     maximal = []
     while level:
-        nxt = set()
-        for key in sorted(level):
+        nxt = {}
+        for key, added in sorted(level.items()):
             elems = np.array(key, dtype=np.int32)
-            mask = commuting_mask(elems)
-            ext = order_p[mask[order_p]]
+            commuting = (mul[np.ix_(order_p, added)] == mul[np.ix_(added, order_p)].T).all(axis=1)
+            ext = order_p[commuting]
             ext = ext[~np.isin(ext, elems)]
             if ext.size == 0:
-                if key != trivial or order_p.size == 0:
-                    maximal.append(key)
+                maximal.append(key)
                 continue
             for y in ext.tolist():
                 # extension of an elementary abelian set by a commuting order-p
@@ -614,7 +594,7 @@ def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = 10**6) -> dict:
                     if len(visited) >= cap:
                         raise CapExceeded("elemab_cap")
                     visited.add(child)
-                    nxt.add(child)
+                    nxt[child] = added + [y]
         level = nxt
 
     # conjugacy classes of the maximal ones
@@ -633,8 +613,7 @@ def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = 10**6) -> dict:
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
-        rank = round(np.log(len(key)) / np.log(p))
-        assert p**rank == len(key)
+        rank = _log_p(len(key), p)
         for s in orbit:
             assigned[s] = key
         classes[rank] = classes.get(rank, 0) + 1
@@ -654,7 +633,4 @@ def max_elem_abelian_direct_factor(G: FiniteGroup, cap: int = 64) -> int:
     Z = center(G)
     om = omega(Z, 1)
     frat = char_series(G).frattini
-    inter = _intersection_order(om, frat)
-    r = round(np.log(om.order // inter) / np.log(p))
-    assert p**r == om.order // inter
-    return r
+    return _log_p(om.order // _intersection_order(om, frat), p)

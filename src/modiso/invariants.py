@@ -19,6 +19,7 @@ from .errors import CapExceeded
 from .gfq import FiniteField
 from .groups import (
     FiniteGroup,
+    _log_p,
     abelian_type,
     agemo,
     centralizer,
@@ -90,9 +91,7 @@ def transfer_sections(G: FiniteGroup, k_max: int | None = None):
     which is log_p exp(G), since g^(p^k) = 1 for all g iff p^k >= exp(G)."""
     p, _ = G.require_p_group()
     if k_max is None:
-        exp, k_max = exponent(G), 0
-        while p**k_max < exp:
-            k_max += 1
+        k_max = _log_p(exponent(G), p)
     cs = char_series(G)
     Z, derived = cs.center, cs.derived
     full = G.full_subgroup()
@@ -154,9 +153,7 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
 
     cs = char_series(G)
     exp = exponent(G)
-    e = 0
-    while p**e < exp:
-        e += 1
+    e = _log_p(exp, p)
 
     ranks = jennings_ranks(G)
     derived_rank = min_generators(cs.derived)

@@ -219,9 +219,11 @@ def _columns(w: Word):
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w]
 
 
-def todd_coxeter(P: Presentation, coset_cap: int = 100000):
+def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None = None):
     """Enumerate the cosets of the trivial subgroup (HLT with immediate
     coincidence handling) and return the resulting regular-action group.
+    A group of order above `order_cap` (None: no cap) is rejected with
+    ValueError before its n x n table is allocated.
 
     Deterministic: relators are scanned in declaration order and cosets
     processed in creation order, so the multiplication table is reproducible
@@ -331,6 +333,8 @@ def todd_coxeter(P: Presentation, coset_cap: int = 100000):
     live = [c for c in range(len(table)) if find(c) == c]
     index = {c: i for i, c in enumerate(live)}
     n = len(live)
+    if order_cap is not None and n > order_cap:
+        raise ValueError(f"group order {n} exceeds group-order cap {order_cap}")
 
     act = np.zeros((ncols, n), dtype=np.int32)
     for i, c in enumerate(live):

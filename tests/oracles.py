@@ -6,7 +6,9 @@ derivations are in notes/decisions.md). The algebra-side routes here compute
 the same objects inside the group algebra FG, so the tests can check the
 group-side values against an independent construction. The commutator
 subgroup route forms every commutator [a, b], where the product uses only
-generators of A. No `mip` command runs them.
+generators of A. The abelian type of a standalone group is read from its
+whole table, where the product counts powers inside X without building X/Y.
+No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder
-from modiso.groups import Subgroup, char_series
+from modiso.groups import FiniteGroup, Subgroup, char_series
 from modiso.modalg import (
     ENUM_CAP_DEFAULT,
     GroupAlgebra,
@@ -36,6 +38,21 @@ def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:
     a = A.elems[:, None]
     b = B.elems[None, :]
     return G.generated(np.unique(mul[mul[inv[a], inv[b]], mul[a, b]]))
+
+
+def abelian_type_of_table(Q: FiniteGroup) -> tuple:
+    """Invariant factors of an abelian p-group from its table: the elements
+    of order dividing p^k number p^(sum of min(e_i, k))."""
+    assert (Q.mul == Q.mul.T).all(), "not abelian"
+    if Q.n == 1:
+        return ()
+    p, e = Q.require_p_group()
+    orders = Q.element_orders()
+    logs = [round(np.log((orders <= p**k).sum()) / np.log(p)) for k in range(e + 1)]
+    ge = [hi - lo for lo, hi in zip(logs, logs[1:])] + [0]  # ge[k - 1] = #{i : e_i >= k}
+    parts = [p**k for k in range(e, 0, -1) for _ in range(ge[k - 1] - ge[k])]
+    assert np.prod(parts) == Q.n
+    return tuple(parts)
 
 
 def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:

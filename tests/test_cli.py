@@ -259,6 +259,8 @@ def test_caps_file_round_trip(tmp_path, capsys):
     (["report", "D8", "--field", "2", "--caps", "{file}"], '{"kernel_sections": 5}', 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], '{"kernel_sections": [[0, 3, 1]]}', 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], "[" * 5000 + "]" * 5000, 64),
+    (["report", "D8", "--field", "2", "--caps", "{file}"], '{"q_cap": 81}', 64),
+    (["tables", "hh1", "--caps", "{file}"], "{}", 64),
     (["report", "Pres:{file}", "--field", "2"], None, 64),
     (["report", "Pres:{file}", "--field", "2"], '{"generators": ["a"], ', 64),
     (["report", "Pres:{file}", "--field", "2"], '{"generators": ["a"], "relators": [5]}', 64),
@@ -270,6 +272,7 @@ def test_caps_file_round_trip(tmp_path, capsys):
 ], ids=["kernel-size-section-0,3", "iso-section-0,3", "kernel-size-C6", "kernel-size-D8-GF3",
         "iso-D8-GF3", "kernel-size-power-minus-1", "caps-not-object", "caps-str-value",
         "caps-bool-value", "caps-sections-not-list", "caps-section-0,3", "caps-deep-json",
+        "caps-q-cap-removed", "tables-caps-removed",
         "pres-missing-file", "pres-malformed-json", "pres-relator-not-str",
         "pres-generators-not-list", "pres-deep-word", "pres-power-too-long"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, text, code):
@@ -289,6 +292,23 @@ def test_caps_coset_cap_construction_failure(tmp_path, capsys):
     code, _, err = run(capsys, "report", "T:1,5", "--field", "3", "--caps", str(caps))
     assert code == 65
     assert "construction failed" in err
+
+
+def test_group_order_cap_before_table(tmp_path, capsys):
+    # C_6561 from one relator is rejected before its 6561 x 6561 table is built
+    path = tmp_path / "c6561.json"
+    path.write_text(json.dumps({"generators": ["a"], "relators": ["a^6561"]}),
+                    encoding="utf-8")
+    for argv in (("report", f"Pres:{path}", "--field", "3"),
+                 ("iso", f"Pres:{path}", f"Pres:{path}")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert "group order 6561 exceeds group-order cap 2187" in err
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps({"group_order_cap": 2}), encoding="utf-8")
+    code, out, err = run(capsys, "report", "X:C:2*C:2", "--field", "2", "--caps", str(caps))
+    assert (code, out) == (65, "")
+    assert "declared order 4 exceeds group-order cap 2" in err
 
 
 def test_presentation_file_spec(tmp_path, capsys):

@@ -27,7 +27,6 @@ from modiso.groups import (
     omega_in,
     quotient_group,
     sample_ints,
-    section_group,
     subgroup_intersection,
     subgroup_product,
 )
@@ -274,6 +273,17 @@ def test_abelian_type_rejects_nonabelian():
         abelian_type(D8())
 
 
+def test_abelian_type_needs_normal_subgroup():
+    G = D8()
+    s = next(g for g in range(G.n)
+             if G.element_orders()[g] == 2 and not G.generated([g]).is_normal())
+    with pytest.raises(ValueError, match="not normal"):
+        abelian_type(G.full_subgroup(), G.generated([s]))
+    # normal in X is enough: ⟨s⟩ is not normal in G but is in the Klein group ⟨s, z⟩
+    klein = G.generated([s] + center(G).gens)
+    assert abelian_type(klein, G.generated([s])) == (2,)
+
+
 def test_abelian_type_mixed():
     assert abelian_type(build("Ab:4,2")) == (4, 2)
     assert abelian_type(build("Ab:9,3,3")) == (9, 3, 3)
@@ -354,8 +364,32 @@ def test_maximal_elem_abelian_classes():
     assert maximal_elem_abelian_classes(D8()) == {2: 2}
     assert maximal_elem_abelian_classes(Q8()) == {1: 1}
     assert maximal_elem_abelian_classes(build("C:3")) == {1: 1}
+    # the search from Ω_1(Z) = ⟨z⟩ in D32 visits ⟨z⟩ and eight Klein groups
+    assert maximal_elem_abelian_classes(build("Meta:2,4,1,0,15"), cap=9) == {2: 2}
     with pytest.raises(CapExceeded):
-        maximal_elem_abelian_classes(build("EA:2,4"), cap=3)
+        maximal_elem_abelian_classes(build("Meta:2,4,1,0,15"), cap=3)
+
+
+def test_maximal_elem_abelian_classes_against_all_subgroups(corpus_small):
+    # oracle: every elementary abelian subgroup, the maximal ones under
+    # inclusion, and their orbits under conjugation by every element
+    for spec, G in corpus_small:
+        if G.n > 32:
+            continue
+        p, _ = G.require_p_group()
+        elem_ab = []
+        for S in _all_subgroups(G):
+            block = G.mul[np.ix_(S.elems, S.elems)]
+            if (G.pow_map(p)[S.elems] == G.id).all() and (block == block.T).all():
+                elem_ab.append(S)
+        maximal = {E for E in elem_ab
+                   if not any(F.order > E.order and F.contains_set(E) for F in elem_ab)}
+        classes = Counter()
+        while maximal:
+            E = min(maximal, key=lambda S: S.elems.tolist())
+            maximal -= {G.subgroup(G.conj_perm(g)[E.elems]) for g in range(G.n)}
+            classes[round(np.log(E.order) / np.log(p))] += 1
+        assert maximal_elem_abelian_classes(G) == dict(sorted(classes.items())), spec
 
 
 def test_max_elem_abelian_direct_factor():
@@ -390,7 +424,7 @@ def test_direct_factor_against_complement_search(spec):
     Z = center(G)
     best = 0
     for A in subs:
-        if not Z.contains_set(A) or exponent(section_group(A)) not in (1, p):
+        if not Z.contains_set(A) or exponent(A.as_group()[0]) not in (1, p):
             continue
         rank = 0
         o = A.order
@@ -420,7 +454,7 @@ def test_rank_preserving_correspondence_instance():
     L = G.subgroup(embed[L_local.elems])
     for extra in range(G.n):
         H = G.generated(list(K.elems) + [extra])
-        Hq = section_group(H, L) if L.order > 1 else section_group(H)
+        Hq = quotient_group(H, L)[0] if L.order > 1 else H.as_group()[0]
         assert min_generators(H) == min_generators(Hq.full_subgroup())
 
 

@@ -7,7 +7,15 @@ from modiso.caps import Caps
 from modiso.errors import CapExceeded
 from modiso.families import build, paper_pair
 from modiso.gfq import make_field
-from modiso.groups import agemo, conjugacy_classes, jennings_ranks, min_generators
+from modiso.groups import (
+    FiniteGroup,
+    abelian_type,
+    agemo,
+    conjugacy_classes,
+    jennings_ranks,
+    min_generators,
+    quotient_group,
+)
 from modiso.invariants import (
     Unavailable,
     class_power_stats,
@@ -20,7 +28,7 @@ from modiso.invariants import (
     transfer_sections,
     verdict_to_dict,
 )
-from modiso import modalg
+from modiso import invariants, modalg
 
 import oracles
 from conftest import build_corpus_group
@@ -146,7 +154,43 @@ def test_transfer_sections_default_depth_is_agemo_depth(corpus_small):
         assert len(transfer_sections(G)) == k + 1, spec
 
 
+def test_section_types_match_built_quotients(corpus_small, monkeypatch):
+    # every (X, Y) that transfer_sections reads, at every k: the power-count
+    # type against the table of the built quotient X/Y
+    checked = []
+
+    def both_routes(X, Y=None):
+        Y = X.parent.trivial_subgroup() if Y is None else Y
+        got = abelian_type(X, Y)
+        assert got == oracles.abelian_type_of_table(quotient_group(X, Y)[0])
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(invariants, "abelian_type", both_routes)
+    for spec, G in corpus_small:
+        before = len(checked)
+        rows = transfer_sections(G)
+        assert len(checked) - before == 6 * len(rows), spec
+
+
 # -- fingerprints and comparison ------------------------------------------------------
+
+def test_fingerprint_builds_no_group(monkeypatch):
+    # the section types, the elementary abelian search and the kernel-size
+    # algebra (D8 over GF(4)) all work inside the given group's table
+    cases = [(build("T:2,5"), F3), (build("D8"), F4)]
+    built = []
+    init = FiniteGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    for G, F in cases:
+        fingerprint(G, F)
+    assert built == []
+
 
 def test_fingerprint_d8_q8_basic_entries_agree():
     f, g = fingerprint(build("D8"), F2), fingerprint(build("Q8"), F2)
