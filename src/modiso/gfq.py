@@ -1,23 +1,21 @@
 """Exact arithmetic in small finite fields F_{p^k} and echelon-form linear algebra.
 
-Field elements are stored as integer codes 0..q-1; the code's base-p digits are
-the coefficients of the residue polynomial (ascending powers of the generator).
-Elementwise arithmetic goes through precomputed q x q tables (numpy fancy
-indexing). Matrix products are float64 BLAS products reduced mod p, exact while
-every intermediate stays below 2^53 (checked); F_q is encoded into F_p for
-them, each element becoming the k x k matrix of multiplication by it.
+F_{p^k} is F_p[C], C the companion matrix of the modulus. Field elements are
+integer codes 0..q-1 whose base-p digits are the coordinates in the basis
+1, C, ..., C^(k-1); each code's k x k matrix over F_p is its polynomial in C.
+Elementwise arithmetic goes through q x q tables read off those matrices
+(numpy fancy indexing). Matrix products are float64 BLAS products reduced
+mod p, exact while every intermediate stays below 2^53 (checked); F_q is
+encoded into F_p for them, each element becoming its k x k matrix.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import CapExceeded
 
-QCAP_DEFAULT = 81
-QCAP_HARD = 256  # codes are uint8
+QCAP = 81  # every table is q x q, and codes are uint8
 
 
 def _is_prime(n: int) -> bool:
@@ -31,76 +29,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# -- polynomial helpers over Z/p (coefficient tuples, ascending powers) ------
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, m, p):
-    """Remainder of a modulo the monic polynomial m."""
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for j, y in enumerate(m):
-                a[shift + j] = (a[shift + j] - lead * y) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _is_irreducible(m, p):
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            div = _digits_of(code, p, d) + (1,)
-            if not _poly_mod(m, div, p):
-                return False
-    return True
-
-
-def _digits_of(code, p, k):
-    out = []
-    for _ in range(k):
-        out.append(code % p)
-        code //= p
-    return tuple(out)
-
-
-def _smallest_irreducible(p, k):
-    """Lexicographically smallest monic irreducible of degree k over Z/p.
-
-    Polynomials are ordered by their descending-degree coefficient vector,
-    i.e. by the integer value of the non-leading coefficients in base p.
-    """
-    if k == 1:
-        return (0, 1)  # the polynomial x
-    for code in range(p**k):
-        m = _digits_of(code, p, k) + (1,)
-        if _is_irreducible(m, p):
-            return m
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
 class Scalar:
     """An element of a FiniteField; thin wrapper over an integer code."""
 
@@ -112,7 +40,7 @@ class Scalar:
 
     @property
     def coeffs(self):
-        return _digits_of(self.code, self.field.p, self.field.k)
+        return tuple(self.field.DIG[self.code].tolist())
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -190,62 +118,53 @@ class Scalar:
 
 
 class FiniteField:
-    """F_{p^k} with table-driven elementwise arithmetic; immutable once built.
+    """F_{p^k} as F_p[C], C the companion matrix of the modulus; immutable once built.
 
-    Attributes ADD/MUL/NEG/INV are numpy code tables; DIG maps a code to its
-    digit vector, PW holds the digit weights p^i and BLK the k x k matrix over
-    F_p of multiplication by each code. modulus is the defining monic
-    irreducible (ascending coefficients, length k+1).
+    DIG maps a code to its digit vector and PW holds the digit weights p^i.
+    BLK[c] = sum_i DIG[c, i] * C^i mod p is the k x k matrix over F_p of
+    multiplication by c on digit columns, and the code tables ADD/MUL/NEG/INV
+    are read off DIG, PW and BLK. modulus is the least monic x^k + low, in
+    code order of low, that is irreducible (ascending coefficients, length k+1).
     """
 
-    def __init__(self, p: int, k: int, qcap: int = QCAP_DEFAULT):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
+    def __init__(self, p: int, k: int):
         if k < 1:
             raise ValueError("extension degree must be >= 1")
+        # the size check runs before any trial division and never forms a
+        # huge p**k: 2^k > QCAP once k reaches QCAP.bit_length()
+        if p >= 2 and (k >= QCAP.bit_length() or p**k > QCAP):
+            size = p if k == 1 else f"{p}^{k}"
+            raise CapExceeded("q_cap", f"field size {size} exceeds cap {QCAP}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         q = p**k
-        if q > min(qcap, QCAP_HARD):
-            raise CapExceeded("q_cap", f"field size {q} exceeds cap {qcap}")
         self.p, self.k, self.q = p, k, q
-        self.modulus = _smallest_irreducible(p, k)
-        assert k == 1 or _is_irreducible(self.modulus, p)
-
-        self.DIG = np.array([_digits_of(c, p, k) for c in range(q)], dtype=np.uint8)
-        self.PW = np.array([p**i for i in range(k)], dtype=np.int64)
+        self.PW = p ** np.arange(k, dtype=np.int64)
+        self.DIG = (np.arange(q)[:, None] // self.PW % p).astype(np.uint8)
 
         dig = self.DIG.astype(np.int64)
         add_dig = (dig[:, None, :] + dig[None, :, :]) % p
         self.ADD = (add_dig @ self.PW).astype(np.uint8)
         self.NEG = (((-dig) % p) @ self.PW).astype(np.uint8)
 
-        mul = np.zeros((q, q), dtype=np.uint8)
-        polys = [_poly_trim(_digits_of(c, p, k)) for c in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                r = _poly_mod(_poly_mul(polys[a], polys[b], p), self.modulus, p)
-                code = sum(c * p**i for i, c in enumerate(r))
-                mul[a, b] = code
-                mul[b, a] = code
-        self.MUL = mul
-
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            inv[a] = self._pow_code(a, q - 2)
-        self.INV = inv
-
-        # BLK[c] is the matrix over F_p of multiplication by c on digit
-        # columns: DIG[MUL[c, b]] == BLK[c] @ DIG[b] mod p
-        self.BLK = self.DIG[self.MUL[:, self.PW]].transpose(0, 2, 1)
-
-    def _pow_code(self, a, e):
-        out = 1
-        base = int(a)
-        while e:
-            if e & 1:
-                out = int(self.MUL[out, base])
-            base = int(self.MUL[base, base])
-            e >>= 1
-        return out
+        # F_p[x]/(m) = F_p[C] is a field exactly when m is irreducible, that
+        # is when no two nonzero codes multiply to zero; C e_i = e_(i+1) and
+        # C e_(k-1) = -low
+        powers = np.empty((k, k, k), dtype=np.int64)
+        powers[0] = np.eye(k)
+        for low in range(q):
+            C = np.eye(k, k, -1, dtype=np.int64)
+            C[:, -1] = -dig[low] % p
+            for i in range(1, k):
+                powers[i] = C @ powers[i - 1] % p
+            blk = np.tensordot(dig, powers, axes=1) % p
+            mul = self.PW @ (blk @ dig.T % p)  # MUL[a, b] reads BLK[a] @ DIG[b]
+            if mul[1:, 1:].all():
+                break
+        self.modulus = tuple(dig[low].tolist()) + (1,)
+        self.BLK = blk.astype(np.uint8)
+        self.MUL = mul.astype(np.uint8)
+        self.INV = np.argmax(self.MUL == 1, axis=1).astype(np.uint8)  # INV[0] = 0
 
     # -- element constructors -------------------------------------------------
 
@@ -320,10 +239,16 @@ class FiniteField:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int, k: int, qcap: int = QCAP_DEFAULT) -> FiniteField:
-    """The field F_{p^k} with the deterministic (lex-smallest) modulus."""
-    return FiniteField(p, k, qcap)
+_FIELDS: dict = {}
+
+
+def make_field(p: int, k: int) -> FiniteField:
+    """The field F_{p^k} with the deterministic (least irreducible) modulus:
+    one object per (p, k), however the arguments are passed."""
+    key = (int(p), int(k))
+    if key not in _FIELDS:
+        _FIELDS[key] = FiniteField(*key)
+    return _FIELDS[key]
 
 
 # -- echelon-form subspaces ---------------------------------------------------

@@ -267,6 +267,8 @@ class QuotientAlgebra:
         p = self.field.p
         out = np.asarray(X, dtype=np.uint8)
         for _ in range(pk_rounds):
+            if not out.any():
+                break  # zero is fixed by every power
             base = out
             acc = base
             for _ in range(p - 1):
@@ -353,28 +355,23 @@ def radical_section(A: GroupAlgebra, i: int, j: int, label=None) -> QuotientAlge
 
 
 def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
-    """The same algebra viewed over the prime subfield (dim multiplies by k)."""
+    """The same algebra viewed over the prime subfield (dim multiplies by k).
+
+    Its basis is w^e * rep_i (w = code p), and coordinate (l, e3) of
+    (w^e1 * rep_i)(w^e2 * rep_j) is digit e3 of sc[i, j, l] * w^(e1 + e2):
+    entry (e3, e1) of BLK[sc[i, j, l] * w^e2], so the whole tensor is one
+    gather.
+    """
     F = Q.field
     if F.k == 1:
         return Q
-    if "prime_restriction" in Q._cache:
-        return Q._cache["prime_restriction"]
-    Fp = make_field(F.p, 1)
-    d, k = Q.dim, F.k
-    gen_pows = [1]
-    for _ in range(2 * k - 2):
-        gen_pows.append(int(F.MUL[gen_pows[-1], F.p]))  # powers of the generator w
-    sc_p = np.zeros((d * k, d * k, d * k), dtype=np.uint8)
-    for e1 in range(k):
-        for e2 in range(k):
-            scale = gen_pows[e1 + e2]
-            scaled = F.MUL[scale, Q.sc]  # (d, d, d) codes
-            digits = F.DIG[scaled]  # (d, d, d, k)
-            for e3 in range(k):
-                sc_p[e1::k, e2::k, e3::k] = digits[..., e3]
-    out = QuotientAlgebra(Fp, sc_p, label=f"{Q.label}|prime")
-    Q._cache["prime_restriction"] = out
-    return out
+    if "prime_restriction" not in Q._cache:
+        dk = Q.dim * F.k
+        # axes (i, j, l, e2, e3, e1) -> (i, e1, j, e2, l, e3)
+        sc_p = F.BLK[F.MUL[Q.sc[..., None], F.PW]].transpose(0, 5, 1, 3, 2, 4)
+        Q._cache["prime_restriction"] = QuotientAlgebra(
+            make_field(F.p, 1), sc_p.reshape(dk, dk, dk), label=f"{Q.label}|prime")
+    return Q._cache["prime_restriction"]
 
 
 def _enumerate_coords(q: int, dim: int, chunk: int = 1 << 15):

@@ -330,18 +330,17 @@ def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None
                         define(alpha, x)
         alpha += 1
 
-    live = [c for c in range(len(table)) if find(c) == c]
-    index = {c: i for i, c in enumerate(live)}
+    root = np.array([find(c) for c in range(len(table))], dtype=np.int64)
+    live = np.flatnonzero(root == np.arange(len(table)))
     n = len(live)
     if order_cap is not None and n > order_cap:
         raise ValueError(f"group order {n} exceeds group-order cap {order_cap}")
 
-    act = np.zeros((ncols, n), dtype=np.int32)
-    for i, c in enumerate(live):
-        for x in range(ncols):
-            d = table[c][x]
-            assert d is not None, "incomplete coset table"
-            act[x, i] = index[find(d)]
+    rows = np.array([table[c] for c in live], dtype=np.float64)  # None -> nan
+    assert not np.isnan(rows).any(), "incomplete coset table"
+    index = np.zeros(len(table), dtype=np.int32)
+    index[live] = np.arange(n)
+    act = np.ascontiguousarray(index[root[rows.astype(np.int64)]].T)
 
     # closure sanity check: every relator traces to a cycle at every coset
     ar = np.arange(n)

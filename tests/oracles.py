@@ -8,7 +8,9 @@ group-side values against an independent construction. The commutator
 subgroup route forms every commutator [a, b], where the product uses only
 generators of A. The abelian type of a standalone group is read from its
 whole table, where the product counts powers inside X without building X/Y.
-No `mip` command runs them.
+The monic polynomials that are products of two of lower degree are listed by
+multiplying every pair, where the product tests irreducibility by the absence
+of zero divisors in F_p[C]. No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -172,3 +174,14 @@ def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
         b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
     K = Ideal(A, b.freeze())
     return quotient_algebra(A, None, K, label="small-group-ring")
+
+
+def reducible_monics(p: int, k: int) -> set:
+    """Every monic polynomial of degree k over F_p that is a product of two
+    monic polynomials of lower degree, as ascending coefficient tuples."""
+    def monics(d):
+        for code in range(p**d):
+            yield [code // p**i % p for i in range(d)] + [1]
+
+    return {tuple(int(c) for c in np.convolve(a, b) % p)
+            for d in range(1, k // 2 + 1) for a in monics(d) for b in monics(k - d)}

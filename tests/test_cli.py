@@ -5,8 +5,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modiso.cli import main
+from modiso.cli import _parse_field, main
+from modiso.errors import SpecParseError
+from modiso.gfq import FiniteField
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -181,6 +185,21 @@ def test_kernel_size_command(capsys):
     assert (doc["kill"], doc["survive"]) == (12, 4)
 
 
+def test_kernel_size_large_power_stops_at_zero(tmp_path, capsys):
+    # the section is nilpotent, so the power map stops once every element is 0
+    code, out, _ = run(capsys, "kernel-size", "D8", "--field", "2",
+                       "--section", "1,3", "--power", "100000000")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["kill"], doc["survive"]) == (16, 0)
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps({"kernel_sections": [[1, 3, 100000000]]}), encoding="utf-8")
+    code, out, _ = run(capsys, "report", "D8", "--field", "2", "--caps", str(caps))
+    assert code == 0
+    assert json.loads(out)["kernel_sizes"] == [
+        {"section": [1, 3], "power": 100000000, "counts": [16, 0]}]
+
+
 def test_kernel_size_cap_exit_4(tmp_path, capsys):
     caps = tmp_path / "caps.json"
     caps.write_text(json.dumps({"enum_cap": 4}), encoding="utf-8")
@@ -253,6 +272,8 @@ def test_caps_file_round_trip(tmp_path, capsys):
     (["kernel-size", "D8", "--field", "3", "--section", "1,2"], None, 65),
     (["iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "3"], None, 65),
     (["kernel-size", "D8", "--field", "2", "--section", "1,3", "--power", "-1"], None, 64),
+    (["report", "D8", "--field", "1000000000000000003"], None, 64),
+    (["report", "D8", "--field", "2^100000000"], None, 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], "5", 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], '{"enum_cap": "x"}', 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], '{"enum_cap": true}', 64),
@@ -270,7 +291,8 @@ def test_caps_file_round_trip(tmp_path, capsys):
     (["report", "Pres:{file}", "--field", "2"],
      json.dumps({"generators": ["a"], "relators": ["(a^1048576)^1048576"]}), 64),
 ], ids=["kernel-size-section-0,3", "iso-section-0,3", "kernel-size-C6", "kernel-size-D8-GF3",
-        "iso-D8-GF3", "kernel-size-power-minus-1", "caps-not-object", "caps-str-value",
+        "iso-D8-GF3", "kernel-size-power-minus-1", "field-large-prime",
+        "field-huge-power", "caps-not-object", "caps-str-value",
         "caps-bool-value", "caps-sections-not-list", "caps-section-0,3", "caps-deep-json",
         "caps-q-cap-removed", "tables-caps-removed",
         "pres-missing-file", "pres-malformed-json", "pres-relator-not-str",
@@ -284,6 +306,21 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, text, cod
     assert got == code
     assert out == ""
     assert "Traceback" not in err
+
+
+LITERAL_INT = st.integers(min_value=-10**30, max_value=10**30)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), LITERAL_INT.map(str),
+                 st.tuples(LITERAL_INT, LITERAL_INT).map(lambda pk: f"{pk[0]}^{pk[1]}")))
+def test_parse_field_total_on_junk(text):
+    # a field literal gives a field or the parse error, within the deadline
+    try:
+        F = _parse_field(text)
+    except SpecParseError:
+        return
+    assert isinstance(F, FiniteField) and F.q <= 81
 
 
 def test_caps_coset_cap_construction_failure(tmp_path, capsys):

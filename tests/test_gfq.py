@@ -14,6 +14,10 @@ from modiso.gfq import (
     subspace_combine,
 )
 
+from oracles import reducible_monics
+
+ALL_FIELDS = [(p, k) for p in range(2, 82) if all(p % d for d in range(2, p))
+              for k in range(1, 7) if p**k <= 81]
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 1)]
 
 
@@ -55,8 +59,42 @@ def test_make_field_errors():
         make_field(2, 0)
     with pytest.raises(CapExceeded):
         make_field(2, 7)
-    with pytest.raises(CapExceeded):
-        make_field(3, 4, qcap=80)
+
+
+def test_make_field_one_object_per_field():
+    assert make_field(2, k=2) is make_field(2, 2)
+    assert make_field(p=3, k=1) is make_field(np.int64(3), 1)
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_codes_are_digit_polynomials_in_w(p, k):
+    # with the tables alone: c == sum_i DIG[c, i] * w^i for every code c, and
+    # the modulus vanishes at w (code p; 0 over a prime field, modulus x)
+    F = make_field(p, k)
+    w = p % F.q
+    wpow = [1]
+    for _ in range(k):
+        wpow.append(int(F.MUL[wpow[-1], w]))
+    codes = np.zeros(F.q, dtype=np.uint8)
+    for i in range(k):
+        codes = F.ADD[codes, F.MUL[F.DIG[:, i], wpow[i]]]
+    assert np.array_equal(codes, np.arange(F.q))
+    value = 0
+    for i, m in enumerate(F.modulus):
+        value = F.ADD[value, F.MUL[m, wpow[i]]]
+    assert value == 0
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_modulus_is_least_irreducible(p, k):
+    # every monic candidate below the modulus in code order is a product of
+    # two monic polynomials of lower degree; the modulus is not
+    F = make_field(p, k)
+    reducible = reducible_monics(p, k)
+    assert F.modulus not in reducible
+    low = sum(c * p**i for i, c in enumerate(F.modulus[:-1]))
+    for code in range(low):
+        assert tuple(code // p**i % p for i in range(k)) + (1,) in reducible
 
 
 @pytest.mark.parametrize("p,k", FIELDS)

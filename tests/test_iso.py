@@ -202,6 +202,15 @@ def test_algebra_iso_lambda_gamma_f4_witness():
     assert verify_witness(r, A, B)
 
 
+def test_algebra_iso_over_one_field_however_it_is_made():
+    # make_field caches on (p, k), so sections built from GF(4) objects made
+    # by different calls are over the same field
+    A, B = section("D8", make_field(2, k=2)), section("Q8", make_field(2, 2))
+    r = nilpotent_algebra_iso(A, B)
+    assert isinstance(r, IsoWitness)
+    assert verify_witness(r, A, B)
+
+
 def test_algebra_iso_self():
     A = section("D8", F2)
     r = nilpotent_algebra_iso(A, A)
