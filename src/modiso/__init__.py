@@ -1,26 +1,41 @@
 """Finite p-groups, their modular group algebras over small finite fields, and
 the invariant battery for deciding group-algebra (non-)isomorphism at desk
-scale, with verified witnesses."""
+scale, with verified witnesses.
 
-from .caps import Caps, DEFAULT_CAPS
-from .errors import CapExceeded, SpecParseError
-from .families import build, paper_pair
-from .gfq import FiniteField, Scalar, Subspace, echelon_basis, make_field, subspace_combine
-from .groups import FiniteGroup, Subgroup
-from .invariants import Fingerprint, Verdict, compare, fingerprint
-from .iso import IsoWitness, NotIsomorphic, group_isomorphic, nilpotent_algebra_iso, verify_witness
-from .modalg import GroupAlgebra, Ideal, QuotientAlgebra, group_algebra
-from .words import Presentation, parse_word, print_word, todd_coxeter
+The exported names load on first access (PEP 562), so `import modiso` and a
+`mip` command import only the submodules they use.
+"""
 
-__all__ = [
-    "Caps", "DEFAULT_CAPS", "CapExceeded", "SpecParseError",
-    "build", "paper_pair",
-    "FiniteField", "Scalar", "Subspace", "echelon_basis", "make_field", "subspace_combine",
-    "FiniteGroup", "Subgroup",
-    "Fingerprint", "Verdict", "compare", "fingerprint",
-    "IsoWitness", "NotIsomorphic", "group_isomorphic", "nilpotent_algebra_iso", "verify_witness",
-    "GroupAlgebra", "Ideal", "QuotientAlgebra", "group_algebra",
-    "Presentation", "parse_word", "print_word", "todd_coxeter",
-]
+import importlib
+
+_EXPORTS = {
+    "Caps": "caps", "DEFAULT_CAPS": "caps", "CapExceeded": "errors", "SpecParseError": "errors",
+    "build": "families", "paper_pair": "families",
+    "FiniteField": "gfq", "Scalar": "gfq", "Subspace": "gfq", "echelon_basis": "gfq",
+    "make_field": "gfq", "subspace_combine": "gfq",
+    "FiniteGroup": "groups", "Subgroup": "groups",
+    "Fingerprint": "invariants", "Verdict": "invariants", "compare": "invariants",
+    "fingerprint": "invariants",
+    "IsoWitness": "iso", "NotIsomorphic": "iso", "group_isomorphic": "iso",
+    "nilpotent_algebra_iso": "iso", "verify_witness": "iso",
+    "GroupAlgebra": "modalg", "Ideal": "modalg", "QuotientAlgebra": "modalg",
+    "group_algebra": "modalg",
+    "Presentation": "words", "parse_word": "words", "print_word": "words",
+    "todd_coxeter": "words",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -14,12 +14,6 @@ import sys
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, SpecParseError
-from .families import build
-from .gfq import make_field
-from .invariants import compare, fingerprint, fingerprint_to_dict, verdict_to_dict
-from .iso import IsoWitness, group_isomorphic, nilpotent_algebra_iso
-from . import modalg
-from .tables import TABLE_BUILDERS
 
 EX_OK, EX_FAIL, EX_NOTISO, EX_CAP, EX_USAGE, EX_BUILD = 0, 2, 3, 4, 64, 65
 
@@ -32,6 +26,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_field(text: str):
+    from .gfq import make_field
+
     try:
         if "^" in text:
             p, k = text.split("^", 1)
@@ -51,6 +47,8 @@ def _load_caps(path) -> Caps:
 
 
 def _build(spec: str, caps: Caps):
+    from .families import build
+
     try:
         return build(spec, order_cap=caps.group_order_cap, coset_cap=caps.coset_cap)
     except SpecParseError:
@@ -78,6 +76,8 @@ def _flatten_csv(obj, prefix=""):
 
 
 def _fingerprint_or_die(G, F, caps):
+    from .invariants import fingerprint
+
     try:
         return fingerprint(G, F, caps)
     except (ValueError, CapExceeded) as err:
@@ -86,6 +86,8 @@ def _fingerprint_or_die(G, F, caps):
 
 
 def _algebra_or_die(G, F, caps):
+    from . import modalg
+
     try:
         return modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
     except ValueError as err:
@@ -105,6 +107,8 @@ def _parse_section(text: str, what: str):
 
 
 def cmd_report(args) -> int:
+    from .invariants import fingerprint_to_dict
+
     caps = _load_caps(args.caps)
     G = _build(args.spec, caps)
     F = _parse_field(args.field)
@@ -118,6 +122,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .invariants import compare, verdict_to_dict
+
     caps = _load_caps(args.caps)
     G, H = _build(args.spec1, caps), _build(args.spec2, caps)
     F = _parse_field(args.field)
@@ -129,6 +135,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from .tables import TABLE_BUILDERS
+
     if args.name not in TABLE_BUILDERS:
         print(f"mip: unknown table {args.name!r}; known: {', '.join(sorted(TABLE_BUILDERS))}",
               file=sys.stderr)
@@ -158,6 +166,8 @@ def _plain(v):
 
 
 def cmd_kernel_size(args) -> int:
+    from . import modalg
+
     caps = _load_caps(args.caps)
     G = _build(args.spec, caps)
     F = _parse_field(args.field)
@@ -176,6 +186,8 @@ def cmd_kernel_size(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    from .iso import IsoWitness, group_isomorphic, nilpotent_algebra_iso
+
     caps = _load_caps(args.caps)
     G, H = _build(args.spec1, caps), _build(args.spec2, caps)
     try:
@@ -193,6 +205,8 @@ def cmd_iso(args) -> int:
                 raise SpecParseError("algebra mode needs --field")
             i, j = _parse_section(args.mode[len("algebra:"):], "algebra mode section")
             F = _parse_field(args.field)
+            from . import modalg
+
             A = modalg.radical_section(_algebra_or_die(G, F, caps), i, j)
             B = modalg.radical_section(_algebra_or_die(H, F, caps), i, j)
             result = nilpotent_algebra_iso(A, B, cap=caps.iso_cap)

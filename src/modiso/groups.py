@@ -30,6 +30,14 @@ def sample_ints(high: int, shape) -> np.ndarray:
     return ((z ^ (z >> np.uint64(31))) % np.uint64(high)).astype(np.int64).reshape(shape)
 
 
+def _index_set(a, n: int) -> np.ndarray:
+    """The distinct values of an index array a in [0, n), sorted: one mask of
+    length n, O(n) (plain np.unique sorts, and its first call loads numpy.ma)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[a] = True
+    return np.flatnonzero(mask)
+
+
 def _is_prime_power(n: int):
     """(p, e) with n = p^e, or None."""
     if n < 2:
@@ -337,7 +345,7 @@ def agemo(X, k: int) -> Subgroup:
     G, elems = _unpack(X)
     p, _ = G.require_p_group()
     powers = G.pow_map(p**k)[elems]
-    return G.generated(np.unique(powers))
+    return G.generated(_index_set(powers, G.n))
 
 
 def omega(X, k: int) -> Subgroup:
@@ -382,8 +390,7 @@ def char_series(G: FiniteGroup) -> CharSeries:
         while lc[-1].order > 1:
             lc.append(commutator_subgroup(lc[-1], full))
         derived = lc[1] if len(lc) > 1 else lc[0]
-        frat = G.generated(np.unique(np.concatenate([
-            G.pow_map(p), derived.elems])))
+        frat = G.generated(_index_set(np.concatenate([G.pow_map(p), derived.elems]), G.n))
         G._cache["char_series"] = CharSeries(
             lower_central=lc,
             derived=derived,
@@ -414,10 +421,10 @@ def quotient_group(X, N: Subgroup):
     G = X.parent
     rep_of = np.full(G.n, -1, dtype=np.int32)
     rep_of[X.elems] = G.mul[np.ix_(X.elems, N.elems)].min(axis=1)
-    reps = np.unique(rep_of[X.elems])
+    reps = _index_set(rep_of[X.elems], G.n)
     proj = np.full(G.n, -1, dtype=np.int32)
     proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])
-    Q = FiniteGroup(proj[G.mul[np.ix_(reps, reps)]], gens=np.unique(proj[X.gens]))
+    Q = FiniteGroup(proj[G.mul[np.ix_(reps, reps)]], gens=_index_set(proj[X.gens], len(reps)))
     assert Q.n * N.order == X.order
     return Q, proj
 
@@ -442,7 +449,7 @@ def conjugacy_classes(G: FiniteGroup):
         for g in range(n):
             if seen[g]:
                 continue
-            cls = np.unique(mul[mul[inv, g], ar])
+            cls = _index_set(mul[mul[inv, g], ar], n)
             seen[cls] = True
             assert len(cls) * (mul[g] == mul[:, g]).sum() == n
             out.append(ConjClass(rep=g, elems=cls, length=len(cls)))
@@ -504,7 +511,7 @@ def dimension_subgroups_lazard(G: FiniteGroup, n_max: int | None = None):
                 pj *= p
                 j += 1
             seeds.append(G.pow_map(pj)[gamma.elems])
-        Dn = G.generated(np.unique(np.concatenate(seeds)))
+        Dn = G.generated(_index_set(np.concatenate(seeds), G.n))
         out.append(Dn)
         if n_max is not None and n >= n_max:
             break

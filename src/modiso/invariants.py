@@ -34,7 +34,6 @@ from .groups import (
     subgroup_intersection,
     subgroup_product,
 )
-from . import modalg
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ def class_power_stats(G: FiniteGroup, k: int):
     distinct = set()
     preserving = 0
     for c in conjugacy_classes(G):
-        power = frozenset(np.unique(pk[c.elems]).tolist())
+        power = frozenset(pk[c.elems].tolist())
         distinct.add(power)
         if len(power) == c.length:
             preserving += 1
@@ -136,10 +135,13 @@ class Fingerprint:
 
 def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fingerprint:
     """The invariant battery of FG. Only `kernel_sizes` builds the group
-    algebra. Every other entry is read off the group side, including three
-    algebra dimensions that theory pins (derivations in notes/decisions.md;
-    the algebra-side routes are the test oracles in tests/oracles.py):
-    `jennings_dims` from Jennings' product over the ranks d_n of D_n/D_(n+1),
+    algebra, and only for a cell (i, j, k) with i * p^k < j; a forced cell
+    is the whole section, whose F_p-dimension F.k * dim Δ^i/Δ^j is read off
+    `jennings_dims` behind the same gates in the same order. Every other
+    entry is read off the group side, including three algebra dimensions
+    that theory pins (derivations in notes/decisions.md; the algebra-side
+    routes are the test oracles in tests/oracles.py): `jennings_dims` from
+    Jennings' product over the ranks d_n of D_n/D_(n+1),
     `small_group_ring_dim` = |G:G'| + d(G') and `zassenhaus_dims` =
     dim Δ^(n+1) + d_n. Each entry keeps the availability gates of its
     algebra route; `enum_cap` fires where enumerating the widest Zassenhaus
@@ -194,7 +196,17 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
             counts = Unavailable("algebra_order_cap")
         elif G.n > caps.kernel_order_cap or F.q > caps.kernel_q_cap:
             counts = Unavailable("kernel_order_cap")
+        elif k >= j.bit_length() or i * p**k >= j:
+            # forced: x in Δ^i has x^(p^k) in Δ^(i p^k) ⊆ Δ^j (p^k >= 2^k > j
+            # when k >= j.bit_length()), so the whole section is the kernel
+            dim = F.k * sum(jdims[i - 1:j - 1])
+            if dim > 0 and p**dim > caps.enum_cap:
+                counts = Unavailable("enum_cap")
+            else:
+                counts = (p**dim, 0)
         else:
+            from . import modalg
+
             try:
                 A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
                 sect = modalg.radical_section(A, i, j)

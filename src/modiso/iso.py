@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, invert_matrix
 from .groups import FiniteGroup, _is_prime_power, conjugacy_classes
-from .modalg import QuotientAlgebra, _enumerate_coords
+
+if TYPE_CHECKING:
+    from .modalg import QuotientAlgebra
 
 
 @dataclass
@@ -243,6 +246,8 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 <
     d = A.dim
     if d == 0:
         return IsoWitness(kind="algebra", images=[], source_gens=[])
+    from .modalg import _enumerate_coords
+
     gens, words, V, Vinv, c = _algebra_generators(A)
     m = len(gens)
     if F.q ** (d * m) > cap:

@@ -219,25 +219,37 @@ def _columns(w: Word):
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w]
 
 
-def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None = None):
-    """Enumerate the cosets of the trivial subgroup (HLT with immediate
-    coincidence handling) and return the resulting regular-action group.
-    A group of order above `order_cap` (None: no cap) is rejected with
-    ValueError before its n x n table is allocated.
+def _period(cols) -> int:
+    """The least d with cols = (cols[:d])^(len/d): a power relator u^n has
+    period len(u)."""
+    n = len(cols)
+    return next(d for d in range(1, n + 1) if n % d == 0 and cols == cols[:d] * (n // d))
 
-    Deterministic: relators are scanned in declaration order and cosets
-    processed in creation order, so the multiplication table is reproducible
-    bit for bit.
-    """
-    from .groups import FiniteGroup
 
+def _coset_table(P: Presentation, coset_cap: int):
+    """HLT coset enumeration of the trivial subgroup with immediate
+    coincidence handling: (coset table, root of every coset).
+
+    A relator u^n (n >= 2) is scanned once per closed u-cycle: when its scan
+    from alpha closes with nothing defined, the cosets alpha*u^t lie on that
+    cycle and are marked, and later scans of it from a marked live coset are
+    skipped. Such a scan would define nothing and find no coincidence, since
+    coincidence processing moves every defined entry of a live coset to its
+    representative. Definitions and coincidences come in the same order as
+    with every scan made (tests/oracles.py keeps that loop)."""
     ngens = len(P.generators)
     if ngens == 0:
         raise ValueError("empty generator list")
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
     ncols = 2 * ngens
-    rel_cols = [_columns(w) for w in P.relators]
+    # each nonempty relator, with its root u and the cosets found on a closed
+    # u-cycle when it is a power u^n (n >= 2)
+    relators = []
+    for w in P.relators:
+        if cols := _columns(w):
+            d = _period(cols)
+            relators.append((cols, cols[:d], set()) if d < len(cols) else (cols, None, None))
 
     table = [[None] * ncols]
     rep = [0]
@@ -294,8 +306,11 @@ def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None
         queue.clear()
 
     def scan_and_fill(a, cols):
+        """Scan cols from a, filling the table; True when it already closed
+        at a, with nothing defined, deduced or merged."""
         f, i = a, 0
         b, j = a, len(cols) - 1
+        quiet = True
         while True:
             while i <= j and table[f][cols[i]] is not None:
                 f = table[f][cols[i]]
@@ -303,25 +318,32 @@ def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None
             if i > j:
                 if f != b:
                     coincidence(f, b)
-                return
+                return quiet and f == b
+            quiet = False
             while j >= i and table[b][cols[j] ^ 1] is not None:
                 b = table[b][cols[j] ^ 1]
                 j -= 1
             if j < i:
                 coincidence(f, b)
-                return
+                return False
             if j == i:
                 table[f][cols[i]] = b
                 table[b][cols[i] ^ 1] = f
-                return
+                return False
             define(f, cols[i])
 
     alpha = 0
     while alpha < len(table):
         if find(alpha) == alpha:
-            for cols in rel_cols:
-                if cols:
+            for cols, u, closed in relators:
+                if closed is None:
                     scan_and_fill(alpha, cols)
+                elif alpha not in closed and scan_and_fill(alpha, cols):
+                    c = alpha
+                    for _ in range(len(cols) // len(u)):
+                        for x in u:
+                            c = table[c][x]
+                        closed.add(c)
                 if find(alpha) != alpha:
                     break
             if find(alpha) == alpha:
@@ -330,7 +352,30 @@ def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None
                         define(alpha, x)
         alpha += 1
 
-    root = np.array([find(c) for c in range(len(table))], dtype=np.int64)
+    return table, np.array([find(c) for c in range(len(table))], dtype=np.int64)
+
+
+def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None = None):
+    """Enumerate the cosets of the trivial subgroup (`_coset_table`) and
+    return the resulting regular-action group. A group of order above
+    `order_cap` (None: no cap) is rejected with ValueError before its n x n
+    table is allocated.
+
+    Deterministic: relators are scanned in declaration order and cosets
+    processed in creation order, so the multiplication table is reproducible
+    bit for bit.
+    """
+    return _table_group(P, *_coset_table(P, coset_cap), order_cap)
+
+
+def _table_group(P: Presentation, table, root, order_cap: int | None = None):
+    """The regular-action group of a complete coset table of the trivial
+    subgroup, with root[c] the live coset that coset c was merged into."""
+    from .groups import FiniteGroup
+
+    ngens = len(P.generators)
+    ncols = 2 * ngens
+    rel_cols = [_columns(w) for w in P.relators]
     live = np.flatnonzero(root == np.arange(len(table)))
     n = len(live)
     if order_cap is not None and n > order_cap:

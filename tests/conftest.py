@@ -5,9 +5,12 @@ that exhaustive power-map enumerations stay inside the default caps, and the
 order-128 pair appears only where the algebra side is affordable.
 """
 
+import random
+
 import pytest
 
 from modiso.families import build, from_presentation
+from modiso.words import Presentation, word_concat, word_inverse
 
 # 2-groups of order <= 32 plus the matching 3-groups; the shared corpus for
 # the structural property suites
@@ -68,3 +71,27 @@ def corpus_small():
 @pytest.fixture(scope="session")
 def corpus_medium():
     return [(spec, build_corpus_group(spec)) for spec in CORPUS_MEDIUM]
+
+
+def adversarial_presentation(P: Presentation, rng: random.Random) -> Presentation:
+    """The same group through the Tietze substitution a -> a'*b^-1 (a' = ab)
+    for two distinct generators a and b, then every relator rotated and
+    possibly inverted, the relators shuffled and the generators renamed and
+    reordered."""
+    ngens = len(P.generators)
+    a, b = (g + 1 for g in rng.sample(range(ngens), 2))
+    sub = {a: (a, -b), -a: (b, -a)}
+    rels = []
+    for w in P.relators:
+        w = list(word_concat(*(sub.get(x, (x,)) for x in w)))
+        if w:
+            r = rng.randrange(len(w))
+            w = w[r:] + w[:r]
+        if rng.random() < 0.5:
+            w = word_inverse(w)
+        rels.append(word_concat(w))
+    rng.shuffle(rels)
+    slot = rng.sample(range(ngens), ngens)
+    rels = [tuple((slot[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in w) for w in rels]
+    names = rng.sample([f"{c}{i}" for c in "uvwxyz" for i in range(10)], ngens)
+    return Presentation(tuple(names), tuple(rels))

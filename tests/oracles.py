@@ -10,7 +10,9 @@ generators of A. The abelian type of a standalone group is read from its
 whole table, where the product counts powers inside X without building X/Y.
 The monic polynomials that are products of two of lower degree are listed by
 multiplying every pair, where the product tests irreducibility by the absence
-of zero divisors in F_p[C]. No `mip` command runs them.
+of zero divisors in F_p[C]. The HLT coset enumeration here scans every
+relator in full from every live coset, where the product scans a power
+relator once per closed cycle. No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from modiso.modalg import (
     augmentation_powers,
     quotient_algebra,
 )
+from modiso.words import Presentation, _columns, _table_group
 
 
 def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -185,3 +188,95 @@ def reducible_monics(p: int, k: int) -> set:
 
     return {tuple(int(c) for c in np.convolve(a, b) % p)
             for d in range(1, k // 2 + 1) for a in monics(d) for b in monics(k - d)}
+
+
+def todd_coxeter_rescan(P: Presentation, coset_cap: int = 100000):
+    """`words.todd_coxeter` with HLT that rescans every relator from every
+    live coset."""
+    ncols = 2 * len(P.generators)
+    rel_cols = [_columns(w) for w in P.relators]
+    table = [[None] * ncols]
+    rep = [0]
+    queue = []
+
+    def find(c):
+        while rep[c] != c:
+            c = rep[c]
+        return c
+
+    def define(a, x):
+        if len(table) >= coset_cap:
+            raise CapExceeded("coset_cap")
+        b = len(table)
+        table.append([None] * ncols)
+        rep.append(b)
+        table[a][x] = b
+        table[b][x ^ 1] = a
+
+    def merge(a, b):
+        a, b = find(a), find(b)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            rep[b] = a
+            queue.append(b)
+
+    def coincidence(a, b):
+        merge(a, b)
+        qi = 0
+        while qi < len(queue):
+            y = queue[qi]
+            qi += 1
+            for x in range(ncols):
+                d = table[y][x]
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = find(y), find(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x])
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1])
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+        queue.clear()
+
+    def scan_and_fill(a, cols):
+        f, i = a, 0
+        b, j = a, len(cols) - 1
+        while True:
+            while i <= j and table[f][cols[i]] is not None:
+                f = table[f][cols[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][cols[j] ^ 1] is not None:
+                b = table[b][cols[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][cols[i]] = b
+                table[b][cols[i] ^ 1] = f
+                return
+            define(f, cols[i])
+
+    alpha = 0
+    while alpha < len(table):
+        if find(alpha) == alpha:
+            for cols in rel_cols:
+                if cols:
+                    scan_and_fill(alpha, cols)
+                if find(alpha) != alpha:
+                    break
+            if find(alpha) == alpha:
+                for x in range(ncols):
+                    if table[alpha][x] is None:
+                        define(alpha, x)
+        alpha += 1
+
+    root = np.array([find(c) for c in range(len(table))], dtype=np.int64)
+    return _table_group(P, table, root)

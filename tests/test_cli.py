@@ -85,6 +85,59 @@ def test_stdout_independent_of_hash_seed():
         assert outs[0] == outs[1], argv
 
 
+def _fresh(code):
+    """Run code in a fresh interpreter; its last stderr line is JSON."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def _modules_after_mip(*argv):
+    """Exit code of `mip argv` and the modules loaded, in a fresh interpreter."""
+    code, modules = _fresh(
+        "import json, sys\n"
+        "from modiso.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n")
+    return code, set(modules)
+
+
+def test_import_modiso_loads_no_numpy_and_no_submodule():
+    modules = _fresh("import json, sys, modiso\n"
+                     "print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    assert [m for m in modules if m == "numpy" or m.startswith(("numpy.", "modiso."))] == []
+
+
+def test_lazy_exports_are_the_defining_objects():
+    assert _fresh(
+        "import json, sys, modiso\n"
+        "from modiso import build, cli\n"
+        "assert '__all__' in dir(modiso) and len(modiso.__all__) == 31\n"
+        "for name in modiso.__all__:\n"
+        "    value = getattr(modiso, name)\n"
+        "    holders = [m for key, m in sys.modules.items() if key.startswith('modiso.')\n"
+        "               and name in vars(m)]\n"
+        "    assert holders and all(vars(m)[name] is value for m in holders), name\n"
+        "try:\n"
+        "    modiso.nope\n"
+        "except AttributeError:\n"
+        "    print(json.dumps('ok'), file=sys.stderr)\n") == "ok"
+
+
+def test_each_subcommand_loads_only_what_it_runs():
+    code, modules = _modules_after_mip("--help")
+    assert code == 0 and "numpy" not in modules
+    # a group-mode `iso` builds no algebra either
+    unused = {"numpy.ma", "modiso.tables", "modiso.modalg"}
+    for argv, absent in ((("report", "B2G:2,3", "--field", "2"), unused | {"modiso.iso"}),
+                         (("compare", "T:2,6", "T:3,6", "--field", "3"), unused | {"modiso.iso"}),
+                         (("iso", "T:3,4", "T:3,4"), unused)):
+        code, modules = _modules_after_mip(*argv)
+        assert code == 0 and not modules & absent, (argv, modules & absent)
+
+
 def test_report_parse_error_exit_64(capsys):
     assert run(capsys, "report", "Zzz:1", "--field", "2")[0] == 64
     assert run(capsys, "report", "D8", "--field", "six")[0] == 64

@@ -446,6 +446,46 @@ def test_zassenhaus_enum_cap_gate_matches_enumeration():
         assert zass == dims
 
 
+def _kernel_cell_by_enumeration(G, F, cell, enum_cap):
+    i, j, k = cell
+    try:
+        sect = modalg.radical_section(modalg.group_algebra(G, F), i, j)
+        return modalg.kernel_size_power_map(sect, k, enum_cap=enum_cap)
+    except CapExceeded as err:
+        return Unavailable(err.cap_name)
+
+
+def test_forced_kernel_cells_match_enumeration(corpus_small):
+    # with i * p^k >= j the power map kills Δ^i/Δ^j, and fingerprint reads
+    # the cell off jennings_dims; enum_cap 2^12 keeps every enumeration
+    # short and leaves the widest sections unavailable on both routes
+    enum_cap = 1 << 12
+    seen = set()
+    for spec, G in corpus_small:
+        p = G.require_p_group()[0]
+        cells = tuple((i, j, k) for j in range(2, 6) for i in range(1, j)
+                      for k in range(1, 4) if i * p**k >= j)
+        caps = Caps(kernel_sections=cells, enum_cap=enum_cap)
+        for F in ((F2, F4) if p == 2 else (F3,)):
+            for entry in fingerprint(G, F, caps).kernel_sizes:
+                cell = entry["section"] + (entry["power"],)
+                expected = _kernel_cell_by_enumeration(G, F, cell, enum_cap)
+                assert entry["counts"] == expected, (spec, F, cell)
+                seen.add(type(expected))
+    assert seen == {tuple, Unavailable}
+
+
+def test_forced_kernel_cell_enum_cap_gate_matches_enumeration():
+    # D8: Δ/Δ^2 has dimension 2 over F, so 2^2 elements over GF(2), 2^4 over GF(4)
+    G = build("D8")
+    for F, size in [(F2, 4), (F4, 16)]:
+        for enum_cap in (size - 1, size):
+            caps = Caps(kernel_sections=((1, 2, 1),), enum_cap=enum_cap)
+            counts = fingerprint(G, F, caps).kernel_sizes[0]["counts"]
+            assert counts == _kernel_cell_by_enumeration(G, F, (1, 2, 1), enum_cap)
+            assert counts == ((size, 0) if enum_cap == size else Unavailable("enum_cap"))
+
+
 # -- serialization ---------------------------------------------------------------------
 
 def test_fingerprint_json_roundtrip_byte_identical():

@@ -16,9 +16,9 @@ from modiso.iso import (
     verify_witness,
 )
 from modiso import modalg
-from modiso.words import Presentation, todd_coxeter, word_concat, word_inverse
+from modiso.words import todd_coxeter
 
-from conftest import CORPUS_SMALL, build_corpus_group
+from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -132,30 +132,6 @@ def test_group_iso_trivial_centre_keeps_closure_check():
         r = group_isomorphic(G, H)
         assert isinstance(r, IsoWitness)
         assert verify_witness(r, G, H)
-
-
-def adversarial_presentation(P: Presentation, rng: random.Random) -> Presentation:
-    """The same group through the Tietze substitution a -> a'*b^-1 (a' = ab)
-    for two distinct generators a and b, then every relator rotated and
-    possibly inverted, the relators shuffled and the generators renamed and
-    reordered."""
-    ngens = len(P.generators)
-    a, b = (g + 1 for g in rng.sample(range(ngens), 2))
-    sub = {a: (a, -b), -a: (b, -a)}
-    rels = []
-    for w in P.relators:
-        w = list(word_concat(*(sub.get(x, (x,)) for x in w)))
-        if w:
-            r = rng.randrange(len(w))
-            w = w[r:] + w[:r]
-        if rng.random() < 0.5:
-            w = word_inverse(w)
-        rels.append(word_concat(w))
-    rng.shuffle(rels)
-    slot = rng.sample(range(ngens), ngens)
-    rels = [tuple((slot[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in w) for w in rels]
-    names = rng.sample([f"{c}{i}" for c in "uvwxyz" for i in range(10)], ngens)
-    return Presentation(tuple(names), tuple(rels))
 
 
 ADVERSARIAL_SPECS = [spec for spec in CORPUS_SMALL

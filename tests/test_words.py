@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from modiso.words import (
     todd_coxeter,
     word_inverse,
 )
+
+from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group
+from oracles import todd_coxeter_rescan
 
 GENS = ("a", "b", "c")
 
@@ -196,3 +200,25 @@ def test_table_columns_are_regular_actions_of_element_words(corpus_small):
             for x in word:
                 action = column[x][action]
             assert np.array_equal(G.mul[:, v], action), (spec, v)
+
+
+def _hlt_cases():
+    for spec in CORPUS_SMALL + ["T:2,6", "T:3,6"]:
+        P = build_corpus_group(spec).presentation
+        yield pytest.param(P, id=spec)
+        if len(P.generators) >= 2:
+            for seed in range(3):
+                P_seed = adversarial_presentation(P, random.Random(seed))
+                yield pytest.param(P_seed, id=f"{spec}-rewrite{seed}")
+    yield pytest.param(Presentation.parse(("a",), ("a^729",)), id="C:729")
+    yield pytest.param(build("Ab:27,9").presentation, id="Ab:27,9")
+
+
+@pytest.mark.parametrize("P", list(_hlt_cases()))
+def test_power_relator_marks_match_rescanning_hlt(P):
+    # scanning a power relator once per closed cycle must leave the
+    # definitions and coincidences, and so the numbering, unchanged
+    G, H = todd_coxeter(P), todd_coxeter_rescan(P)
+    assert np.array_equal(G.mul, H.mul)
+    assert G.gens == H.gens
+    assert G.elem_words == H.elem_words
