@@ -1,5 +1,6 @@
-"""Resource caps. Every cap is overridable; fingerprint entries whose cap
-fires are reported as unavailable rather than computed or guessed."""
+"""Resource caps, and the default of every capped library function. Every
+cap is overridable; fingerprint entries whose cap fires are reported as
+unavailable rather than computed or guessed."""
 
 from __future__ import annotations
 

@@ -176,10 +176,6 @@ class FiniteField:
             return value
         return Scalar(self, int(value) % self.q)
 
-    def from_prime(self, value: int) -> Scalar:
-        """Embed an integer via the prime subfield."""
-        return Scalar(self, int(value) % self.p)
-
     @property
     def gen(self) -> Scalar:
         """The residue class of x (a multiplicative generator for our moduli of interest)."""
@@ -197,9 +193,6 @@ class FiniteField:
 
     def vsub(self, u, v):
         return self.ADD[u, self.NEG[v]]
-
-    def vneg(self, u):
-        return self.NEG[u]
 
     def vsmul(self, s, u):
         return self.MUL[s, u]

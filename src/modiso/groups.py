@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
@@ -561,7 +562,7 @@ def is_metacyclic(G: FiniteGroup):
     return False, None
 
 
-def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = 10**6) -> dict:
+def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = DEFAULT_CAPS.elemab_cap) -> dict:
     """rank -> number of conjugacy classes of maximal elementary abelian subgroups.
 
     The search grows elementary abelian subgroups by one commuting element of
@@ -627,7 +628,7 @@ def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = 10**6) -> dict:
     return dict(sorted(classes.items()))
 
 
-def max_elem_abelian_direct_factor(G: FiniteGroup, cap: int = 64) -> int:
+def max_elem_abelian_direct_factor(G: FiniteGroup, cap: int = DEFAULT_CAPS.direct_factor_cap) -> int:
     """Rank of the largest elementary abelian direct factor of G.
 
     A central elementary abelian subgroup A splits off as a direct factor

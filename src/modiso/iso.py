@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
-from .gfq import EchelonBuilder, invert_matrix
 from .groups import FiniteGroup, _is_prime_power, conjugacy_classes
 
 if TYPE_CHECKING:
@@ -69,7 +69,7 @@ def _eval_letters(H: FiniteGroup, word, images):
     return state
 
 
-def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = 10**7):
+def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAPS.iso_cap):
     """Search for an isomorphism G -> H by assigning images to G's
     presentation generators, pruned by element order, class size and the
     socle.
@@ -183,6 +183,8 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = 10**7):
 def _monomial_basis(A: QuotientAlgebra, gens):
     """A basis of A made of monomials in the given generators (BFS by word
     length, then generator order), or None if they do not generate."""
+    from .gfq import EchelonBuilder, invert_matrix
+
     F = A.field
     d = A.dim
     basis = EchelonBuilder(F, d)
@@ -229,7 +231,7 @@ def _algebra_generators(A: QuotientAlgebra):
     return gens, words, V, Vinv, c
 
 
-def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 << 24):
+def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEFAULT_CAPS.iso_cap):
     """Exhaustive isomorphism search between two nilpotent structure-constant
     algebras; the witness maps A's chosen generators to B elements."""
     if A.field is not B.field:
@@ -246,6 +248,7 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = 1 <
     d = A.dim
     if d == 0:
         return IsoWitness(kind="algebra", images=[], source_gens=[])
+    from .gfq import EchelonBuilder
     from .modalg import _enumerate_coords
 
     gens, words, V, Vinv, c = _algebra_generators(A)
@@ -316,6 +319,8 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
                    for i in range(0, G.n, step))
 
     if w.kind == "algebra":
+        from .gfq import EchelonBuilder
+
         A, B = source, target
         if A.dim != B.dim:
             return False

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis, make_field
 from .groups import FiniteGroup, sample_ints
-
-ALGEBRA_ORDER_CAP = 256
-ENUM_CAP_DEFAULT = 1 << 24
 
 
 class GroupAlgebra:
@@ -81,7 +79,8 @@ class GroupAlgebra:
         return f"GroupAlgebra(|G|={self.n}, {self.field})"
 
 
-def group_algebra(G: FiniteGroup, F: FiniteField, order_cap: int = ALGEBRA_ORDER_CAP) -> GroupAlgebra:
+def group_algebra(G: FiniteGroup, F: FiniteField,
+                  order_cap: int = DEFAULT_CAPS.algebra_order_cap) -> GroupAlgebra:
     """FG for a p-group G and a field F of characteristic p, cached on the
     group so radical filtrations are computed once."""
     if G.n > order_cap:
@@ -112,7 +111,6 @@ class Ideal:
                 for side in ("left", "right"):
                     if not space.contains_rows(algebra.translate(space.rows, g, side)).all():
                         raise ValueError("subspace is not a two-sided ideal")
-        self.two_sided_verified = True
 
     @property
     def dim(self) -> int:
@@ -142,7 +140,8 @@ def augmentation_ideal(A: GroupAlgebra) -> Ideal:
 
 
 def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
-    """[Δ^1, Δ^2, ...]; stops at the first zero power (or after n_max terms).
+    """[Δ^1, Δ^2, ...]; stops at the first zero power or after n_max terms,
+    whichever comes first.
 
     Δ^(m+1) is generated from Δ^m by right-multiplying every basis row by
     (g - 1) for every g in G; right translation is a column permutation, so
@@ -160,12 +159,7 @@ def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
         nxt = b.freeze()
         assert nxt.dim < prev.dim or prev.dim == 0
         chain.append(Ideal(A, nxt, check=False))
-    if n_max is None:
-        return list(chain)
-    out = list(chain[:n_max])
-    while len(out) < n_max:  # pad a local copy only; the cache stays clean
-        out.append(chain[-1])
-    return out
+    return list(chain[:n_max])
 
 
 def jennings_dims(A: GroupAlgebra):
@@ -345,12 +339,12 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal | None, J: Ideal | None, label=""
 
 
 def radical_section(A: GroupAlgebra, i: int, j: int, label=None) -> QuotientAlgebra:
-    """The section Δ^i / Δ^j (i < j)."""
+    """The section Δ^i / Δ^j (i < j); a power past the end of the chain is
+    the zero ideal."""
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
     pows = augmentation_powers(A, n_max=j)
-    J = pows[j - 1] if len(pows) >= j else _zero_ideal(A)
-    I = pows[i - 1]
+    I, J = (pows[k - 1] if k <= len(pows) else _zero_ideal(A) for k in (i, j))
     return quotient_algebra(A, I, J, label=label or f"rad[{i},{j}]")
 
 
@@ -388,7 +382,7 @@ def _enumerate_coords(q: int, dim: int, chunk: int = 1 << 15):
         start = stop
 
 
-def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = ENUM_CAP_DEFAULT):
+def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CAPS.enum_cap):
     """(#elements with x^(p^k) = 0, #elements with x^(p^k) != 0), by exhaustive
     enumeration of the section."""
     P = _prime_restriction(Q)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .caps import DEFAULT_CAPS
 from .errors import CapExceeded, SpecParseError
 
 EXPONENT_CAP = 1 << 20
@@ -355,7 +356,8 @@ def _coset_table(P: Presentation, coset_cap: int):
     return table, np.array([find(c) for c in range(len(table))], dtype=np.int64)
 
 
-def todd_coxeter(P: Presentation, coset_cap: int = 100000, order_cap: int | None = None):
+def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_CAPS.coset_cap,
+                 order_cap: int | None = None):
     """Enumerate the cosets of the trivial subgroup (`_coset_table`) and
     return the resulting regular-action group. A group of order above
     `order_cap` (None: no cap) is rejected with ValueError before its n x n

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder
 from modiso.groups import FiniteGroup, Subgroup, char_series
 from modiso.modalg import (
-    ENUM_CAP_DEFAULT,
     GroupAlgebra,
     Ideal,
     QuotientAlgebra,
@@ -125,7 +125,7 @@ def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
     return out
 
 
-def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = ENUM_CAP_DEFAULT) -> Ideal:
+def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_cap) -> Ideal:
     """Z_n(FG): the sum over i * p^j >= n of the spans of p^j-th powers of the
     i-th Lie power ideal, plus Δ^(n+1); computed inside FG/Δ^(n+1) (legitimate
     because Z_n contains Δ^(n+1)) with the power images enumerated exhaustively.

@@ -133,7 +133,7 @@ def test_each_subcommand_loads_only_what_it_runs():
     unused = {"numpy.ma", "modiso.tables", "modiso.modalg"}
     for argv, absent in ((("report", "B2G:2,3", "--field", "2"), unused | {"modiso.iso"}),
                          (("compare", "T:2,6", "T:3,6", "--field", "3"), unused | {"modiso.iso"}),
-                         (("iso", "T:3,4", "T:3,4"), unused)):
+                         (("iso", "T:3,4", "T:3,4"), unused | {"modiso.gfq"})):
         code, modules = _modules_after_mip(*argv)
         assert code == 0 and not modules & absent, (argv, modules & absent)
 
@@ -141,11 +141,22 @@ def test_each_subcommand_loads_only_what_it_runs():
 def test_report_parse_error_exit_64(capsys):
     assert run(capsys, "report", "Zzz:1", "--field", "2")[0] == 64
     assert run(capsys, "report", "D8", "--field", "six")[0] == 64
+    assert run(capsys, "report", "Ab:x", "--field", "2")[0] == 64
+    assert run(capsys, "report", "Ab:4,y", "--field", "2")[0] == 64
 
 
 def test_report_construction_error_exit_65(capsys):
     # inconsistent metacyclic parameters: the order assertion fires
     assert run(capsys, "report", "Meta:2,4,1,0,3", "--field", "2")[0] == 65
+
+
+def test_huge_declared_order_is_rejected_by_its_exponent(capsys):
+    # 3^(10^7) and friends are compared with the cap by their exponent: no
+    # huge integer and no relator text is formed
+    for spec in ("T:1,10000000", "Meta:2,10000000,1,0,5", "EA:2,100000000"):
+        code, out, err = run(capsys, "report", spec, "--field", "2")
+        assert (code, out) == (65, "")
+        assert "exceeds group-order cap 2187" in err, err
 
 
 def test_compare_d8_q8(capsys):
@@ -251,6 +262,19 @@ def test_kernel_size_large_power_stops_at_zero(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["kernel_sizes"] == [
         {"section": [1, 3], "power": 100000000, "counts": [16, 0]}]
+
+
+def test_kernel_size_section_past_the_chain(capsys):
+    # D8 over GF(2) has Δ^5 = 0: a deeper power is the zero ideal, and the
+    # chain is never padded out to j terms
+    docs = {}
+    for section in ("1,5", "1,1000000000", "6,9"):
+        code, out, _ = run(capsys, "kernel-size", "D8", "--field", "2", "--section", section)
+        assert code == 0
+        doc = json.loads(out)
+        docs[section] = (doc["dim"], doc["kill"], doc["survive"])
+    assert docs["1,1000000000"] == docs["1,5"] == (7, 48, 80)
+    assert docs["6,9"] == (0, 1, 0)
 
 
 def test_kernel_size_cap_exit_4(tmp_path, capsys):

@@ -10,7 +10,6 @@ from modiso.families import (
     broche_case2,
     build,
     max_class_3,
-    metacyclic,
     paper_pair,
 )
 from modiso.groups import (
@@ -66,7 +65,7 @@ def test_broche_parameter_guards():
 
 
 def test_metacyclic_semidirect_example():
-    G = metacyclic(2, 3, 1, 0, 5)
+    G = build("Meta:2,3,1,0,5")
     assert G.n == 16
     ok, _ = is_metacyclic(G)
     assert ok
@@ -76,11 +75,11 @@ def test_metacyclic_inconsistent_parameters():
     # r = 3 is not a valid action on C_16 of order dividing 2 (3^2 = 9 != 1 mod 16),
     # so the presentation collapses and the order assertion fires
     with pytest.raises(ValueError):
-        metacyclic(2, 4, 1, 0, 3)
+        build("Meta:2,4,1,0,3")
     with pytest.raises(ValueError):
-        metacyclic(2, 3, 1, 4, 5)
+        build("Meta:2,3,1,4,5")
     with pytest.raises(ValueError):
-        metacyclic(2, 3, 1, 0, 2)
+        build("Meta:2,3,1,0,2")
 
 
 def test_mini_language_basics():

@@ -77,10 +77,11 @@ def test_aug_power_dims_field_independent():
 
 
 def test_capped_power_calls_do_not_pollute_the_chain():
-    # a padded n_max call must not leave duplicate zero terms in the cache
+    # an n_max past the first zero power returns the chain as it is
     A = alg("D8")
-    padded = M.augmentation_powers(A, n_max=9)
-    assert len(padded) == 9 and padded[-1].dim == 0
+    assert [I.dim for I in M.augmentation_powers(A, n_max=9)] == [7, 5, 3, 1, 0]
+    assert len(M.augmentation_powers(A, n_max=10**6)) == 5
+    assert [I.dim for I in M.augmentation_powers(A, n_max=2)] == [7, 5]
     assert [I.dim for I in M.augmentation_powers(A)] == [7, 5, 3, 1, 0]
     assert M.jennings_dims(A) == [2, 2, 2, 1]
     padded_lie = O.lie_power_ideals(A, i_max=6)

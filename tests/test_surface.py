@@ -1,21 +1,40 @@
-"""Product-surface guard: every public module-level function and class in
-`src/modiso` is used by the product itself or exported in `modiso.__all__`.
+"""Product-surface guards.
 
-A route that only the tests call belongs in `tests/oracles.py`, not in the
-package. The allow-list names documented library API that only tests and
-demos call.
+Every public module-level function and class in `src/modiso` is used by the
+product itself or exported in `modiso.__all__`. A route that only the tests
+call belongs in `tests/oracles.py`, not in the package. The allow-list names
+documented library API that only tests and demos call.
+
+Every capped library function defaults to the cap `mip` uses, so a library
+call and the command line agree on every cap.
 """
 
 import ast
+import importlib
+import inspect
 import pathlib
 
 import modiso
+from modiso.caps import DEFAULT_CAPS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "modiso"
 
 LIBRARY_API = {
     "is_metacyclic",      # groups: the metacyclicity test behind criterion 11
     "from_presentation",  # families: a group from generators and relators
+}
+
+# (module, function, parameter) -> the Caps field its default must equal
+CAP_DEFAULTS = {
+    ("families", "build", "order_cap"): "group_order_cap",
+    ("families", "build", "coset_cap"): "coset_cap",
+    ("words", "todd_coxeter", "coset_cap"): "coset_cap",
+    ("modalg", "group_algebra", "order_cap"): "algebra_order_cap",
+    ("modalg", "kernel_size_power_map", "enum_cap"): "enum_cap",
+    ("groups", "maximal_elem_abelian_classes", "cap"): "elemab_cap",
+    ("groups", "max_elem_abelian_direct_factor", "cap"): "direct_factor_cap",
+    ("iso", "group_isomorphic", "cap"): "iso_cap",
+    ("iso", "nilpotent_algebra_iso", "cap"): "iso_cap",
 }
 
 
@@ -53,3 +72,13 @@ def test_allow_list_names_real_definitions():
     defined = {node.name for path in SRC.glob("*.py")
                for node in _definitions(ast.parse(path.read_text(encoding="utf-8")))}
     assert LIBRARY_API <= defined
+
+
+def test_cap_defaults_are_the_default_caps():
+    drifted = []
+    for (module, name, param), field in CAP_DEFAULTS.items():
+        fn = getattr(importlib.import_module(f"modiso.{module}"), name)
+        default = inspect.signature(fn).parameters[param].default
+        if default != getattr(DEFAULT_CAPS, field):
+            drifted.append(f"{module}.{name}({param}={default!r}) != {field}")
+    assert drifted == []
