@@ -22,7 +22,7 @@ from math import gcd, prod
 
 from .caps import DEFAULT_CAPS
 from .errors import SpecParseError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _is_prime_power
 from .words import Presentation, todd_coxeter, word_commutator
 
 
@@ -36,15 +36,19 @@ def _abelian(*orders):
         raise ValueError("orders must be positive")
     yield prod(orders), 1
     gens = tuple(chr(ord("a") + i) if len(orders) <= 26 else f"g{i}" for i in range(len(orders)))
-    rels = [f"{g}^{x}" for g, x in zip(gens, orders)]
-    rels += [f"[{gens[j]},{gens[i]}]" for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    # commutators first: scanned after the long power relators, they leave
+    # Todd-Coxeter hundreds of thousands of cosets to define (Ab:243,9 ~ 413k)
+    rels = [f"[{gens[j]},{gens[i]}]" for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    rels += [f"{g}^{x}" for g, x in zip(gens, orders)]
     yield Presentation.parse(gens, rels)
 
 
 def _elem_abelian(p, r):
-    if p < 1 or r < 1:
-        raise ValueError("orders must be positive")
+    if p < 2 or r < 1:
+        raise ValueError("need a prime p and r >= 1")
     yield p, r
+    if _is_prime_power(p) != (p, 1):  # p <= the cap once `build` resumes the row
+        raise ValueError(f"{p} is not prime")
     # the r-fold order list exists only once p^r has passed the cap
     yield from islice(_abelian(*(p,) * r), 1, None)
 
@@ -55,9 +59,11 @@ def _metacyclic(p, m, n, s, r):
     The order assertion is the consistency check: a bad (s, r) pair collapses
     the group and is rejected.
     """
-    if not (0 <= s <= m) or gcd(r, p) != 1 or m < 1 or n < 0:
+    if not (0 <= s <= m) or p < 2 or gcd(r, p) != 1 or m < 1 or n < 0:
         raise ValueError("metacyclic parameters out of range")
     yield p, m + n
+    if _is_prime_power(p) != (p, 1):
+        raise ValueError(f"{p} is not prime")
     rels = (f"a^{p**m}", f"b^{p**n}*a^{-(p**(m - s))}", f"b^-1*a*b*a^{-r}")
     yield Presentation.parse(("a", "b"), rels)
 
@@ -107,7 +113,8 @@ def _broche(variant, m, n=None):
 
 def _direct_product(factors):
     """The factors' presentations side by side (generators get _k suffixes),
-    each generator commuting with those of the later factors."""
+    each generator commuting with those of the later factors; the
+    cross-commutators come first, as in `_abelian`."""
     yield prod(F.n for F in factors), 1
     gens, relators, ends = [], [], []
     for idx, F in enumerate(factors, start=1):
@@ -115,9 +122,9 @@ def _direct_product(factors):
         gens += [f"{name}_{idx}" for name in P.generators]
         relators += [tuple(x + offset if x > 0 else x - offset for x in w) for w in P.relators]
         ends += [len(gens)] * len(P.generators)
-    relators += [word_commutator((a + 1,), (b + 1,))
-                 for a in range(len(gens)) for b in range(ends[a], len(gens))]
-    yield Presentation(tuple(gens), tuple(relators))
+    commutators = [word_commutator((a + 1,), (b + 1,))
+                   for a in range(len(gens)) for b in range(ends[a], len(gens))]
+    yield Presentation(tuple(gens), tuple(commutators + relators))
 
 
 # head -> (integer parameter count, None for any; row); D8 and Q8 take no colon
@@ -172,7 +179,7 @@ def build(spec: str, order_cap: int = DEFAULT_CAPS.group_order_cap,
         raise SpecParseError(f"unknown family spec {spec!r}")
     base, exp = next(row)
     # once 2^exp exceeds the cap the exponent decides, and base^exp is never formed
-    if (abs(base) >= 2 and exp >= order_cap.bit_length()) or abs(base)**exp > order_cap:
+    if (base >= 2 and exp >= order_cap.bit_length()) or base**exp > order_cap:
         order = base if exp == 1 else f"{base}^{exp}"
         raise ValueError(f"declared order {order} exceeds group-order cap {order_cap}")
     G = todd_coxeter(next(row), coset_cap, order_cap)

@@ -129,13 +129,15 @@ class FiniteGroup:
             e >>= 1
         return out
 
-    def word_image(self, word, images) -> int:
-        """Evaluate a words-module word at the given generator images."""
+    def word_image(self, word, images):
+        """Evaluate a words-module word at the given generator images; an
+        image may be an element or an array of candidates, and evaluation
+        broadcasts over them."""
         out = self.id
         mul, inv = self.mul, self.inv
         for x in word:
             img = images[abs(x) - 1]
-            out = int(mul[out, img if x > 0 else inv[img]])
+            out = mul[out, img if x > 0 else inv[img]]
         return out
 
     def pow_map(self, e: int) -> np.ndarray:

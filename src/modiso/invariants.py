@@ -10,7 +10,7 @@ caps must never manufacture an indistinguishability claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,16 +39,6 @@ from .groups import (
 @dataclass(frozen=True)
 class Unavailable:
     cap: str
-
-
-TRANSFER_SECTION_NAMES = (
-    "center_meet_pow_derived",          # Z(G) ∩ ℧_k(G)G'
-    "center_mod_pow_derived",           # Z(G)℧_k(G)G' / ℧_k(G)G'
-    "over_pow_center_derived",          # G / ℧_k(Z(G))G'
-    "pow_center_derived_mod_derived",   # ℧_k(Z(G))G' / G'
-    "over_tor_center_derived",          # G / Ω_k(Z(G))G'
-    "tor_center_derived_mod_derived",   # Ω_k(Z(G))G' / G'
-)
 
 
 def hh1_dimension(G: FiniteGroup) -> int:
@@ -86,8 +76,10 @@ def class_power_stats(G: FiniteGroup, k: int):
 
 def transfer_sections(G: FiniteGroup, k_max: int | None = None):
     """For k = 0..k_max, the types of the six invariant abelian sections built
-    from Z(G), ℧_k, Ω_k, and G'. Default k_max: the least k with ℧_k(G) = 1,
-    which is log_p exp(G), since g^(p^k) = 1 for all g iff p^k >= exp(G)."""
+    from Z = Z(G), ℧_k, Ω_k, and G', in row order Z ∩ ℧_k(G)G',
+    Z℧_k(G)G' / ℧_k(G)G', G / ℧_k(Z)G', ℧_k(Z)G' / G', G / Ω_k(Z)G' and
+    Ω_k(Z)G' / G'. Default k_max: the least k with ℧_k(G) = 1, which is
+    log_p exp(G), since g^(p^k) = 1 for all g iff p^k >= exp(G)."""
     p, _ = G.require_p_group()
     if k_max is None:
         k_max = _log_p(exponent(G), p)
@@ -113,6 +105,8 @@ def transfer_sections(G: FiniteGroup, k_max: int | None = None):
 
 @dataclass
 class Fingerprint:
+    """The fingerprint's schema is its field list: the field order is the JSON
+    key order, and `compare` reads the fields in three passes (see there)."""
     field_spec: tuple  # (p, k)
     order: int
     abelianization: tuple
@@ -122,13 +116,13 @@ class Fingerprint:
     exponent: int
     nilpotency_class: int
     class_flags: dict
-    class_power_stats: list  # [(k, distinct, preserving)]
+    class_power_stats: list  # [{"k", "distinct_powers", "size_preserving"}]
     hh1_dim: int
     max_elem_ab_classes: object  # dict or Unavailable
-    transfer_sections: list
+    transfer_sections: list  # [{section name: type}], row k at position k
     elem_ab_direct_factor_rank: object
     jennings_dims: object  # list or Unavailable
-    kernel_sizes: list     # [{"section": (i, j), "power": k, "counts": (z, nz) | Unavailable}]
+    kernel_sizes: list  # [{"section": (i, j), "power": k, "counts": (z, nz) | Unavailable}]
     small_group_ring_dim: object
     zassenhaus_dims: object
 
@@ -225,7 +219,8 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
         exponent=exp,
         nilpotency_class=cs.nilpotency_class,
         class_flags=flags,
-        class_power_stats=[(k,) + class_power_stats(G, k) for k in range(e + 1)],
+        class_power_stats=[dict(zip(("k", "distinct_powers", "size_preserving"),
+                                    (k,) + class_power_stats(G, k))) for k in range(e + 1)],
         hh1_dim=hh1_dimension(G),
         max_elem_ab_classes=elemab,
         transfer_sections=transfer_sections(G),
@@ -249,9 +244,38 @@ class Verdict:
         return self.outcome == "distinguished"
 
 
+ROWS = ("class_power_stats", "transfer_sections", "kernel_sizes")
+UNCOMPARED = ("field_spec", "nilpotency_class", "class_flags")
+_COORDS = ("section", "k", "power")
+
+
+def _cells(name, rows) -> dict:
+    """{cell name: value} of a row field, in coordinate order. A row's
+    coordinates are its "section", "k" and "power" entries: a row that has
+    them is one cell holding its other entries (the one entry itself when
+    there is one), and a row that has none is one cell per entry at k = its
+    position. A tuple coordinate prints bare, an integer one as k=."""
+    cells = []
+    for pos, row in enumerate(rows):
+        own = tuple(v for key, v in row.items() if key in _COORDS)
+        label = ",".join(",".join(map(str, c)) if isinstance(c, tuple) else f"k={c}"
+                         for c in own or (pos,))
+        rest = {key: v for key, v in row.items() if key not in _COORDS}
+        if own:
+            value = tuple(rest.values())
+            cells.append((own, f"{name}[{label}]", value[0] if len(value) == 1 else value))
+        else:
+            cells += [((pos,), f"{name}[{label}].{key}", v) for key, v in rest.items()]
+    return {cell: value for _, cell, value in sorted(cells, key=lambda c: c[0])}
+
+
 def compare(f: Fingerprint, g: Fingerprint) -> Verdict:
     """Compare every mutually available entry; any difference is a witness of
-    non-isomorphism of the group algebras."""
+    non-isomorphism of the group algebras. Three passes over the schema:
+    every field outside ROWS and UNCOMPARED as one value, in field order;
+    each ROWS field cell by cell, a cell only when both sides have it; and
+    `nilpotency_class`, when some class flag holds on both sides (the flags
+    are themselves invariant-checkable)."""
     if f.field_spec != g.field_spec:
         raise ValueError("fingerprints over different fields are not comparable")
     witnesses = []
@@ -265,50 +289,22 @@ def compare(f: Fingerprint, g: Fingerprint) -> Verdict:
         if a != b:
             witnesses.append((name, a, b))
 
-    check("order", f.order, g.order)
-    check("abelianization", f.abelianization, g.abelianization)
-    check("center_type", f.center_type, g.center_type)
-    check("jennings_factors", f.jennings_factors, g.jennings_factors)
-    check("min_gens", f.min_gens, g.min_gens)
-    check("exponent", f.exponent, g.exponent)
-    check("hh1_dim", f.hh1_dim, g.hh1_dim)
-    check("max_elem_ab_classes", f.max_elem_ab_classes, g.max_elem_ab_classes)
-    check("elem_ab_direct_factor_rank", f.elem_ab_direct_factor_rank,
-          g.elem_ab_direct_factor_rank)
-    check("jennings_dims", f.jennings_dims, g.jennings_dims)
-    check("small_group_ring_dim", f.small_group_ring_dim, g.small_group_ring_dim)
-    check("zassenhaus_dims", f.zassenhaus_dims, g.zassenhaus_dims)
+    for x in fields(Fingerprint):
+        if x.name not in ROWS + UNCOMPARED:
+            check(x.name, getattr(f, x.name), getattr(g, x.name))
+    for name in ROWS:
+        fc, gc = _cells(name, getattr(f, name)), _cells(name, getattr(g, name))
+        for cell in fc:
+            if cell in gc:
+                check(cell, fc[cell], gc[cell])
 
-    for (ka, da, pa), (kb, db, pb) in zip(f.class_power_stats, g.class_power_stats):
-        assert ka == kb
-        check(f"class_power_stats[k={ka}]", (da, pa), (db, pb))
-
-    for k, (ra, rb) in enumerate(zip(f.transfer_sections, g.transfer_sections)):
-        for name in TRANSFER_SECTION_NAMES:
-            check(f"transfer_sections[k={k}].{name}", ra[name], rb[name])
-
-    ka = {(e["section"], e["power"]): e["counts"] for e in f.kernel_sizes}
-    kb = {(e["section"], e["power"]): e["counts"] for e in g.kernel_sizes}
-    for key in sorted(set(ka) & set(kb)):
-        (i, j), k = key
-        check(f"kernel_sizes[{i},{j},k={k}]", ka[key], kb[key])
-
-    # nilpotency class is compared only when a licensing condition holds on
-    # both sides (the licensing conditions are themselves invariant-checkable)
-    licensed = (
-        (f.class_flags["exponent_is_p"] and g.class_flags["exponent_is_p"])
-        or (f.class_flags["derived_cyclic"] and g.class_flags["derived_cyclic"])
-        or (f.class_flags["class_two"] and g.class_flags["class_two"])
-        or (f.class_flags["maximal_class"] and g.class_flags["maximal_class"])
-    )
-    if licensed:
+    ff, gf = f.class_flags, g.class_flags
+    if any(ff[flag] and gf[flag] for flag in ff):
         check("nilpotency_class", f.nilpotency_class, g.nilpotency_class)
     else:
-        asym = [name for name in f.class_flags
-                if f.class_flags[name] != g.class_flags[name]]
+        asym = sorted(flag for flag in ff if ff[flag] != gf[flag])
         if asym:
-            notes.append("nilpotency class not compared; asymmetric flags: "
-                         + ", ".join(sorted(asym)))
+            notes.append("nilpotency class not compared; asymmetric flags: " + ", ".join(asym))
 
     outcome = "distinguished" if witnesses else "indistinguishable"
     return Verdict(outcome=outcome, witnesses=witnesses, compared=compared, notes=notes)
@@ -331,36 +327,13 @@ def _jsonable(value):
 
 
 def fingerprint_to_dict(fp: Fingerprint) -> dict:
-    """Stable-key-order JSON form of a fingerprint."""
-    return {
-        "field": f"{fp.field_spec[0]}^{fp.field_spec[1]}" if fp.field_spec[1] > 1
-                 else str(fp.field_spec[0]),
-        "order": fp.order,
-        "abelianization": _jsonable(fp.abelianization),
-        "center_type": _jsonable(fp.center_type),
-        "jennings_factors": _jsonable(fp.jennings_factors),
-        "min_gens": fp.min_gens,
-        "exponent": fp.exponent,
-        "nilpotency_class": fp.nilpotency_class,
-        "class_flags": _jsonable(fp.class_flags),
-        "class_power_stats": [
-            {"k": k, "distinct_powers": d, "size_preserving": pres}
-            for (k, d, pres) in fp.class_power_stats],
-        "hh1_dim": fp.hh1_dim,
-        "max_elem_ab_classes": _jsonable(fp.max_elem_ab_classes),
-        "transfer_sections": [
-            {name: _jsonable(row[name]) for name in TRANSFER_SECTION_NAMES}
-            for row in fp.transfer_sections],
-        "elem_ab_direct_factor_rank": _jsonable(fp.elem_ab_direct_factor_rank),
-        "jennings_dims": _jsonable(fp.jennings_dims),
-        "kernel_sizes": [
-            {"section": list(e["section"]), "power": e["power"],
-             "counts": _jsonable(e["counts"] if isinstance(e["counts"], Unavailable)
-                                 else list(e["counts"]))}
-            for e in fp.kernel_sizes],
-        "small_group_ring_dim": _jsonable(fp.small_group_ring_dim),
-        "zassenhaus_dims": _jsonable(fp.zassenhaus_dims),
-    }
+    """JSON form of a fingerprint: its fields in order, `field_spec` as
+    "field"."""
+    p, k = fp.field_spec
+    out = {"field": f"{p}^{k}" if k > 1 else str(p)}
+    out.update((x.name, _jsonable(getattr(fp, x.name)))
+               for x in fields(fp) if x.name != "field_spec")
+    return out
 
 
 def verdict_to_dict(v: Verdict) -> dict:

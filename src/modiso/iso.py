@@ -56,19 +56,6 @@ def _socle_words(G: FiniteGroup, sizes, orders):
     return [G.elem_words[z] for z in sorted(reps)]
 
 
-def _eval_letters(H: FiniteGroup, word, images):
-    """Evaluate a word at generator images; images may be ints or candidate
-    vectors (evaluation broadcasts)."""
-    state = H.id
-    mul, inv = H.mul, H.inv
-    for x in word:
-        img = images[abs(x) - 1]
-        if x < 0:
-            img = inv[img]
-        state = mul[state, img]
-    return state
-
-
 def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAPS.iso_cap):
     """Search for an isomorphism G -> H by assigning images to G's
     presentation generators, pruned by element order, class size and the
@@ -154,15 +141,15 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAPS.iso
         for step in plan:
             if step[0] == "deduce":
                 t, (w, pos, sign) = step[1], step[2]
-                pre = _eval_letters(H, w[:pos], images)
-                suf = _eval_letters(H, w[pos + 1:], images)
+                pre = H.word_image(w[:pos], images)
+                suf = H.word_image(w[pos + 1:], images)
                 val = H.mul[H.inv[pre], H.inv[suf]]
                 images[t] = H.inv[val] if sign < 0 else val
         ok = np.ones(cands.shape, dtype=bool)
         for w in P.relators:
-            ok &= _eval_letters(H, w, images) == H.id
+            ok &= H.word_image(w, images) == H.id
         for w in socle:
-            ok &= _eval_letters(H, w, images) != H.id
+            ok &= H.word_image(w, images) != H.id
         for ci in np.nonzero(ok)[0].tolist():
             final = [int(im[ci]) if isinstance(im, np.ndarray) else int(im)
                      for im in images]

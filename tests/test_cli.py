@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -148,6 +149,13 @@ def test_report_parse_error_exit_64(capsys):
 def test_report_construction_error_exit_65(capsys):
     # inconsistent metacyclic parameters: the order assertion fires
     assert run(capsys, "report", "Meta:2,4,1,0,3", "--field", "2")[0] == 65
+    # p must be prime: p < 2 is rejected before the declared order, a
+    # composite p once its order has passed the cap, a huge p by the cap
+    for spec in ("EA:4,2", "Meta:4,2,1,0,3", "Meta:-2,3,1,0,5", "EA:1,200",
+                 "EA:1000000000000000000000000000000,2"):
+        code, out, err = run(capsys, "report", spec, "--field", "2")
+        assert (code, out) == (65, ""), spec
+        assert "construction failed" in err, err
 
 
 def test_huge_declared_order_is_rejected_by_its_exponent(capsys):
@@ -157,6 +165,16 @@ def test_huge_declared_order_is_rejected_by_its_exponent(capsys):
         code, out, err = run(capsys, "report", spec, "--field", "2")
         assert (code, out) == (65, "")
         assert "exceeds group-order cap 2187" in err, err
+
+
+def test_benchmark_commands_print_their_goldens(capsys):
+    # every canonical benchmark command, in process: the exit code and the
+    # stdout digest that perfbench/data/goldens.json pins
+    goldens = json.loads((ROOT / "perfbench" / "data" / "goldens.json").read_text("utf-8"))
+    for line, want in goldens.items():
+        code, out, _ = run(capsys, *line.split())
+        got = {"exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+        assert got == want, line
 
 
 def test_compare_d8_q8(capsys):

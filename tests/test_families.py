@@ -124,6 +124,31 @@ def test_mini_language_total_on_junk(text):
         pass
 
 
+SMALL_INT = st.integers(min_value=-3, max_value=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(st.just("EA"), st.tuples(SMALL_INT, SMALL_INT)),
+                 st.tuples(st.just("Meta"), st.tuples(*[SMALL_INT] * 5))))
+def test_ea_and_meta_need_a_prime(head_params):
+    # a p-group of the declared order for a prime p, or a documented error
+    head, params = head_params
+    try:
+        G = build(f"{head}:{','.join(map(str, params))}")
+    except (SpecParseError, ValueError, CapExceeded):
+        return
+    p, exp = params[0], params[1] if head == "EA" else params[1] + params[2]
+    assert G.prime_power() == (p, exp)
+
+
+def test_abelian_specs_within_the_cap_build():
+    # relator order: with the commutators scanned last these needed 163k-532k
+    # cosets, over the default coset cap
+    for spec, order in [("Ab:243,9", 2187), ("Ab:81,27", 2187), ("Ab:729,3", 2187),
+                        ("Ab:243,3,3", 2187), ("Ab:256,8", 2048), ("X:C:729*C:3", 2187)]:
+        assert build(spec).n == order, spec
+
+
 def test_paper_pairs():
     G, H = paper_pair("d8q8")
     assert (G.n, H.n) == (8, 8)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -494,6 +495,30 @@ def test_fingerprint_json_roundtrip_byte_identical():
         s = json.dumps(d, indent=2)
         assert s == json.dumps(json.loads(s), indent=2)
         assert list(json.loads(s)) == list(d)
+
+
+def test_fingerprint_schema_is_its_field_list():
+    # the JSON keys are the field order; compare reads the value fields, then
+    # the ROWS cells (kernel cells sorted by (section, power), whatever the
+    # caps order), then the licensed nilpotency class
+    names = [x.name for x in dataclasses.fields(invariants.Fingerprint)]
+    assert names[0] == "field_spec"
+    sections = [[2, 3, 1], [1, 3, 1], [1, 2, 1], [1, 3, 2], [1, 4, 1]]
+    f = fingerprint(build("D8"), F2, Caps(kernel_sections=tuple(map(tuple, sections))))
+    d = fingerprint_to_dict(f)
+    assert list(d) == ["field"] + names[1:]
+    assert [e["section"] + [e["power"]] for e in d["kernel_sizes"]] == sections
+    assert d["class_power_stats"][1] == {"k": 1, "distinct_powers": 2, "size_preserving": 2}
+    values = [n for n in names if n not in invariants.ROWS + invariants.UNCOMPARED]
+    rows = ([f"class_power_stats[k={k}]" for k in range(3)]
+            + [f"transfer_sections[k={k}].{name}" for k in range(3)
+               for name in f.transfer_sections[0]]
+            + [f"kernel_sizes[{i},{j},k={k}]" for (i, j, k) in sorted(sections)])
+    assert compare(f, f).compared == values + rows + ["nilpotency_class"]
+    # a row cell is compared only where both sides have it: C2 has k = 0, 1
+    v = compare(fingerprint(build("C:2"), F2), fingerprint(build("C:4"), F2))
+    assert [c for c in v.compared if c.startswith("class_power_stats")] == [
+        "class_power_stats[k=0]", "class_power_stats[k=1]"]
 
 
 def test_verdict_serialization():
