@@ -1,25 +1,31 @@
 """Exact arithmetic in small finite fields and echelon-form subspaces."""
 
-from modiso import echelon_basis, make_field, subspace_combine
+import numpy as np
 
-# GF(4) with the standard modulus x^2 + x + 1; the generator w satisfies
-# w^2 = w + 1
+from modiso import echelon_basis, make_field
+
+# GF(4) with the standard modulus x^2 + x + 1. Elements are integer codes
+# whose base-2 digits are coordinates in 1, w; w itself is the code p = 2,
+# and arithmetic reads the code tables ADD, MUL and INV
 F4 = make_field(2, 2)
-w = F4.gen
+w = F4.p
 print("field:", F4, "modulus coefficients (ascending):", F4.modulus)
-print("w * w =", w * w, "   w^2 + w + 1 =", w * w + w + 1)
-print("inverse of w:", w.inverse(), "  check:", w * w.inverse())
+w2 = int(F4.MUL[w, w])
+print("w * w =", w2, "= w + 1 =", int(F4.ADD[w, 1]),
+      "   w^2 + w + 1 =", int(F4.ADD[F4.ADD[w2, w], 1]))
+print("inverse of w:", int(F4.INV[w]), "  check:", int(F4.MUL[w, F4.INV[w]]))
+print("multiplication table of GF(4):\n", F4.MUL)
 
-# every element, once
-print("elements of GF(4):", F4.elements())
-
-# subspaces are reduced-row-echelon bases; combine gives sums and intersections
+# subspaces are reduced-row-echelon bases; Subspace.builder extends one,
+# so adding another's rows gives the sum
 F3 = make_field(3, 1)
-P1 = echelon_basis([F3.vec(v) for v in [(1, 0, 0), (0, 1, 0)]], F3)
-P2 = echelon_basis([F3.vec(v) for v in [(0, 1, 1), (1, 0, 1)]], F3)
-line = subspace_combine(P1, P2, "intersection")
-print("\ntwo planes in GF(3)^3 intersect in dimension", line.dim)
-print("a spanning vector of the line:", line.rows[0])
+P1 = echelon_basis([np.array(v, dtype=np.uint8) for v in [(1, 0, 0), (0, 1, 0)]], F3)
+L = echelon_basis([np.array((0, 1, 1), dtype=np.uint8)], F3)
+b = P1.builder()
+b.add_block(L.rows)
+total = b.freeze()
+print("\na plane and a line off it in GF(3)^3 sum to dimension", total.dim)
 
-ok, residue = P1.contains(F3.vec((1, 1, 1)))
-print("(1,1,1) in the first plane?", ok, " residue:", residue)
+# membership is one block test: a row is in the span when it sifts to zero
+probes = np.array([(1, 1, 0), (1, 1, 1)], dtype=np.uint8)
+print("rows", probes.tolist(), "in the plane?", P1.contains_rows(probes).tolist())

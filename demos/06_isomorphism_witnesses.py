@@ -7,13 +7,12 @@ from modiso import (
     group_isomorphic,
     make_field,
     nilpotent_algebra_iso,
-    paper_pair,
     verify_witness,
 )
 from modiso.modalg import radical_section
 
 # the order-243 series pair is isomorphic (odd n): find generator images
-G, H = paper_pair("t2t3", 5)
+G, H = build("T:2,5"), build("T:3,5")
 w = group_isomorphic(G, H)
 print("order-243 pair:", type(w).__name__)
 for name, img in zip(G.presentation.generators, w.images):
@@ -21,7 +20,7 @@ for name, img in zip(G.presentation.generators, w.images):
 print("independently verified:", verify_witness(w, G, H))
 
 # the even case is genuinely non-isomorphic: the search exhausts
-G6, H6 = paper_pair("t2t3", 6)
+G6, H6 = build("T:2,6"), build("T:3,6")
 print("\norder-729 pair:", group_isomorphic(G6, H6))
 
 # radical sections of the order-8 pair: separated over GF(2), isomorphic

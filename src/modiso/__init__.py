@@ -10,9 +10,8 @@ import importlib
 
 _EXPORTS = {
     "Caps": "caps", "DEFAULT_CAPS": "caps", "CapExceeded": "errors", "SpecParseError": "errors",
-    "build": "families", "paper_pair": "families",
-    "FiniteField": "gfq", "Scalar": "gfq", "Subspace": "gfq", "echelon_basis": "gfq",
-    "make_field": "gfq", "subspace_combine": "gfq",
+    "build": "families",
+    "FiniteField": "gfq", "Subspace": "gfq", "echelon_basis": "gfq", "make_field": "gfq",
     "FiniteGroup": "groups", "Subgroup": "groups",
     "Fingerprint": "invariants", "Verdict": "invariants", "compare": "invariants",
     "fingerprint": "invariants",

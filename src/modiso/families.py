@@ -188,18 +188,6 @@ def build(spec: str, order_cap: int = DEFAULT_CAPS.group_order_cap,
     return G
 
 
-def max_class_3(i, n):
-    return build(f"T:{i},{n}")
-
-
-def broche_case1(variant, m):
-    return build(f"B1{variant}:{m}")
-
-
-def broche_case2(variant, m, n):
-    return build(f"B2{variant}:{m},{n}")
-
-
 def from_presentation(gens, relator_texts, declared_order=None):
     """Arbitrary presentation escape hatch (used by the test corpus)."""
     G = todd_coxeter(Presentation.parse(tuple(gens), tuple(relator_texts)))
@@ -208,18 +196,3 @@ def from_presentation(gens, relator_texts, declared_order=None):
             f"inconsistent presentation: got order {G.n}, declared {declared_order}")
     return G
 
-
-def paper_pair(name: str, *params):
-    """The standard comparison pairs, in (G, H) order."""
-    if name == "d8q8":
-        return build("D8"), build("Q8")
-    if name == "broche1":
-        (m,) = params
-        return broche_case1("G", m), broche_case1("H", m)
-    if name == "broche2":
-        m, n = params
-        return broche_case2("G", m, n), broche_case2("H", m, n)
-    if name == "t2t3":
-        (n,) = params
-        return max_class_3(2, n), max_class_3(3, n)
-    raise ValueError(f"unknown pair {name!r}")

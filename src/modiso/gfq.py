@@ -29,94 +29,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class Scalar:
-    """An element of a FiniteField; thin wrapper over an integer code."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FiniteField", code: int):
-        self.field = field
-        self.code = int(code) % field.q
-
-    @property
-    def coeffs(self):
-        return tuple(self.field.DIG[self.code].tolist())
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field is not self.field:
-                raise ValueError("scalars from different fields")
-            return other.code
-        if isinstance(other, (int, np.integer)):
-            return int(other) % self.field.p
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.ADD[self.code, c])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.NEG[self.code])
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.ADD[self.code, self.field.NEG[c]])
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.MUL[self.code, c])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out, base = 1, self.code
-        MUL = self.field.MUL
-        while e:
-            if e & 1:
-                out = MUL[out, base]
-            base = MUL[base, base]
-            e >>= 1
-        return Scalar(self.field, out)
-
-    def inverse(self):
-        if self.code == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Scalar(self.field, self.field.INV[self.code])
-
-    def __eq__(self, other):
-        c = self._coerce(other) if not isinstance(other, Scalar) else (
-            other.code if other.field is self.field else None)
-        return c == self.code
-
-    def __hash__(self):
-        return hash((id(self.field), self.code))
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "w" if i == 1 else f"w^{i}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(terms) if terms else "0"
-
-
 class FiniteField:
     """F_{p^k} as F_p[C], C the companion matrix of the modulus; immutable once built.
 
@@ -166,26 +78,6 @@ class FiniteField:
         self.MUL = mul.astype(np.uint8)
         self.INV = np.argmax(self.MUL == 1, axis=1).astype(np.uint8)  # INV[0] = 0
 
-    # -- element constructors -------------------------------------------------
-
-    def scalar(self, value) -> Scalar:
-        """Element with the given code (or pass a Scalar through)."""
-        if isinstance(value, Scalar):
-            if value.field is not self:
-                raise ValueError("scalar from a different field")
-            return value
-        return Scalar(self, int(value) % self.q)
-
-    @property
-    def gen(self) -> Scalar:
-        """The residue class of x (a multiplicative generator for our moduli of interest)."""
-        if self.k == 1:
-            raise ValueError("prime field has no extension generator")
-        return Scalar(self, self.p)
-
-    def elements(self):
-        return [Scalar(self, c) for c in range(self.q)]
-
     # -- vectorized code arithmetic --------------------------------------------
 
     def vadd(self, u, v):
@@ -220,13 +112,6 @@ class FiniteField:
         if k > 1:
             return (self.PW @ prod.reshape(m, k, n)).astype(np.uint8)
         return prod.astype(np.uint8)
-
-    def vec(self, entries) -> np.ndarray:
-        """Code vector from a list of element codes or Scalars."""
-        out = np.zeros(len(entries), dtype=np.uint8)
-        for i, e in enumerate(entries):
-            out[i] = e.code if isinstance(e, Scalar) else int(e) % self.q
-        return out
 
     def __repr__(self):
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
@@ -363,20 +248,6 @@ class Subspace:
         """Reduce v (or each row of a block) by the basis; zero exactly on the span."""
         return _sift(self.field, self.rows, self.pivots, v)
 
-    def contains(self, v: np.ndarray):
-        """(True, None) if v is in the span, else (False, normalized residue)."""
-        r = self.sift(v)
-        nz = np.nonzero(r)[0]
-        if nz.size == 0:
-            return True, None
-        F = self.field
-        r = F.vsmul(int(F.INV[r[int(nz[0])]]), r)
-        r.setflags(write=False)
-        return False, r
-
-    def __contains__(self, v):
-        return self.contains(v)[0]
-
     def contains_rows(self, V) -> np.ndarray:
         """Boolean mask over the rows of V: True where the row lies in the span."""
         return ~self.sift(V).any(axis=-1)
@@ -414,30 +285,6 @@ def echelon_basis(vectors, field: FiniteField, ambient: int | None = None) -> Su
     return b.freeze()
 
 
-def subspace_combine(A: Subspace, B: Subspace, mode: str) -> Subspace:
-    """Sum or intersection of two subspaces of a common ambient space."""
-    if A.ambient != B.ambient:
-        raise ValueError("ambient mismatch")
-    if A.field is not B.field:
-        raise ValueError("field mismatch")
-    if mode == "sum":
-        b = A.builder()
-        b.add_block(B.rows)
-        return b.freeze()
-    if mode != "intersection":
-        raise ValueError(f"unknown mode {mode!r}")
-    # kernel of the stacked basis: x @ A.rows + y @ B.rows = 0 gives
-    # intersection elements x @ A.rows.
-    if A.dim == 0 or B.dim == 0:
-        return echelon_basis([], A.field, A.ambient)
-    stacked = np.vstack([A.rows, B.rows])
-    ker = null_space(stacked.T, A.field)
-    vecs = [A.field.matmul(w[None, : A.dim], A.rows)[0] for w in ker.rows]
-    out = echelon_basis(vecs, A.field, A.ambient)
-    assert A.dim + B.dim == subspace_combine(A, B, "sum").dim + out.dim
-    return out
-
-
 class TaggedEchelon(EchelonBuilder):
     """Echelon accumulator over augmented rows [v | tag]: pivots are taken in
     v's columns only, so every row operation carries the tag (e.g. quotient
@@ -445,11 +292,6 @@ class TaggedEchelon(EchelonBuilder):
 
     def __init__(self, field: FiniteField, ambient: int, tagdim: int):
         super().__init__(field, ambient + tagdim, width=ambient)
-
-    def add(self, v, tag) -> bool:
-        """Insert v carrying tag. Returns True if dim grew."""
-        return super().add(np.concatenate([np.asarray(v, dtype=np.uint8),
-                                           np.asarray(tag, dtype=np.uint8)]))
 
     def solve(self, v) -> np.ndarray:
         """Tag combination expressing v (or each row of a block), read off the
@@ -474,19 +316,3 @@ def invert_matrix(M, field: FiniteField) -> np.ndarray:
     # row i of the result expresses e_i in the rows of M: out @ M = I
     return te.solve(eye)
 
-
-def null_space(M, field: FiniteField) -> Subspace:
-    """Basis of {v : M @ v = 0} for a code matrix M with shape (m, n)."""
-    M = np.asarray(M, dtype=np.uint8)
-    m, n = M.shape
-    row_space = echelon_basis(list(M), field, n)
-    R, piv = row_space.rows, list(row_space.pivots)
-    free = [j for j in range(n) if j not in set(piv)]
-    vecs = []
-    for f in free:
-        v = np.zeros(n, dtype=np.uint8)
-        v[f] = 1
-        if piv:
-            v[piv] = field.NEG[R[:, f]]
-        vecs.append(v)
-    return echelon_basis(vecs, field, n)

@@ -3,8 +3,8 @@
 Groups are immutable multiplication tables on element indices 0..n-1; all
 subgroup operators, characteristic series, and section invariants work on
 index sets inside a parent group. A subgroup is a trusted membership mask
-plus the generators `FiniteGroup.generated` kept; only `FiniteGroup.subgroup`
-checks an arbitrary element set for closure. Everything is deterministic: kept
+plus the generators `FiniteGroup.generated` kept; no product route forms a
+subgroup from an arbitrary element set. Everything is deterministic: kept
 generators follow seed order, coset representatives are minimal indices,
 conjugacy classes are ordered by least representative.
 """
@@ -201,16 +201,6 @@ class FiniteGroup:
                 member |= fresh
                 frontier, cols = np.flatnonzero(fresh), gens
         return Subgroup(self, member, gens)
-
-    def subgroup(self, elems) -> "Subgroup":
-        """The subgroup on an arbitrary element set: a non-empty finite set
-        closed under products holds the identity and every inverse."""
-        elems = np.asarray(elems, dtype=np.int32)
-        member = np.zeros(self.n, dtype=bool)
-        member[elems] = True
-        if elems.size == 0 or not member[self.mul[np.ix_(elems, elems)]].all():
-            raise ValueError("element set is not a subgroup")
-        return Subgroup(self, member)
 
     def full_subgroup(self) -> "Subgroup":
         if "full" not in self._cache:

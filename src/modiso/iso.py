@@ -223,8 +223,6 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     algebras; the witness maps A's chosen generators to B elements."""
     if A.field is not B.field:
         raise ValueError("algebras over different fields")
-    if A.unital or B.unital:
-        raise ValueError("inputs must be non-unital (radical sections)")
     if A.nilpotency_degree() is None or B.nilpotency_degree() is None:
         raise ValueError("inputs must be nilpotent")
     if A.dim != B.dim:
@@ -311,10 +309,20 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
         A, B = source, target
         if A.dim != B.dim:
             return False
-        d = A.dim
+        d, F = A.dim, A.field
+
+        def is_codes(v):
+            try:
+                v = np.asarray(v)
+            except ValueError:  # a ragged nesting is no vector
+                return False
+            return v.shape == (d,) and v.dtype.kind in "iu" and bool(((v >= 0) & (v < F.q)).all())
+
+        if len(w.images) != len(w.source_gens) or not all(
+                map(is_codes, [*w.images, *w.source_gens])):
+            return False
         if d == 0:
             return True
-        F = A.field
         mono = _monomial_basis(A, w.source_gens)
         if mono is None:
             return False  # claimed source generators do not generate A

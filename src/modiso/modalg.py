@@ -1,13 +1,13 @@
 """Modular group algebra engine.
 
 Elements of FG are uint8 code vectors indexed by group elements. The module
-computes the augmentation-ideal filtration, structure-constant quotient
-algebras (both unital quotients FG/J and radical sections I/J) and power-map
-kernel sizes: the routes `mip` runs. The algebra-side routes to entries that
-the fingerprint reads off the group side (relative augmentation ideals, Lie
-power ideals, Zassenhaus ideals, algebra-side dimension subgroups and the
-small group ring) live in `tests/oracles.py`, where the tests compare them
-with the group-side values.
+computes the augmentation-ideal filtration, radical sections I/J as
+structure-constant algebras and power-map kernel sizes: the routes `mip`
+runs. The algebra-side routes to entries that the fingerprint reads off the
+group side (relative augmentation ideals, Lie power ideals, Zassenhaus
+ideals, algebra-side dimension subgroups and the small group ring) live in
+`tests/oracles.py`, where the tests compare them with the group-side values,
+together with the unital quotients FG/J those routes build.
 """
 
 from __future__ import annotations
@@ -34,16 +34,6 @@ class GroupAlgebra:
     def zero(self) -> np.ndarray:
         return np.zeros(self.n, dtype=np.uint8)
 
-    def unit(self) -> np.ndarray:
-        v = self.zero()
-        v[self.group.id] = 1
-        return v
-
-    def basis(self, g: int) -> np.ndarray:
-        v = self.zero()
-        v[g] = 1
-        return v
-
     def basis_minus_one(self, g: int) -> np.ndarray:
         """The vector g - 1."""
         v = self.zero()
@@ -56,24 +46,12 @@ class GroupAlgebra:
         """Matrix R with (x @ R) = x * y; row h of R is e_h * y."""
         return np.asarray(y, dtype=np.uint8)[self.group.mul[self.group.inv]]
 
-    def mul(self, x, y) -> np.ndarray:
-        """Convolution product in FG."""
-        x = np.asarray(x, dtype=np.uint8)
-        return self.field.matmul(x[None, :], self.right_mul_matrix(y))[0]
-
     def translate(self, rows: np.ndarray, g: int, side: str) -> np.ndarray:
         """rows * g (side='right') or g * rows (side='left'); a column permutation."""
         G = self.group
         invg = int(G.inv[g])
         perm = G.mul[invg] if side == "left" else G.mul[:, invg]
         return np.asarray(rows, dtype=np.uint8)[..., perm]
-
-    def augmentation(self, x) -> int:
-        F = self.field
-        out = 0
-        for c in np.asarray(x, dtype=np.uint8):
-            out = int(F.ADD[out, c])
-        return out
 
     def __repr__(self):
         return f"GroupAlgebra(|G|={self.n}, {self.field})"
@@ -115,9 +93,6 @@ class Ideal:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def contains(self, v) -> bool:
-        return self.space.contains(v)[0]
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.space == other.space
@@ -172,28 +147,21 @@ def jennings_dims(A: GroupAlgebra):
 # -- structure-constant quotients ---------------------------------------------
 
 class QuotientAlgebra:
-    """A structure-constant algebra: a section I/J of FG (or FG/J when unital).
+    """A structure-constant algebra: a section I/J of FG, or an abstract one.
 
     Elements are coordinate vectors of length dim; sc[i, j] holds the
     coordinates of (rep_i * rep_j) mod J.
     """
 
-    def __init__(self, field, sc, reps=None, solver=None, unital=False, unit=None, label=""):
+    def __init__(self, field, sc, reps=None, solver=None, label=""):
         self.field = field
         self.sc = sc
         self.dim = sc.shape[0]
         self.reps = reps  # (dim, n) ambient lifts, or None for abstract algebras
         self._solver = solver
-        self.unital = unital
-        self.unit = unit
         self.label = label
         self._cache = {}
         self._check_associative()
-        if unital:
-            E = np.eye(self.dim, dtype=np.uint8)
-            U = np.broadcast_to(self.unit, E.shape)
-            assert np.array_equal(self.mul_batch(U, E), E)
-            assert np.array_equal(self.mul_batch(E, U), E)
 
     def _check_associative(self):
         """Exhaustive on basis triples for small dimensions, sampled beyond
@@ -278,12 +246,13 @@ class QuotientAlgebra:
                 [self.sc[i, j] for i in range(d) for j in range(d)], self.field, d)
         return self._cache["square"]
 
-    def nilpotency_degree(self, bound: int = 64) -> int | None:
-        """Least m with A^m = 0, or None if A is not nilpotent (unital case)."""
+    def nilpotency_degree(self) -> int | None:
+        """Least m with A^m = 0, or None if A is not nilpotent. Each step
+        lowers the dimension of A^m or returns None, so the loop ends."""
         full = echelon_basis(list(np.eye(self.dim, dtype=np.uint8)), self.field, self.dim)
         cur = full
         m = 1
-        while cur.dim > 0 and m <= bound:
+        while cur.dim > 0:
             nxt = EchelonBuilder(self.field, self.dim)
             # row (u, e) of the block is u * e_e
             nxt.add_block(self.field.matmul(cur.rows, self.sc.reshape(self.dim, -1))
@@ -293,29 +262,21 @@ class QuotientAlgebra:
                 return None
             cur = new
             m += 1
-        return m if cur.dim == 0 else None
+        return m
 
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""
-        return f"QuotientAlgebra(dim={self.dim}, {self.field}{tag}, unital={self.unital})"
+        return f"QuotientAlgebra(dim={self.dim}, {self.field}{tag})"
 
 
-def quotient_algebra(A: GroupAlgebra, I: Ideal | None, J: Ideal | None, label="") -> QuotientAlgebra:
-    """The section I/J as a structure-constant algebra (I=None means all of FG,
-    giving a unital quotient FG/J; J=None means the zero ideal).
+def quotient_algebra(A: GroupAlgebra, I: Ideal, J: Ideal, label="") -> QuotientAlgebra:
+    """The section I/J as a structure-constant algebra.
 
     The section basis is canonical: the echelon rows of I whose pivots are not
     pivots of J.
     """
     F = A.field
-    if J is None:
-        J = _zero_ideal(A)
-    if I is None:
-        carrier = echelon_basis([A.basis(g) for g in range(A.n)], F, A.n)
-        unital = True
-    else:
-        carrier = I.space
-        unital = False
+    carrier = I.space
     if not J.space <= carrier:
         raise ValueError("J is not contained in I")
 
@@ -333,9 +294,7 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal | None, J: Ideal | None, label=""
     for j in range(d):
         # rep_i * rep_j for all i, then their section coordinates
         sc[:, j] = solver.solve(F.matmul(reps, A.right_mul_matrix(reps[j])))
-
-    unit = solver.solve(A.unit()) if unital else None
-    return QuotientAlgebra(F, sc, reps=reps, solver=solver, unital=unital, unit=unit, label=label)
+    return QuotientAlgebra(F, sc, reps=reps, solver=solver, label=label)
 
 
 def radical_section(A: GroupAlgebra, i: int, j: int, label=None) -> QuotientAlgebra:

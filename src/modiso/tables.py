@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import broche_case1, broche_case2, build
+from .families import build
 from .gfq import make_field
 from .groups import (
     abelian_type,
@@ -229,7 +229,7 @@ def table_example_d8q8():
     y = gam4.project(AQ.basis_minus_one(Q8.gens[1]))
     a = lam4.project(AD.basis_minus_one(D8.gens[0]))
     b = lam4.project(AD.basis_minus_one(D8.gens[1]))
-    wa_b = F4.vadd(F4.vsmul(F4.gen.code, a), b)
+    wa_b = F4.vadd(F4.vsmul(F4.p, a), b)  # w is the code p
     wit = IsoWitness(kind="algebra", images=[a, wa_b], source_gens=[x, y])
     rows.append(TableRow("pair", "explicit_witness_verifies", True,
                          verify_witness(wit, gam4, lam4)))
@@ -241,7 +241,7 @@ def table_broche():
     rows = []
     for m, n in [(1, 2), (1, 3), (2, 3)]:
         for variant, want in (("G", 2), ("H", 1)):
-            G = broche_case2(variant, m, n)
+            G = build(f"B2{variant}:{m},{n}")
             U = omega_in(G, char_series(G).derived, m)
             Ug, _ = U.as_group()
             D = dimension_subgroups_lazard(Ug, n_max=2**m)
@@ -249,7 +249,7 @@ def table_broche():
                                  f"|D_{2**m}(U)|", want, D[2**m - 1].order))
     for m in (1, 2):
         for variant in ("G", "H"):
-            G = broche_case1(variant, m)
+            G = build(f"B1{variant}:{m}")
             Z = center(G)
             rows.append(TableRow(f"case1[m={m}].{variant}", "Z=derived",
                                  True, Z == char_series(G).derived))

@@ -130,14 +130,17 @@ class _Parser:
         if self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as '²'
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer exponent")
-        value = int(self.text[start:self.pos])
-        if abs(value) > EXPONENT_CAP:
+        # int() refuses literals of more than 4300 digits, leading zeros
+        # included, so only the significant digits are converted
+        magnitude = self.text[digits:self.pos].lstrip("0") or "0"
+        if len(magnitude) > len(str(EXPONENT_CAP)) or int(magnitude) > EXPONENT_CAP:
             self.error(f"exponent overflow (|e| > {EXPONENT_CAP})")
-        return value
+        return int(self.text[start:digits] + magnitude)
 
 
 def parse_word(text: str, gens) -> Word:

@@ -12,7 +12,10 @@ The monic polynomials that are products of two of lower degree are listed by
 multiplying every pair, where the product tests irreducibility by the absence
 of zero divisors in F_p[C]. The HLT coset enumeration here scans every
 relator in full from every live coset, where the product scans a power
-relator once per closed cycle. No `mip` command runs them.
+relator once per closed cycle. The closure-checked subgroup constructor, the
+convolution product and the unital quotients FG/J serve the tests only: the
+product trusts the subgroups it generates, multiplies inside sections and
+builds radical sections I/J. No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
-from modiso.gfq import EchelonBuilder
+from modiso.gfq import EchelonBuilder, echelon_basis
 from modiso.groups import FiniteGroup, Subgroup, char_series
 from modiso.modalg import (
     GroupAlgebra,
@@ -34,6 +37,38 @@ from modiso.modalg import (
     quotient_algebra,
 )
 from modiso.words import Presentation, _columns, _table_group
+
+
+def subgroup(G: FiniteGroup, elems) -> Subgroup:
+    """The subgroup on an arbitrary element set: a non-empty finite set
+    closed under products holds the identity and every inverse."""
+    elems = np.asarray(elems, dtype=np.int32)
+    member = np.zeros(G.n, dtype=bool)
+    member[elems] = True
+    if elems.size == 0 or not member[G.mul[np.ix_(elems, elems)]].all():
+        raise ValueError("element set is not a subgroup")
+    return Subgroup(G, member)
+
+
+def convolve(A: GroupAlgebra, x, y) -> np.ndarray:
+    """The product x * y in FG."""
+    x = np.asarray(x, dtype=np.uint8)
+    return A.field.matmul(x[None, :], A.right_mul_matrix(y))[0]
+
+
+def unital_quotient(A: GroupAlgebra, J: Ideal) -> QuotientAlgebra:
+    """FG/J as a structure-constant algebra, with `unit` set to the
+    coordinates of the identity and checked to act as one."""
+    whole = Ideal(A, echelon_basis(list(np.eye(A.n, dtype=np.uint8)), A.field, A.n), check=False)
+    Q = quotient_algebra(A, whole, J)
+    one = np.zeros(A.n, dtype=np.uint8)
+    one[A.group.id] = 1
+    Q.unit = Q.project(one)
+    E = np.eye(Q.dim, dtype=np.uint8)
+    U = np.broadcast_to(Q.unit, E.shape)
+    assert np.array_equal(Q.mul_batch(U, E), E)
+    assert np.array_equal(Q.mul_batch(E, U), E)
+    return Q
 
 
 def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -119,7 +154,7 @@ def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
     g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
     for P in pows:
         members = np.nonzero(P.space.contains_rows(g_minus_one))[0]
-        out.append(G.subgroup(members.astype(np.int32)))
+        out.append(subgroup(G, members))
         if n_max is None and out[-1].order == 1:
             break
     return out
@@ -134,7 +169,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
     p = A.group.require_p_group()[0]
     pows = augmentation_powers(A, n_max=n + 1)
     Jnp1 = pows[n] if len(pows) > n else _zero_ideal(A)
-    Q = quotient_algebra(A, None, Jnp1, label=f"mod-delta^{n + 1}")
+    Q = unital_quotient(A, Jnp1)
 
     lies = lie_power_ideals(A)
     b = EchelonBuilder(F, Q.dim)
@@ -176,7 +211,7 @@ def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
     for v in rel.space.rows:
         b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
     K = Ideal(A, b.freeze())
-    return quotient_algebra(A, None, K, label="small-group-ring")
+    return unital_quotient(A, K)
 
 
 def reducible_monics(p: int, k: int) -> set:

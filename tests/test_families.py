@@ -5,13 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modiso.errors import CapExceeded, SpecParseError
-from modiso.families import (
-    broche_case1,
-    broche_case2,
-    build,
-    max_class_3,
-    paper_pair,
-)
+from modiso.families import build
 from modiso.groups import (
     abelian_type,
     center,
@@ -23,7 +17,7 @@ from modiso.groups import (
 
 def test_max_class_3_orders_and_class():
     for i, n in [(1, 4), (2, 4), (3, 4), (4, 4), (5, 5), (6, 5), (7, 5)]:
-        G = max_class_3(i, n)
+        G = build(f"T:{i},{n}")
         assert G.n == 3**n
         assert char_series(G).nilpotency_class == n - 1
         assert center(G).order == 3
@@ -31,17 +25,17 @@ def test_max_class_3_orders_and_class():
 
 def test_max_class_3_parameter_guards():
     with pytest.raises(ValueError):
-        max_class_3(5, 4)
+        build("T:5,4")
     with pytest.raises(ValueError):
-        max_class_3(1, 3)
+        build("T:1,3")
     with pytest.raises(ValueError):
-        max_class_3(8, 5)
+        build("T:8,5")
     with pytest.raises(ValueError):
-        max_class_3(1, 8)  # 3^8 over the default order cap
+        build("T:1,8")  # 3^8 over the default order cap
 
 
 def test_broche_case2_small():
-    G = broche_case2("G", 1, 2)
+    G = build("B2G:1,2")
     assert G.n == 16
     assert char_series(G).nilpotency_class == 2
 
@@ -49,7 +43,7 @@ def test_broche_case2_small():
 def test_broche_case1_center_equals_derived():
     for m in (1, 2):
         for variant in ("G", "H"):
-            G = broche_case1(variant, m)
+            G = build(f"B1{variant}:{m}")
             assert G.n == 2**(3 * m)
             cs = char_series(G)
             assert center(G) == cs.derived
@@ -59,9 +53,9 @@ def test_broche_case1_center_equals_derived():
 
 def test_broche_parameter_guards():
     with pytest.raises(ValueError):
-        broche_case2("G", 2, 2)  # needs n > m
+        build("B2G:2,2")  # needs n > m
     with pytest.raises(ValueError):
-        broche_case1("X", 1)
+        build("B1X:1")
 
 
 def test_metacyclic_semidirect_example():
@@ -150,21 +144,17 @@ def test_abelian_specs_within_the_cap_build():
 
 
 def test_paper_pairs():
-    G, H = paper_pair("d8q8")
-    assert (G.n, H.n) == (8, 8)
-    G, H = paper_pair("broche2", 1, 2)
-    assert G.n == H.n == 16
+    # the comparison pairs, in (G, H) order
+    for g, h, order in [("D8", "Q8", 8), ("B2G:1,2", "B2H:1,2", 16),
+                        ("B1G:1", "B1H:1", 8), ("T:2,4", "T:3,4", 81)]:
+        G, H = build(g), build(h)
+        assert G.n == H.n == order
+    G, H = build("B2G:1,2"), build("B2H:1,2")
     assert char_series(G).nilpotency_class == char_series(H).nilpotency_class == 2
-    G, H = paper_pair("broche1", 1)
-    assert G.n == H.n == 8
-    G, H = paper_pair("t2t3", 4)
-    assert G.n == H.n == 81
-    with pytest.raises(ValueError):
-        paper_pair("unknown")
 
 
 def test_b1_pair_m1_is_q8_and_d8_like():
-    G, H = paper_pair("broche1", 1)
+    G, H = build("B1G:1"), build("B1H:1")
     # G has a unique involution (quaternion); H has several (dihedral)
     from modiso.groups import omega
     assert omega(G, 1).order == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modiso.errors import CapExceeded
-from modiso.families import broche_case2, build
+from modiso.families import build
 from modiso.groups import (
     ASSOC_EXHAUSTIVE_LIMIT,
     ASSOC_SAMPLES,
@@ -155,7 +155,7 @@ def test_omega_quaternion_is_center():
 
 
 def test_omega_in_broche_case2():
-    G = broche_case2("G", 1, 2)
+    G = build("B2G:1,2")
     U = omega_in(G, char_series(G).derived, 1)
     assert U.order == 8
     a, b = G.gens
@@ -301,13 +301,13 @@ def test_lazard_c4():
 
 
 def test_lazard_broche_case2_unit():
-    G = broche_case2("G", 1, 2)
+    G = build("B2G:1,2")
     U = omega_in(G, char_series(G).derived, 1)
     Ug, _ = U.as_group()
     D = dimension_subgroups_lazard(Ug, n_max=2)
     assert D[1].order == 2
 
-    H = broche_case2("H", 1, 2)
+    H = build("B2H:1,2")
     V = omega_in(H, char_series(H).derived, 1)
     Vg, _ = V.as_group()
     assert dimension_subgroups_lazard(Vg, n_max=2)[1].order == 1
@@ -387,7 +387,7 @@ def test_maximal_elem_abelian_classes_against_all_subgroups(corpus_small):
         classes = Counter()
         while maximal:
             E = min(maximal, key=lambda S: S.elems.tolist())
-            maximal -= {G.subgroup(G.conj_perm(g)[E.elems]) for g in range(G.n)}
+            maximal -= {O.subgroup(G, G.conj_perm(g)[E.elems]) for g in range(G.n)}
             classes[round(np.log(E.order) / np.log(p))] += 1
         assert maximal_elem_abelian_classes(G) == dict(sorted(classes.items())), spec
 
@@ -451,7 +451,7 @@ def test_rank_preserving_correspondence_instance():
     L_local = char_series(Kg).frattini
     # map local Frattini elements back to parent indices
     _, embed = K.as_group()
-    L = G.subgroup(embed[L_local.elems])
+    L = O.subgroup(G, embed[L_local.elems])
     for extra in range(G.n):
         H = G.generated(list(K.elems) + [extra])
         Hq = quotient_group(H, L)[0] if L.order > 1 else H.as_group()[0]
@@ -514,8 +514,8 @@ def test_subgroup_rejects_non_subgroup_sets():
     r2 = int(G.mul[r, r])
     for elems in ([], [r2], [G.id, r], [G.id, s, r2]):  # the first two lack 1
         with pytest.raises(ValueError, match="not a subgroup"):
-            G.subgroup(elems)
-    assert G.subgroup([r2, G.id]) == G.generated([r2])
+            O.subgroup(G, elems)
+    assert O.subgroup(G, [r2, G.id]) == G.generated([r2])
 
 
 def test_subgroup_product_asserts_a_normal_factor():

@@ -6,7 +6,7 @@ import pytest
 
 from modiso.caps import Caps
 from modiso.errors import CapExceeded
-from modiso.families import build, paper_pair
+from modiso.families import build
 from modiso.gfq import make_field
 from modiso.groups import (
     FiniteGroup,
@@ -280,14 +280,14 @@ def test_soundness_on_isomorphic_pair():
 
     # the order-243 isomorphic pair: group-side entries (algebra capped)
     caps = Caps(algebra_order_cap=128)
-    G, H = paper_pair("t2t3", 5)
+    G, H = build("T:2,5"), build("T:3,5")
     for F in (F3, F9):
         v = compare(fingerprint(G, F, caps), fingerprint(H, F, caps))
         assert not v.distinguished, v.witnesses
 
 
 def test_t2_t3_even_indistinguishable_small():
-    G, H = paper_pair("t2t3", 4)
+    G, H = build("T:2,4"), build("T:3,4")
     v = compare(fingerprint(G, F3), fingerprint(H, F3))
     # at n = 4 the pair is separated (hh1: 38 vs 12 + 2*9 = 30)
     assert v.distinguished

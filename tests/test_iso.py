@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modiso.errors import CapExceeded
-from modiso.families import build, from_presentation, paper_pair
+from modiso.families import build, from_presentation
 from modiso.gfq import make_field
 from modiso.groups import FiniteGroup
 from modiso.invariants import compare, fingerprint, fingerprint_to_dict
@@ -18,6 +18,7 @@ from modiso.iso import (
 from modiso import modalg
 from modiso.words import todd_coxeter
 
+import oracles
 from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group
 
 F2 = make_field(2, 1)
@@ -38,14 +39,14 @@ def test_group_iso_order_profile_prune():
 
 
 def test_group_iso_t2_t3_odd_has_witness():
-    G, H = paper_pair("t2t3", 5)
+    G, H = build("T:2,5"), build("T:3,5")
     r = group_isomorphic(G, H)
     assert isinstance(r, IsoWitness)
     assert verify_witness(r, G, H)
 
 
 def test_group_iso_t2_t3_even_exhausted():
-    G, H = paper_pair("t2t3", 6)
+    G, H = build("T:2,6"), build("T:3,6")
     r = group_isomorphic(G, H)
     assert isinstance(r, NotIsomorphic)
     assert r.reason == "exhausted"
@@ -62,7 +63,7 @@ def test_group_iso_same_group_two_presentations():
 
 
 def test_group_iso_determinism():
-    G, H = paper_pair("t2t3", 5)
+    G, H = build("T:2,5"), build("T:3,5")
     r1 = group_isomorphic(G, H)
     r2 = group_isomorphic(G, H)
     assert r1.images == r2.images
@@ -103,6 +104,42 @@ def test_group_verify_rejects_malformed_images():
     for images in ([-7, -4], [99, 1], [1]):
         bad = IsoWitness(kind="group", images=images, source_gens=list(G.gens))
         assert verify_witness(bad, G, H) is False, images
+
+
+def test_algebra_verify_rejects_malformed_images():
+    # the search's own witness edited: an image count that does not match
+    # the source generators, a code outside [0, q), a vector of the wrong
+    # length, a non-integer vector or a ragged nesting is rejected, not
+    # raised on
+    A, B = section("D8", F4), section("Q8", F4)
+    w = nilpotent_algebra_iso(A, B)
+    assert verify_witness(w, A, B)
+    first = w.images[0]
+    for images in (w.images[:-1], w.images + [first],
+                   [np.full_like(first, 4)] + w.images[1:],
+                   [np.array([300] + [0] * (A.dim - 1))] + w.images[1:],
+                   [np.array([-1] + [0] * (A.dim - 1))] + w.images[1:],
+                   [first[:-1]] + w.images[1:],
+                   [first.astype(float)] + w.images[1:],
+                   [[first.tolist(), [0]]] + w.images[1:]):
+        bad = IsoWitness(kind="algebra", images=images, source_gens=w.source_gens)
+        assert verify_witness(bad, A, B) is False, images
+    bad = IsoWitness(kind="algebra", images=w.images, source_gens=w.source_gens[:-1])
+    assert verify_witness(bad, A, B) is False
+
+
+def test_algebra_iso_deep_nilpotent_algebra_reaches_the_cap():
+    # xF_2[x]/(x^66): basis e_i = x^(i+1), i < 65, and e_i e_j = e_(i+j+1).
+    # It is nilpotent of degree 66, so the search reports its cap instead
+    # of rejecting the input
+    d = 65
+    sc = np.zeros((d, d, d), dtype=np.uint8)
+    i, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) + 1 < d)
+    sc[i, j, i + j + 1] = 1
+    A = modalg.QuotientAlgebra(F2, sc)
+    assert A.nilpotency_degree() == 66
+    with pytest.raises(CapExceeded, match="2\\^65 assignments"):
+        nilpotent_algebra_iso(A, A)
 
 
 def test_group_iso_socle_prune_leaves_one_closure(monkeypatch):
@@ -208,7 +245,9 @@ def test_algebra_identity_witness_verifies():
 
 
 def test_algebra_iso_rejects_unital():
-    A = modalg.quotient_algebra(modalg.group_algebra(build("C:4"), F2), None, None)
+    # FG itself: the nilpotency check rejects it
+    G4 = modalg.group_algebra(build("C:4"), F2)
+    A = oracles.unital_quotient(G4, modalg._zero_ideal(G4))
     B = section("D8", F2)
     with pytest.raises(ValueError):
         nilpotent_algebra_iso(A, B)
@@ -235,7 +274,7 @@ def test_paper_explicit_witness():
     y = gam.project(AQ.basis_minus_one(Q8.gens[1]))
     a = lam.project(AD.basis_minus_one(D8.gens[0]))
     b = lam.project(AD.basis_minus_one(D8.gens[1]))
-    images = [a, F4.vadd(F4.vsmul(F4.gen.code, a), b)]  # x -> a, y -> w*a + b
+    images = [a, F4.vadd(F4.vsmul(F4.p, a), b)]  # x -> a, y -> w*a + b; w is the code p
     wit = IsoWitness(kind="algebra", images=images, source_gens=[x, y])
     assert verify_witness(wit, gam, lam)
 

@@ -34,30 +34,38 @@ def test_basis_times_inverse_is_unit():
     A = alg("D8")
     G = A.group
     g = G.gens[0]
-    assert np.array_equal(A.mul(A.basis(g), A.basis(int(G.inv[g]))), A.unit())
+    e = np.eye(A.n, dtype=np.uint8)
+    assert np.array_equal(O.convolve(A, e[g], e[int(G.inv[g])]), e[G.id])
 
 
 def test_square_of_g_minus_one_in_f2c2():
     A = alg("C:2")
     v = A.basis_minus_one(A.group.gens[0])
-    assert not A.mul(v, v).any()
+    assert not O.convolve(A, v, v).any()
 
 
 def test_cube_of_a_minus_one_in_f2c4():
     A = alg("C:4")
     a = A.group.gens[0]
     v = A.basis_minus_one(a)
-    cube = A.mul(A.mul(v, v), v)
+    cube = O.convolve(A, O.convolve(A, v, v), v)
     assert cube.tolist() == [1, 1, 1, 1]  # a^3 + a^2 + a + 1
 
 
 def test_augmentation_is_multiplicative():
     A = alg("Q8", F4)
     rng = np.random.default_rng(5)
+
+    def augmentation(x):
+        out = 0
+        for c in x:
+            out = int(F4.ADD[out, c])
+        return out
+
     for _ in range(10):
         x, y = rng.integers(0, 4, size=(2, A.n)).astype(np.uint8)
-        ex, ey = A.augmentation(x), A.augmentation(y)
-        assert A.augmentation(A.mul(x, y)) == int(F4.MUL[ex, ey])
+        ex, ey = augmentation(x), augmentation(y)
+        assert augmentation(O.convolve(A, x, y)) == int(F4.MUL[ex, ey])
 
 
 def test_order_cap():
@@ -98,8 +106,7 @@ def test_aug_powers_strictly_decreasing_and_nested():
     pows = M.augmentation_powers(A)
     for a, b in zip(pows, pows[1:]):
         assert b.dim < a.dim
-        for row in b.space.rows:
-            assert a.space.contains(row)[0]
+        assert a.space.contains_rows(b.space.rows).all()
 
 
 @pytest.mark.parametrize("spec,F", [("D8", F2), ("Q8", F2), ("C:8", F2), ("C:9", F3)])
@@ -116,11 +123,10 @@ def test_ideal_power_coherence(spec, F):
                 RM = A.right_mul_matrix(u)
                 # u * v == (v^T rows of product); use rows of Δ^b on the right
                 for v in pows[b - 1].space.rows:
-                    built.add(A.mul(u, v))
+                    built.add(O.convolve(A, u, v))
             got = built.freeze()
             assert got.dim == target.dim
-            for row in got.rows:
-                assert target.space.contains(row)[0]
+            assert target.space.contains_rows(got.rows).all()
 
 
 def test_two_sided_closure_under_every_group_element():
@@ -129,8 +135,7 @@ def test_two_sided_closure_under_every_group_element():
         for P in M.augmentation_powers(A):
             for g in range(A.n):
                 for side in ("left", "right"):
-                    for row in A.translate(P.space.rows, g, side):
-                        assert P.space.contains(row)[0]
+                    assert P.space.contains_rows(A.translate(P.space.rows, g, side)).all()
 
 
 # -- relative augmentation ideals ----------------------------------------------------
@@ -170,7 +175,6 @@ def test_lambda_section_is_nilpotent_degree_3():
     A = alg("D8")
     Lam = M.radical_section(A, 1, 3)
     assert Lam.dim == 4
-    assert not Lam.unital
     assert Lam.nilpotency_degree() == 3
 
 
@@ -195,13 +199,13 @@ def test_natural_quotient_iso_structure_constants():
         A = alg(spec, F)
         G = A.group
         N = char_series(G).derived
-        Q = M.quotient_algebra(A, None, O.relative_augmentation_ideal(A, N))
+        Q = O.unital_quotient(A, O.relative_augmentation_ideal(A, N))
         Gq, proj = quotient_group(G, N)
         assert Q.dim == Gq.n
         # the images of one representative per coset form a basis; compute the
         # change of basis and drag the product through it
         reps = [int(np.nonzero(proj == c)[0].min()) for c in range(Gq.n)]
-        T = np.array([Q.project(A.basis(r)) for r in reps], dtype=np.uint8)
+        T = Q.project(np.eye(A.n, dtype=np.uint8)[reps])
         for c1 in range(Gq.n):
             for c2 in range(Gq.n):
                 prod = Q.mul(T[c1], T[c2])
@@ -210,7 +214,7 @@ def test_natural_quotient_iso_structure_constants():
 
 def test_unital_quotient_has_unit():
     A = alg("D8")
-    Q = M.quotient_algebra(A, None, M.augmentation_powers(A, 4)[3])
+    Q = O.unital_quotient(A, M.augmentation_powers(A, 4)[3])
     e = Q.unit
     for i in range(Q.dim):
         v = np.zeros(Q.dim, dtype=np.uint8)
@@ -229,7 +233,7 @@ def test_mul_batch_matches_rowwise_mul(spec, p, k, section):
     F = make_field(p, k)
     A = alg(spec, F)
     if section is None:
-        Q = M.quotient_algebra(A, M.augmentation_ideal(A), None)
+        Q = M.quotient_algebra(A, M.augmentation_ideal(A), M._zero_ideal(A))
         assert Q.dim > 24
     else:
         Q = M.radical_section(A, *section)
@@ -262,7 +266,7 @@ def test_sampled_associativity_checks_do_not_load_numpy_random():
         "G = build('T:1,6')\n"
         "assert G.n > 512\n"
         "A = group_algebra(build('C:32'), make_field(2, 1))\n"
-        "Q = modalg.quotient_algebra(A, modalg.augmentation_ideal(A), None)\n"
+        "Q = modalg.quotient_algebra(A, modalg.augmentation_ideal(A), modalg._zero_ideal(A))\n"
         "assert Q.dim > 24\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
@@ -402,10 +406,8 @@ def test_zassenhaus_over_extension_field_sandwich():
         A = alg(spec, F4)
         pows = M.augmentation_powers(A, 3)
         Z2 = O.zassenhaus_ideal(A, 2)
-        for row in pows[2].space.rows:
-            assert Z2.contains(row)
-        for row in Z2.space.rows:
-            assert pows[1].space.contains(row)[0]
+        assert Z2.space.contains_rows(pows[2].space.rows).all()
+        assert pows[1].space.contains_rows(Z2.space.rows).all()
 
 
 def test_zassenhaus_z2_c4():
@@ -413,7 +415,7 @@ def test_zassenhaus_z2_c4():
     Z2 = O.zassenhaus_ideal(A, 2)
     a = A.group.gens[0]
     sq = A.basis_minus_one(int(A.group.mul[a, a]))
-    assert Z2.contains(sq)
+    assert Z2.space.contains_rows(sq)
     delta3 = M.augmentation_powers(A, 3)[2]
     assert Z2.dim == delta3.dim + 1
 
@@ -433,7 +435,7 @@ def test_small_group_ring_product_ideal_oracle():
     b = EchelonBuilder(F2, A.n)
     for u in delta.space.rows:
         for v in rel.space.rows:
-            b.add(A.mul(u, v))
+            b.add(O.convolve(A, u, v))
     assert b.freeze().dim == 3
     assert O.small_group_ring(A).dim == A.n - 3
 

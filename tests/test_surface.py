@@ -1,9 +1,11 @@
 """Product-surface guards.
 
-Every public module-level function and class in `src/modiso` is used by the
-product itself or exported in `modiso.__all__`. A route that only the tests
-call belongs in `tests/oracles.py`, not in the package. The allow-list names
-documented library API that only tests and demos call.
+Every public module-level function and class in `src/modiso`, and every
+public method of a public class, is read by the package itself: the package
+is what `mip` runs. A route that only the tests call belongs in
+`tests/oracles.py`, not in the package. The allow-list names the documented
+library API that the package does not read; being exported in
+`modiso.__all__` excuses nothing.
 
 Every capped library function defaults to the cap `mip` uses, so a library
 call and the command line agree on every cap.
@@ -14,14 +16,14 @@ import importlib
 import inspect
 import pathlib
 
-import modiso
 from modiso.caps import DEFAULT_CAPS
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "modiso"
 
 LIBRARY_API = {
-    "is_metacyclic",      # groups: the metacyclicity test behind criterion 11
-    "from_presentation",  # families: a group from generators and relators
+    "is_metacyclic",          # groups: the metacyclicity test behind criterion 11
+    "from_presentation",      # families: a group from generators and relators
+    "Presentation.to_json",   # words: perfbench/pin.py writes presentations with it
 }
 
 # (module, function, parameter) -> the Caps field its default must equal
@@ -44,6 +46,15 @@ def _definitions(tree):
             and not node.name.startswith("_")]
 
 
+def _methods(tree):
+    """(qualified name, node) for every public method of a public class."""
+    for cls in _definitions(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{cls.name}.{node.name}", node
+
+
 def _names(node):
     """Every name and attribute name read anywhere under node."""
     for sub in ast.walk(node):
@@ -53,24 +64,47 @@ def _names(node):
             yield sub.attr
 
 
-def test_every_public_definition_is_used_or_exported():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+def _trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_public_definition_is_used():
+    trees = _trees()
     # a definition counts as used when some other top-level statement reads it
     statements = [(node, set(_names(node))) for tree in trees.values() for node in tree.body]
     unused = []
     for name, tree in trees.items():
         for node in _definitions(tree):
-            if node.name in modiso.__all__ or node.name in LIBRARY_API:
+            if node.name in LIBRARY_API:
                 continue
             if not any(node.name in names for other, names in statements if other is not node):
                 unused.append(f"{name}:{node.name}")
     assert unused == []
 
 
+def test_every_public_method_is_used():
+    trees = _trees()
+    attributes = [sub for tree in trees.values() for sub in ast.walk(tree)
+                  if isinstance(sub, ast.Attribute)]
+    unused = []
+    for name, tree in trees.items():
+        for qualname, node in _methods(tree):
+            if qualname in LIBRARY_API:
+                continue
+            # a method counts as used when its name is read as an attribute
+            # outside its own body
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(a.attr == node.name and id(a) not in own for a in attributes):
+                unused.append(f"{name}:{qualname}")
+    assert unused == []
+
+
 def test_allow_list_names_real_definitions():
-    defined = {node.name for path in SRC.glob("*.py")
-               for node in _definitions(ast.parse(path.read_text(encoding="utf-8")))}
+    defined = set()
+    for tree in _trees().values():
+        defined |= {node.name for node in _definitions(tree)}
+        defined |= {qualname for qualname, _ in _methods(tree)}
     assert LIBRARY_API <= defined
 
 

@@ -79,6 +79,17 @@ def test_power_length_is_capped_by_expanded_length():
             letters(text)
 
 
+def test_exponent_literals_beyond_int_conversion_are_parse_errors():
+    # int() refuses more than 4300 digits, leading zeros included, and
+    # digits such as '²'
+    assert letters("a^" + "0" * 5000 + "3") == (1, 1, 1)
+    assert letters("a^-" + "0" * 5000) == ()
+    with pytest.raises(SpecParseError, match="exponent overflow"):
+        letters("a^" + "1" * 5000)
+    with pytest.raises(SpecParseError, match="expected an integer exponent"):
+        letters("a^\u00b2")
+
+
 def test_deep_nesting_is_a_parse_error():
     assert letters("(" * 50 + "a" + ")" * 50) == (1,)
     with pytest.raises(SpecParseError, match="nested too deeply"):
