@@ -11,7 +11,7 @@ print("(a*b)^-2 ->", print_word(parse_word("(a*b)^-2", gens), gens))
 P = Presentation.parse(("r", "s"), ("r^4", "s^2", "(s*r)^2"))
 G = todd_coxeter(P)
 print("\n<r,s | r^4, s^2, (sr)^2> has order", G.n)
-print("element words:", list(G.labels))
+print("element words:", [G.label(i) for i in range(G.n)])
 print("orders:", G.element_orders().tolist())
 
 # a 3-group of maximal class, straight from the family constructor
@@ -19,4 +19,4 @@ from modiso import build
 
 T = build("T:1,4")
 print("\nT:1,4 has order", T.n, "on generators", T.presentation.generators)
-print("first ten element words:", list(T.labels[:10]))
+print("first ten element words:", [T.label(i) for i in range(10)])

@@ -16,7 +16,7 @@ G, H = build("T:2,5"), build("T:3,5")
 w = group_isomorphic(G, H)
 print("order-243 pair:", type(w).__name__)
 for name, img in zip(G.presentation.generators, w.images):
-    print(f"  {name} -> element {img} = {H.labels[img]}")
+    print(f"  {name} -> element {img} = {H.label(img)}")
 print("independently verified:", verify_witness(w, G, H))
 
 # the even case is genuinely non-isomorphic: the search exhausts

@@ -3,19 +3,20 @@
 Exit codes: 0 success; 2 a table cell failed or --assert-distinguished was not
 met; 3 not isomorphic; 4 a cap was exceeded; 64 parse/usage error; 65 group
 construction failed, or the group is not a p-group of the field's
-characteristic.
+characteristic; 74 stdout was closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, SpecParseError
 
-EX_OK, EX_FAIL, EX_NOTISO, EX_CAP, EX_USAGE, EX_BUILD = 0, 2, 3, 4, 64, 65
+EX_OK, EX_FAIL, EX_NOTISO, EX_CAP, EX_USAGE, EX_BUILD, EX_IOERR = 0, 2, 3, 4, 64, 65, 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,7 +198,7 @@ def cmd_iso(args) -> int:
                 gens = G.presentation.generators
                 _emit({"outcome": "isomorphic", "mode": "group",
                        "images": [{"generator": gens[t], "image_index": img,
-                                   "image_word": H.labels[img]}
+                                   "image_word": H.label(img)}
                                   for t, img in enumerate(result.images)]})
                 return EX_OK
         elif args.mode.startswith("algebra:"):
@@ -279,7 +280,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except SpecParseError as err:
         print(f"mip: {err}", file=sys.stderr)
         return EX_USAGE

@@ -20,15 +20,27 @@ from .errors import CapExceeded
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
 ASSOC_SAMPLES = 100_000
+# entries per block of a pass over the table, so no pass allocates n x n
+BLOCK = 1 << 16
 
 
-def sample_ints(high: int, shape) -> np.ndarray:
+def table_dtype(n: int):
+    """The entry type of an order-n Cayley table: 2 bytes while every index fits."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+
+
+def sample_ints(high: int, shape, offset: int = 0) -> np.ndarray:
     """Deterministic pseudo-random integers in [0, high): the splitmix64
-    finalizer applied to 1, 2, 3, ... (no numpy.random, no global state)."""
-    z = np.arange(1, int(np.prod(shape)) + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    finalizer applied to offset + 1, offset + 2, ... (no numpy.random, no
+    global state), so consecutive offsets continue one stream."""
+    z = np.arange(offset + 1, offset + int(np.prod(shape)) + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z = (z ^ (z >> np.uint64(shift))) * np.uint64(mult)
-    return ((z ^ (z >> np.uint64(31))) % np.uint64(high)).astype(np.int64).reshape(shape)
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z %= np.uint64(high)
+    return z.astype(np.int64).reshape(shape)
 
 
 def _index_set(a, n: int) -> np.ndarray:
@@ -66,28 +78,38 @@ def _log_p(n: int, p: int) -> int:
 
 
 class FiniteGroup:
-    """A finite group as an n x n multiplication table of element indices."""
+    """A finite group as an n x n multiplication table of element indices,
+    stored as `table_dtype(n)`. Above ASSOC_EXHAUSTIVE_LIMIT elements the
+    table is the only n x n array the group engine allocates: every other
+    pass reads it in row blocks or through the generator columns."""
 
-    def __init__(self, mul, gens, presentation=None, elem_words=None, labels=None):
-        mul = np.asarray(mul, dtype=np.int32)
+    def __init__(self, mul, gens, presentation=None, elem_words=None):
+        mul = np.asarray(mul)
         if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
             raise ValueError("multiplication table must be square")
         n = mul.shape[0]
+        # range-check before narrowing, or an entry could wrap into range
         if n == 0 or mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
+        mul = mul.astype(table_dtype(n), copy=False)
         self.n = n
         self.mul = mul
         self.mul.setflags(write=False)
 
-        ar = np.arange(n, dtype=np.int32)
-        ids = np.flatnonzero((mul == ar).all(axis=1) & (mul == ar[:, None]).all(axis=0))
-        if ids.size != 1:
+        # e*0 = 0 for the identity e, and a two-sided identity is unique
+        ar = np.arange(n, dtype=mul.dtype)
+        self.id = next((e for e in np.flatnonzero(mul[:, 0] == 0).tolist()
+                        if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)), None)
+        if self.id is None:
             raise ValueError("table has no unique identity")
-        self.id = int(ids[0])
 
-        ii, jj = np.nonzero(mul == self.id)
-        inv = np.full(n, -1, dtype=np.int32)
-        inv[ii] = jj
+        # inv[x] is the last y in row x with x*y = 1, or -1 if there is none
+        inv = np.empty(n, dtype=np.int32)
+        step = max(1, BLOCK // n)
+        for i in range(0, n, step):
+            hit = mul[i:i + step] == self.id
+            last = n - 1 - hit[:, ::-1].argmax(axis=1)
+            inv[i:i + step] = np.where(hit.any(axis=1), last, -1)
         if (inv < 0).any() or not np.array_equal(mul[inv, ar], np.full(n, self.id)):
             raise ValueError("some element has no two-sided inverse")
         self.inv = inv
@@ -97,7 +119,6 @@ class FiniteGroup:
 
         self.presentation = presentation
         self.elem_words = elem_words
-        self._labels = labels
         self._cache = {}
 
         self.gens = tuple(int(g) for g in gens)
@@ -105,13 +126,19 @@ class FiniteGroup:
             raise ValueError("distinguished generators do not generate the group")
 
     def _check_associative(self):
+        """Exhaustive up to ASSOC_EXHAUSTIVE_LIMIT elements; beyond, the triples
+        of `sample_ints(n, (3, ASSOC_SAMPLES))`, drawn a block at a time."""
         mul, n = self.mul, self.n
         if n <= ASSOC_EXHAUSTIVE_LIMIT:
             for i in range(n):
                 if not np.array_equal(mul[mul[i], :], mul[i][mul]):
                     raise ValueError("table is not associative")
-        else:
-            i, j, k = sample_ints(n, (3, ASSOC_SAMPLES))
+            return
+        step = BLOCK // 16  # the draw's int64 temporaries stay a few times BLOCK bytes
+        for start in range(0, ASSOC_SAMPLES, step):
+            size = min(step, ASSOC_SAMPLES - start)
+            i, j, k = (sample_ints(n, size, offset=row * ASSOC_SAMPLES + start)
+                       for row in range(3))
             if not np.array_equal(mul[mul[i, j], k], mul[i, mul[j, k]]):
                 raise ValueError("table is not associative")
 
@@ -219,16 +246,13 @@ class FiniteGroup:
             raise ValueError(f"group of order {self.n} is not a p-group")
         return pp
 
-    @property
-    def labels(self):
-        if self._labels is None:
-            if self.elem_words is not None and self.presentation is not None:
-                from .words import print_word
-                gens = self.presentation.generators
-                self._labels = tuple(print_word(w, gens) or "1" for w in self.elem_words)
-            else:
-                self._labels = tuple(str(i) for i in range(self.n))
-        return self._labels
+    def label(self, i: int) -> str:
+        """Element i as its printed defining word, or as its index when the
+        group carries no words."""
+        if self.elem_words is None or self.presentation is None:
+            return str(i)
+        from .words import print_word
+        return print_word(self.elem_words[i], self.presentation.generators) or "1"
 
     def __repr__(self):
         return f"FiniteGroup(order={self.n})"
@@ -324,8 +348,13 @@ def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
+    """The centralizer of G.gens, which generate G."""
     if "center" not in G._cache:
-        G._cache["center"] = Subgroup(G, (G.mul == G.mul.T).all(axis=1))
+        mul = G.mul
+        central = np.ones(G.n, dtype=bool)
+        for g in G.gens:
+            central &= mul[:, g] == mul[g]
+        G._cache["center"] = Subgroup(G, central)
     return G._cache["center"]
 
 
@@ -432,21 +461,31 @@ class ConjClass:
 
 
 def conjugacy_classes(G: FiniteGroup):
-    """Classes in order of least representative."""
+    """Classes in order of least representative: the orbits of conjugation by
+    the generators, each element labelled with the least element of its orbit
+    by min-label propagation."""
     if "classes" not in G._cache:
-        n = G.n
-        mul, inv = G.mul, G.inv
-        ar = np.arange(n, dtype=np.int32)
-        seen = np.zeros(n, dtype=bool)
-        out = []
-        for g in range(n):
-            if seen[g]:
-                continue
-            cls = _index_set(mul[mul[inv, g], ar], n)
-            seen[cls] = True
-            assert len(cls) * (mul[g] == mul[:, g]).sum() == n
-            out.append(ConjClass(rep=g, elems=cls, length=len(cls)))
-        assert sum(c.length for c in out) == n
+        n, mul = G.n, G.mul
+        perms = [G.conj_perm(g) for g in G.gens]
+        label = np.arange(n)
+        while True:
+            prev = label
+            for perm in perms:
+                label = np.minimum(label, label[perm])
+            label = label[label]
+            if np.array_equal(label, prev):
+                break
+        reps = np.flatnonzero(label == np.arange(n))
+        order = np.argsort(label, kind="stable")
+        lengths = np.bincount(label)[reps]
+        # orbit-stabilizer: |class of z| * |C(z)| = n, |C(z)| counted in row blocks
+        step = max(1, BLOCK // n)
+        for i in range(0, reps.size, step):
+            r = reps[i:i + step]
+            cent = (mul[r] == mul[:, r].T).sum(axis=1)
+            assert np.array_equal(lengths[i:i + step] * cent, np.full(r.size, n))
+        out = [ConjClass(rep=g, elems=cls, length=len(cls))
+               for g, cls in zip(reps.tolist(), np.split(order, np.cumsum(lengths)[:-1]))]
         G._cache["classes"] = out
     return G._cache["classes"]
 

@@ -249,8 +249,12 @@ class QuotientAlgebra:
     def nilpotency_degree(self) -> int | None:
         """Least m with A^m = 0, or None if A is not nilpotent. Each step
         lowers the dimension of A^m or returns None, so the loop ends."""
-        full = echelon_basis(list(np.eye(self.dim, dtype=np.uint8)), self.field, self.dim)
-        cur = full
+        if "nilpotency_degree" not in self._cache:
+            self._cache["nilpotency_degree"] = self._nilpotency_degree()
+        return self._cache["nilpotency_degree"]
+
+    def _nilpotency_degree(self) -> int | None:
+        cur = echelon_basis(list(np.eye(self.dim, dtype=np.uint8)), self.field, self.dim)
         m = 1
         while cur.dim > 0:
             nxt = EchelonBuilder(self.field, self.dim)

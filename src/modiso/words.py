@@ -376,7 +376,7 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_CAPS.coset_cap,
 def _table_group(P: Presentation, table, root, order_cap: int | None = None):
     """The regular-action group of a complete coset table of the trivial
     subgroup, with root[c] the live coset that coset c was merged into."""
-    from .groups import FiniteGroup
+    from .groups import FiniteGroup, table_dtype
 
     ngens = len(P.generators)
     ncols = 2 * ngens
@@ -430,10 +430,10 @@ def _table_group(P: Presentation, table, root, order_cap: int | None = None):
     left[:, 0] = act[:, 0]
     for x, kids in groups:
         left[:, kids] = act[x][left[:, parent[kids]]]
-    mul = np.empty((n, n), dtype=np.int32)
+    mul = np.empty((n, n), dtype=table_dtype(n))
     mul[0] = ar
     for x, kids in groups:
-        mul[kids] = mul[parent[kids]][:, left[x]]
+        mul[kids] = np.take(mul[parent[kids]], left[x], axis=1)
 
     words = [()] * n
     for x, kids in groups:

@@ -6,7 +6,9 @@ derivations are in notes/decisions.md). The algebra-side routes here compute
 the same objects inside the group algebra FG, so the tests can check the
 group-side values against an independent construction. The commutator
 subgroup route forms every commutator [a, b], where the product uses only
-generators of A. The abelian type of a standalone group is read from its
+generators of A. The centre compares every row of the table with its column
+and the classes conjugate each new representative by every element, where
+the product reads both through the generators. The abelian type of a standalone group is read from its
 whole table, where the product counts powers inside X without building X/Y.
 The monic polynomials that are products of two of lower degree are listed by
 multiplying every pair, where the product tests irreducibility by the absence
@@ -25,7 +27,7 @@ import numpy as np
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder, echelon_basis
-from modiso.groups import FiniteGroup, Subgroup, char_series
+from modiso.groups import ConjClass, FiniteGroup, Subgroup, _index_set, char_series
 from modiso.modalg import (
     GroupAlgebra,
     Ideal,
@@ -78,6 +80,30 @@ def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:
     a = A.elems[:, None]
     b = B.elems[None, :]
     return G.generated(np.unique(mul[mul[inv[a], inv[b]], mul[a, b]]))
+
+
+def center_all_pairs(G: FiniteGroup) -> Subgroup:
+    """Z(G): the z whose row of the table equals its column."""
+    return Subgroup(G, (G.mul == G.mul.T).all(axis=1))
+
+
+def conjugacy_classes_per_element(G: FiniteGroup) -> list:
+    """The classes in order of least element, each the set of x^-1 g x over
+    every x, with |class| * |C(g)| = |G| checked for each."""
+    n = G.n
+    mul, inv = G.mul, G.inv
+    ar = np.arange(n, dtype=np.int32)
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for g in range(n):
+        if seen[g]:
+            continue
+        cls = _index_set(mul[mul[inv, g], ar], n)
+        seen[cls] = True
+        assert len(cls) * (mul[g] == mul[:, g]).sum() == n
+        out.append(ConjClass(rep=g, elems=cls, length=len(cls)))
+    assert sum(c.length for c in out) == n
+    return out
 
 
 def abelian_type_of_table(Q: FiniteGroup) -> tuple:

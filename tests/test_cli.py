@@ -86,6 +86,17 @@ def test_stdout_independent_of_hash_seed():
         assert outs[0] == outs[1], argv
 
 
+def test_closed_stdout_exits_74_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "modiso", "compare", "D8", "Q8", "--field", "2"],
+                            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # the reader is gone before the child writes
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 74
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
 def _fresh(code):
     """Run code in a fresh interpreter; its last stderr line is JSON."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

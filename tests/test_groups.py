@@ -1,8 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from modiso import groups
 from modiso.errors import CapExceeded
 from modiso.families import build
 from modiso.groups import (
@@ -29,6 +31,7 @@ from modiso.groups import (
     sample_ints,
     subgroup_intersection,
     subgroup_product,
+    table_dtype,
 )
 
 import oracles as O
@@ -87,6 +90,58 @@ def test_finite_group_rejects_nonassociative_sampled():
     assert (t[t[i, j], k] != t[i, t[j, k]]).any()
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup(t, gens=[1])
+
+
+def test_finite_group_range_checks_before_narrowing():
+    # the entry 2 + 65536 is 2 once narrowed to int16, which would make the
+    # table cyclic_table(4)
+    t = cyclic_table(4)
+    t[1, 1] += 1 << 16
+    assert np.array_equal(t.astype(np.int16), cyclic_table(4))
+    with pytest.raises(ValueError, match="out of range"):
+        FiniteGroup(t, gens=[1])
+
+
+def test_table_is_two_bytes_while_indices_fit():
+    assert table_dtype(32767) == np.int16
+    assert table_dtype(32768) == np.int32
+    assert build("T:2,7").mul.dtype == np.int16
+    assert FiniteGroup(cyclic_table(4), gens=[1]).mul.dtype == np.int16
+
+
+def test_sampled_associativity_draws_the_one_shot_stream(monkeypatch):
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(sample_ints(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(groups, "sample_ints", recording)
+    n = ASSOC_EXHAUSTIVE_LIMIT + 88
+    FiniteGroup(cyclic_table(n), gens=[1])
+    # each block draws one chunk of the i, j and k rows, in that order
+    rows = [np.concatenate(drawn[r::3]) for r in range(3)]
+    assert len(drawn) > 3
+    assert np.array_equal(rows, sample_ints(n, (3, ASSOC_SAMPLES)))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_pass_allocates_an_n_by_n_temporary():
+    # numpy reports its buffers to tracemalloc, so the peaks are exact counts
+    G = build("T:2,6")
+    fresh = _peak_bytes(lambda: FiniteGroup(G.mul, gens=G.gens))
+    assert fresh < G.n ** 2
+    H = FiniteGroup(G.mul, gens=G.gens)
+    assert _peak_bytes(lambda: center(H)) < G.n ** 2
+    assert _peak_bytes(lambda: conjugacy_classes(H)) < G.n ** 2
 
 
 # -- FiniteGroup.generated -----------------------------------------------------
@@ -238,6 +293,24 @@ def test_conjugacy_classes_build_no_subgroup(monkeypatch):
     monkeypatch.setattr(Subgroup, "__init__", counting_init)
     assert sum(c.length for c in conjugacy_classes(fresh)) == fresh.n
     assert built == []
+
+
+@pytest.fixture(scope="module")
+def oracle_groups(corpus_small):
+    return corpus_small + [(spec, build(spec)) for spec in ("T:2,6", "T:3,6", "B1G:2", "Ab:243,9")]
+
+
+def test_center_matches_all_pairs_oracle(oracle_groups):
+    for spec, G in oracle_groups:
+        assert center(G) == O.center_all_pairs(G), spec
+
+
+def test_classes_match_per_element_oracle(oracle_groups):
+    for spec, G in oracle_groups:
+        got, want = conjugacy_classes(G), O.conjugacy_classes_per_element(G)
+        assert [c.rep for c in got] == [c.rep for c in want], spec
+        assert [c.length for c in got] == [c.length for c in want], spec
+        assert all(np.array_equal(a.elems, b.elems) for a, b in zip(got, want)), spec
 
 
 def test_class_partition_and_centralizer_identity():
