@@ -9,6 +9,8 @@ F2 = make_field(2, 1)
 G = build("D8")
 A = group_algebra(G, F2)
 
+# the radical powers come from a Jennings basis g_i of G: the monomials
+# ∏(g_i - 1)^(a_i) of weight >= m span Δ^m, over every field of characteristic p
 powers = modalg.augmentation_powers(A)
 print("radical power dimensions:", [P.dim for P in powers])
 print("section dims:", modalg.jennings_dims(A),
@@ -20,9 +22,11 @@ laz = dimension_subgroups_lazard(G)
 print("dimension subgroup orders:", [S.order for S in laz])
 
 # the radical section between the first and third powers, as a
-# structure-constant algebra
+# structure-constant algebra; its powers are images of radical powers,
+# (Δ/Δ^3)^m = (Δ^m + Δ^3)/Δ^3, so its degree and square are read off them
 S = modalg.radical_section(A, 1, 3)
-print("\nsection dim", S.dim, " nilpotency degree", S.nilpotency_degree())
+print("\nsection dim", S.dim, " nilpotency degree", S.nilpotency_degree(),
+      " square dim", S.power_subspace().dim)
 kill, survive = modalg.kernel_size_power_map(S, 1)
 print("squares vanish for", kill, "of", kill + survive, "elements")
 

@@ -236,10 +236,10 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     from .gfq import EchelonBuilder
     from .modalg import _enumerate_coords
 
-    gens, words, V, Vinv, c = _algebra_generators(A)
-    m = len(gens)
+    m = d - A.power_subspace().dim  # generators of A modulo A^2
     if F.q ** (d * m) > cap:
         raise CapExceeded("iso_cap", f"{F.q}^{d * m} assignments exceed cap {cap}")
+    gens, words, V, Vinv, c = _algebra_generators(A)
 
     for flat in _enumerate_coords(F.q, d * m, chunk=1 << 14):
         imgs = flat.reshape(-1, m, d)

@@ -1,13 +1,11 @@
 """Modular group algebra engine.
 
 Elements of FG are uint8 code vectors indexed by group elements. The module
-computes the augmentation-ideal filtration, radical sections I/J as
-structure-constant algebras and power-map kernel sizes: the routes `mip`
-runs. The algebra-side routes to entries that the fingerprint reads off the
-group side (relative augmentation ideals, Lie power ideals, Zassenhaus
-ideals, algebra-side dimension subgroups and the small group ring) live in
-`tests/oracles.py`, where the tests compare them with the group-side values,
-together with the unital quotients FG/J those routes build.
+builds the radical filtration from a Jennings basis of G, radical sections
+Δ^i/Δ^j as structure-constant algebras that read their nilpotency degree and
+square off it, and power-map kernel sizes: the routes `mip` runs. The second
+routes to these, and to the entries that the fingerprint reads off the group
+side, live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import numpy as np
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
 from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis, make_field
-from .groups import FiniteGroup, sample_ints
+from .groups import FiniteGroup, dimension_subgroups_lazard, sample_ints
 
 
 class GroupAlgebra:
@@ -29,14 +27,9 @@ class GroupAlgebra:
         self.n = group.n
         self._cache = {}
 
-    # -- element arithmetic ------------------------------------------------------
-
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.n, dtype=np.uint8)
-
     def basis_minus_one(self, g: int) -> np.ndarray:
         """The vector g - 1."""
-        v = self.zero()
+        v = np.zeros(self.n, dtype=np.uint8)
         F = self.field
         v[g] = F.vadd(v[g], 1)
         v[self.group.id] = F.vsub(v[self.group.id], 1)
@@ -75,20 +68,12 @@ def group_algebra(G: FiniteGroup, F: FiniteField,
 
 
 class Ideal:
-    """A two-sided ideal of FG, carried by an echelonized subspace.
+    """A two-sided ideal of FG, carried by an echelonized subspace. The
+    product builds only radical powers, which are ideals by construction."""
 
-    Closure under left/right multiplication is verified against the group's
-    generators at construction (which implies closure under all of G).
-    """
-
-    def __init__(self, algebra: GroupAlgebra, space: Subspace, check: bool = True):
+    def __init__(self, algebra: GroupAlgebra, space: Subspace):
         self.algebra = algebra
         self.space = space
-        if check:
-            for g in algebra.group.gens:
-                for side in ("left", "right"):
-                    if not space.contains_rows(algebra.translate(space.rows, g, side)).all():
-                        raise ValueError("subspace is not a two-sided ideal")
 
     @property
     def dim(self) -> int:
@@ -101,47 +86,54 @@ class Ideal:
         return f"Ideal(dim={self.dim} of {self.algebra})"
 
 
-def _zero_ideal(A: GroupAlgebra) -> Ideal:
-    return Ideal(A, echelon_basis([], A.field, A.n), check=False)
-
-
-def augmentation_ideal(A: GroupAlgebra) -> Ideal:
-    key = "delta1"
-    if key not in A._cache:
-        b = EchelonBuilder(A.field, A.n)
-        b.add_block(np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8))
-        A._cache[key] = Ideal(A, b.freeze())
-    return A._cache[key]
+def _jennings_basis(G: FiniteGroup):
+    """[(g, w)]: the g of weight w are a basis of D_w/D_(w+1), the generators
+    that the elements of D_w add to those of D_(w+1)."""
+    D = dimension_subgroups_lazard(G)
+    out = []
+    for w, (Dw, Dnext) in enumerate(zip(D, D[1:]), start=1):
+        kept = G.generated(list(Dnext.gens) + Dw.elems.tolist()).gens
+        out += [(g, w) for g in kept[len(Dnext.gens):]]
+    return out
 
 
 def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
     """[Δ^1, Δ^2, ...]; stops at the first zero power or after n_max terms,
     whichever comes first.
 
-    Δ^(m+1) is generated from Δ^m by right-multiplying every basis row by
-    (g - 1) for every g in G; right translation is a column permutation, so
-    each candidate batch is one gather and one subtraction.
+    Jennings: the monomials ∏(g_i - 1)^(a_i), 0 <= a_i < p, over a Jennings
+    basis g_i of weights w_i, are a basis of FG, and those of weight
+    Σ a_i·w_i >= m span Δ^m, over every field of characteristic p. Each is a
+    right translate of its prefix minus the prefix. They go into one echelon
+    basis from the top weight down, frozen after each weight: the canonical
+    RREF of Δ^m (notes/decisions.md).
     """
-    A.group.require_p_group()
-    chain = A._cache.setdefault("delta_chain", [augmentation_ideal(A)])
-    while chain[-1].dim > 0 and (n_max is None or len(chain) < n_max):
-        prev = chain[-1].space
-        b = EchelonBuilder(A.field, A.n)
-        for g in range(A.n):
-            if g == A.group.id:
-                continue
-            b.add_block(A.field.vsub(A.translate(prev.rows, g, "right"), prev.rows))
-        nxt = b.freeze()
-        assert nxt.dim < prev.dim or prev.dim == 0
-        chain.append(Ideal(A, nxt, check=False))
-    return list(chain[:n_max])
+    if "delta_chain" not in A._cache:
+        F = A.field
+        mons = np.zeros((1, A.n), dtype=np.uint8)
+        mons[0, A.group.id] = 1
+        weights = np.zeros(1, dtype=np.int64)
+        for g, w in _jennings_basis(A.group):
+            blocks = [mons]
+            for _ in range(F.p - 1):
+                blocks.append(F.vsub(A.translate(blocks[-1], g, "right"), blocks[-1]))
+            mons = np.vstack(blocks)
+            weights = np.concatenate([weights + a * w for a in range(F.p)])
+        b = EchelonBuilder(F, A.n)
+        chain = [Ideal(A, b.freeze())]  # the zero ideal past the top weight
+        for m in range(int(weights.max()), 0, -1):
+            block = mons[weights == m]
+            if b.add_block(block) != len(block):
+                raise AssertionError(f"the Jennings monomials of weight {m} are dependent")
+            chain.append(Ideal(A, b.freeze()))
+        A._cache["delta_chain"] = chain[::-1]
+    return A._cache["delta_chain"][:n_max]
 
 
 def jennings_dims(A: GroupAlgebra):
     """Dimensions of the radical-power sections Δ^m / Δ^(m+1)."""
-    pows = augmentation_powers(A)
-    dims = [p.dim for p in pows]
-    return [a - b for a, b in zip(dims, dims[1:] + [0] * (dims[-1] > 0))]
+    dims = [P.dim for P in augmentation_powers(A)]  # the chain ends at zero
+    return [a - b for a, b in zip(dims, dims[1:])]
 
 
 # -- structure-constant quotients ---------------------------------------------
@@ -150,7 +142,9 @@ class QuotientAlgebra:
     """A structure-constant algebra: a section I/J of FG, or an abstract one.
 
     Elements are coordinate vectors of length dim; sc[i, j] holds the
-    coordinates of (rep_i * rep_j) mod J.
+    coordinates of (rep_i * rep_j) mod J. A radical section Δ^i/Δ^j keeps
+    the powers Δ^i, Δ^(i+1), ... down to the first inside Δ^j (Δ^j or zero);
+    its layer L_t is the image of Δ^t, and (Δ^i/Δ^j)^m = L_(i·m).
     """
 
     def __init__(self, field, sc, reps=None, solver=None, label=""):
@@ -160,6 +154,8 @@ class QuotientAlgebra:
         self.reps = reps  # (dim, n) ambient lifts, or None for abstract algebras
         self._solver = solver
         self.label = label
+        self.first = None  # i of a radical section Δ^i/Δ^j
+        self.powers = None  # [Δ^i, Δ^(i+1), ..., J] of a radical section
         self._cache = {}
         self._check_associative()
 
@@ -238,35 +234,26 @@ class QuotientAlgebra:
             out = acc
         return out
 
+    def layer(self, t: int) -> "Subspace":
+        """L_t, the image of Δ^t (t >= i) in coordinates: zero from the last
+        power on, which lies in Δ^j."""
+        key = ("layer", t)
+        if key not in self._cache:
+            P = self.powers[min(t - self.first, len(self.powers) - 1)]
+            self._cache[key] = echelon_basis(self.project(P.space.rows), self.field, self.dim)
+        return self._cache[key]
+
     def power_subspace(self) -> "Subspace":
-        """Span of all pairwise basis products (A^2 in coordinates)."""
-        if "square" not in self._cache:
-            d = self.dim
-            self._cache["square"] = echelon_basis(
-                [self.sc[i, j] for i in range(d) for j in range(d)], self.field, d)
-        return self._cache["square"]
+        """A^2 in coordinates: the layer L_(2i)."""
+        return self.layer(2 * self.first)
 
     def nilpotency_degree(self) -> int | None:
-        """Least m with A^m = 0, or None if A is not nilpotent. Each step
-        lowers the dimension of A^m or returns None, so the loop ends."""
-        if "nilpotency_degree" not in self._cache:
-            self._cache["nilpotency_degree"] = self._nilpotency_degree()
-        return self._cache["nilpotency_degree"]
-
-    def _nilpotency_degree(self) -> int | None:
-        cur = echelon_basis(list(np.eye(self.dim, dtype=np.uint8)), self.field, self.dim)
-        m = 1
-        while cur.dim > 0:
-            nxt = EchelonBuilder(self.field, self.dim)
-            # row (u, e) of the block is u * e_e
-            nxt.add_block(self.field.matmul(cur.rows, self.sc.reshape(self.dim, -1))
-                          .reshape(-1, self.dim))
-            new = nxt.freeze()
-            if new.dim >= cur.dim:
-                return None
-            cur = new
-            m += 1
-        return m
+        """Least m with A^m = L_(i·m) = 0, or None for an algebra without
+        layers; the powers strictly decrease, so L_t = 0 from i + len - 1 on."""
+        if self.powers is None:
+            return None
+        end = self.first + len(self.powers) - 1
+        return -(-end // self.first)
 
     def __repr__(self):
         tag = f" {self.label}" if self.label else ""
@@ -302,13 +289,16 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal, J: Ideal, label="") -> QuotientA
 
 
 def radical_section(A: GroupAlgebra, i: int, j: int, label=None) -> QuotientAlgebra:
-    """The section Δ^i / Δ^j (i < j); a power past the end of the chain is
-    the zero ideal."""
+    """The section Δ^i / Δ^j (i < j), carrying the powers Δ^i, Δ^(i+1), ...
+    that its layers are read from."""
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
+    # the chain ends at Δ^j or at zero, which stands for every later power
     pows = augmentation_powers(A, n_max=j)
-    I, J = (pows[k - 1] if k <= len(pows) else _zero_ideal(A) for k in (i, j))
-    return quotient_algebra(A, I, J, label=label or f"rad[{i},{j}]")
+    powers = pows[min(i, len(pows)) - 1:]
+    Q = quotient_algebra(A, powers[0], powers[-1], label=label or f"rad[{i},{j}]")
+    Q.first, Q.powers = i, powers
+    return Q
 
 
 def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:

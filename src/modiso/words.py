@@ -180,7 +180,15 @@ class Presentation:
 
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
-            raise ValueError("generator names must be unique")
+            raise SpecParseError("generator names must be unique")
+        for g, name in enumerate(self.generators, start=1):
+            # a name the grammar cannot read back could appear in no relator
+            try:
+                word = parse_word(name, self.generators)
+            except SpecParseError:
+                word = None
+            if word != (g,):
+                raise SpecParseError(f"generator name {name!r} is not an identifier")
         ngens = len(self.generators)
         for w in self.relators:
             for x in w:

@@ -14,10 +14,15 @@ The monic polynomials that are products of two of lower degree are listed by
 multiplying every pair, where the product tests irreducibility by the absence
 of zero divisors in F_p[C]. The HLT coset enumeration here scans every
 relator in full from every live coset, where the product scans a power
-relator once per closed cycle. The closure-checked subgroup constructor, the
+relator once per closed cycle. The radical filtration here is built by
+translating every row of Δ^m by every group element, without the dimension
+subgroups, where the product builds it from a Jennings basis of G; the
+nilpotency degree and the square of a section are echelonized from all
+products of basis vectors, where the product reads them off the section's
+layers. The closure-checked subgroup and ideal constructors, the
 convolution product and the unital quotients FG/J serve the tests only: the
-product trusts the subgroups it generates, multiplies inside sections and
-builds radical sections I/J. No `mip` command runs them.
+product trusts the subgroups and radical powers it generates, multiplies
+inside sections and builds radical sections I/J. No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -28,16 +33,7 @@ from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder, echelon_basis
 from modiso.groups import ConjClass, FiniteGroup, Subgroup, _index_set, char_series
-from modiso.modalg import (
-    GroupAlgebra,
-    Ideal,
-    QuotientAlgebra,
-    _enumerate_coords,
-    _zero_ideal,
-    augmentation_ideal,
-    augmentation_powers,
-    quotient_algebra,
-)
+from modiso.modalg import GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, quotient_algebra
 from modiso.words import Presentation, _columns, _table_group
 
 
@@ -52,6 +48,20 @@ def subgroup(G: FiniteGroup, elems) -> Subgroup:
     return Subgroup(G, member)
 
 
+def ideal(A: GroupAlgebra, space) -> Ideal:
+    """The ideal on an echelon subspace, checked to be closed under left and
+    right multiplication by the group's generators (hence by all of G)."""
+    for g in A.group.gens:
+        for side in ("left", "right"):
+            if not space.contains_rows(A.translate(space.rows, g, side)).all():
+                raise ValueError("subspace is not a two-sided ideal")
+    return Ideal(A, space)
+
+
+def zero_ideal(A: GroupAlgebra) -> Ideal:
+    return Ideal(A, echelon_basis([], A.field, A.n))
+
+
 def convolve(A: GroupAlgebra, x, y) -> np.ndarray:
     """The product x * y in FG."""
     x = np.asarray(x, dtype=np.uint8)
@@ -61,7 +71,7 @@ def convolve(A: GroupAlgebra, x, y) -> np.ndarray:
 def unital_quotient(A: GroupAlgebra, J: Ideal) -> QuotientAlgebra:
     """FG/J as a structure-constant algebra, with `unit` set to the
     coordinates of the identity and checked to act as one."""
-    whole = Ideal(A, echelon_basis(list(np.eye(A.n, dtype=np.uint8)), A.field, A.n), check=False)
+    whole = Ideal(A, echelon_basis(list(np.eye(A.n, dtype=np.uint8)), A.field, A.n))
     Q = quotient_algebra(A, whole, J)
     one = np.zeros(A.n, dtype=np.uint8)
     one[A.group.id] = 1
@@ -121,6 +131,55 @@ def abelian_type_of_table(Q: FiniteGroup) -> tuple:
     return tuple(parts)
 
 
+def augmentation_powers_by_translates(A: GroupAlgebra, n_max: int | None = None):
+    """[Δ^1, Δ^2, ...] as `modalg.augmentation_powers` returns them, built
+    without the group's dimension subgroups: Δ is spanned by the g - 1, and
+    Δ^(m+1) by every basis row of Δ^m right-multiplied by every g - 1, one
+    right translate minus the row. Cached on the algebra apart from the
+    product's chain."""
+    if "translate_chain" not in A._cache:
+        b = EchelonBuilder(A.field, A.n)
+        b.add_block(np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8))
+        A._cache["translate_chain"] = [ideal(A, b.freeze())]
+    chain = A._cache["translate_chain"]
+    while chain[-1].dim > 0 and (n_max is None or len(chain) < n_max):
+        prev = chain[-1].space
+        b = EchelonBuilder(A.field, A.n)
+        for g in range(A.n):
+            if g != A.group.id:
+                b.add_block(A.field.vsub(A.translate(prev.rows, g, "right"), prev.rows))
+        nxt = b.freeze()
+        assert nxt.dim < prev.dim
+        chain.append(Ideal(A, nxt))
+    return list(chain[:n_max])
+
+
+def nilpotency_degree_by_powers(Q: QuotientAlgebra) -> int | None:
+    """Least m with Q^m = 0, each power echelonized from all products of the
+    previous one with the basis, or None if Q is not nilpotent. Each step
+    lowers the dimension of Q^m or returns None, so the loop ends."""
+    F, d = Q.field, Q.dim
+    cur = echelon_basis(list(np.eye(d, dtype=np.uint8)), F, d)
+    m = 1
+    while cur.dim > 0:
+        nxt = EchelonBuilder(F, d)
+        for u in cur.rows:
+            # row e of the block is u * e_e
+            nxt.add_block(F.matmul(u[None, :], Q.sc.reshape(d, -1)).reshape(d, d))
+        new = nxt.freeze()
+        if new.dim >= cur.dim:
+            return None
+        cur = new
+        m += 1
+    return m
+
+
+def square_by_products(Q: QuotientAlgebra):
+    """Q^2: the span of all d^2 products of basis vectors."""
+    d = Q.dim
+    return echelon_basis([Q.sc[i, j] for i in range(d) for j in range(d)], Q.field, d)
+
+
 def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:
     """Δ(N)FG for N normal in G: the ideal generated by {u - 1 : u in N}.
 
@@ -138,14 +197,14 @@ def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:
         b.add_block(rows)
         space = b.freeze()
         assert space.dim == A.n - A.n // N.order
-        A._cache[key] = Ideal(A, space)
+        A._cache[key] = ideal(A, space)
     return A._cache[key]
 
 
 def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
     """The Lie power series: first term Δ, each next the ideal closure of the
     span of commutators [g, u] with u running over the previous basis."""
-    chain = A._cache.setdefault("lie_chain", [augmentation_ideal(A)])
+    chain = A._cache.setdefault("lie_chain", augmentation_powers_by_translates(A, 1))
     while chain[-1].dim > 0 and (i_max is None or len(chain) < i_max):
         prev = chain[-1].space
         b = EchelonBuilder(A.field, A.n)
@@ -161,7 +220,7 @@ def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
             for g in range(A.n):
                 for side in ("left", "right"):
                     grew |= b.add_block(A.translate(cur.rows, g, side)) > 0
-        chain.append(Ideal(A, b.freeze()))
+        chain.append(ideal(A, b.freeze()))
         if chain[-1].dim == chain[-2].dim and chain[-1].dim > 0:
             raise AssertionError("Lie power series stalled above zero")
     if i_max is None:
@@ -173,9 +232,10 @@ def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
 
 
 def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
-    """D_n = {g : g - 1 in Δ^n}, read off the radical filtration directly."""
+    """D_n = {g : g - 1 in Δ^n}, read off the radical filtration built by
+    translates."""
     G = A.group
-    pows = augmentation_powers(A, n_max=n_max)
+    pows = augmentation_powers_by_translates(A, n_max=n_max)
     out = []
     g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
     for P in pows:
@@ -193,8 +253,8 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
     """
     F = A.field
     p = A.group.require_p_group()[0]
-    pows = augmentation_powers(A, n_max=n + 1)
-    Jnp1 = pows[n] if len(pows) > n else _zero_ideal(A)
+    pows = augmentation_powers_by_translates(A, n_max=n + 1)
+    Jnp1 = pows[n] if len(pows) > n else zero_ideal(A)
     Q = unital_quotient(A, Jnp1)
 
     lies = lie_power_ideals(A)
@@ -224,7 +284,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
 
     out = EchelonBuilder(F, A.n)
     out.add_block(np.vstack([Jnp1.space.rows, F.matmul(span_q.rows, Q.reps)]))
-    return Ideal(A, out.freeze())
+    return ideal(A, out.freeze())
 
 
 def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
@@ -232,11 +292,11 @@ def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
     F = A.field
     derived = char_series(A.group).derived
     rel = relative_augmentation_ideal(A, derived)
-    delta = augmentation_ideal(A)
+    delta = augmentation_powers_by_translates(A, 1)[0]
     b = EchelonBuilder(F, A.n)
     for v in rel.space.rows:
         b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
-    K = Ideal(A, b.freeze())
+    K = ideal(A, b.freeze())
     return unital_quotient(A, K)
 
 

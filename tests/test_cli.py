@@ -188,6 +188,23 @@ def test_benchmark_commands_print_their_goldens(capsys):
         assert got == want, line
 
 
+@pytest.mark.parametrize("argv,code,doc,err", [
+    ("kernel-size T:2,5 --field 3 --section 1,3", 0,
+     {"spec": "T:2,5", "field": "3", "section": [1, 3], "power": 1, "dim": 6,
+      "kill": 729, "survive": 0}, ""),
+    ("kernel-size B2G:1,3 --field 2^2 --section 1,3", 0,
+     {"spec": "B2G:1,3", "field": "2^2", "section": [1, 3], "power": 1, "dim": 5,
+      "kill": 64, "survive": 960}, ""),
+    ("iso C:128 C:128 --mode algebra:1,66 --field 2", 4, None,
+     "mip: 2^65 assignments exceed cap 10000000\n"),
+], ids=["kernel-size-T:2,5-GF3", "kernel-size-B2G:1,3-GF4", "iso-C128-depth-66"])
+def test_filtration_commands_above_order_32_pinned(capsys, argv, code, doc, err):
+    # the benchmark goldens build no filtration above order 32; these pin
+    # the stdout, stderr and exit code of three commands that do
+    got = run(capsys, *argv.split())
+    assert got == (code, "" if doc is None else json.dumps(doc, indent=2) + "\n", err)
+
+
 def test_compare_d8_q8(capsys):
     code, out, _ = run(capsys, "compare", "D8", "Q8", "--field", "2")
     assert code == 0
@@ -398,6 +415,13 @@ def test_caps_file_round_trip(tmp_path, capsys):
      json.dumps({"generators": ["a"], "relators": ["(a^1048576)^1048576"]}), 64),
     (["report", "Pres:{file}", "--field", "2"],
      json.dumps({"generators": ["a"], "relators": ["a^" + "1" * 5000]}), 64),
+    (["report", "Pres:{file}", "--field", "2"], json.dumps({"generators": [""], "relators": []}), 64),
+    (["report", "Pres:{file}", "--field", "2"],
+     json.dumps({"generators": ["a b"], "relators": []}), 64),
+    (["report", "Pres:{file}", "--field", "2"],
+     json.dumps({"generators": ["x^2"], "relators": []}), 64),
+    (["report", "Pres:{file}", "--field", "2"],
+     json.dumps({"generators": ["a", "a"], "relators": ["a^2"]}), 64),
 ], ids=["kernel-size-section-0,3", "iso-section-0,3", "kernel-size-C6", "kernel-size-D8-GF3",
         "iso-D8-GF3", "kernel-size-power-minus-1", "field-large-prime",
         "field-huge-power", "caps-not-object", "caps-str-value",
@@ -405,7 +429,8 @@ def test_caps_file_round_trip(tmp_path, capsys):
         "caps-q-cap-removed", "tables-caps-removed",
         "pres-missing-file", "pres-malformed-json", "pres-relator-not-str",
         "pres-generators-not-list", "pres-deep-word", "pres-power-too-long",
-        "pres-exponent-5000-digits"])
+        "pres-exponent-5000-digits", "pres-empty-name", "pres-name-with-space",
+        "pres-name-x^2", "pres-duplicate-name"])
 def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, text, code):
     """`{file}` in argv names a file holding `text` (absent when text is None)."""
     path = tmp_path / "input.json"

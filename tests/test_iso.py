@@ -129,14 +129,11 @@ def test_algebra_verify_rejects_malformed_images():
 
 
 def test_algebra_iso_deep_nilpotent_algebra_reaches_the_cap():
-    # xF_2[x]/(x^66): basis e_i = x^(i+1), i < 65, and e_i e_j = e_(i+j+1).
+    # Δ/Δ^66 of F_2C_128 is xF_2[x]/(x^66), x = g - 1 for a generator g.
     # It is nilpotent of degree 66, so the search reports its cap instead
     # of rejecting the input
-    d = 65
-    sc = np.zeros((d, d, d), dtype=np.uint8)
-    i, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) + 1 < d)
-    sc[i, j, i + j + 1] = 1
-    A = modalg.QuotientAlgebra(F2, sc)
+    A = section("C:128", F2, 1, 66)
+    assert A.dim == 65
     assert A.nilpotency_degree() == 66
     with pytest.raises(CapExceeded, match="2\\^65 assignments"):
         nilpotent_algebra_iso(A, A)
@@ -247,7 +244,7 @@ def test_algebra_identity_witness_verifies():
 def test_algebra_iso_rejects_unital():
     # FG itself: the nilpotency check rejects it
     G4 = modalg.group_algebra(build("C:4"), F2)
-    A = oracles.unital_quotient(G4, modalg._zero_ideal(G4))
+    A = oracles.unital_quotient(G4, oracles.zero_ideal(G4))
     B = section("D8", F2)
     with pytest.raises(ValueError):
         nilpotent_algebra_iso(A, B)

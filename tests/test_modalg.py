@@ -138,6 +138,58 @@ def test_two_sided_closure_under_every_group_element():
                     assert P.space.contains_rows(A.translate(P.space.rows, g, side)).all()
 
 
+def test_jennings_chain_matches_translate_oracle(corpus_medium):
+    # the Jennings-basis filtration and the translate loop give the same
+    # canonical RREF rows and pivots at every level; the corpus chains are
+    # shared with criterion 7 through the algebra cache
+    cases = [(spec, G, make_field(G.require_p_group()[0], k))
+             for spec, G in corpus_medium if G.n <= 128 for k in (1, 2)]
+    cases.append(("Meta:3,2,2,0,4", build("Meta:3,2,2,0,4"), make_field(3, 2)))
+    for spec, G, F in cases:
+        A = M.group_algebra(G, F)
+        jennings, translates = M.augmentation_powers(A), O.augmentation_powers_by_translates(A)
+        assert len(jennings) == len(translates), (spec, F)
+        for m, (a, b) in enumerate(zip(jennings, translates), start=1):
+            assert a.space.pivots == b.space.pivots, (spec, F, m)
+            assert np.array_equal(a.space.rows, b.space.rows), (spec, F, m)
+
+
+@pytest.mark.parametrize("spec,p,k,max_dim", [
+    ("D8", 2, 1, None),
+    ("Q8", 2, 2, None),
+    ("Meta:2,4,1,0,15", 2, 1, None),
+    ("X:C:2*D8", 2, 2, None),
+    ("Meta:3,3,1,0,10", 3, 1, 19),  # 162 of its 435 sections
+    ("EA:3,2", 3, 2, None),
+])
+def test_section_degree_and_square_match_the_product_loops(spec, p, k, max_dim):
+    # the degree and the square read off the layers equal the loops over
+    # all products, on every Δ^i/Δ^j with 1 <= i < j <= depth + 2
+    A = alg(spec, make_field(p, k))
+    top = len(M.jennings_dims(A)) + 2
+    dims = [P.dim for P in M.augmentation_powers(A)] + [0] * top  # zero past the chain
+    for i in range(1, top):
+        for j in range(i + 1, top + 1):
+            if max_dim is not None and dims[i - 1] - dims[j - 1] > max_dim:
+                continue
+            S = M.radical_section(A, i, j)
+            assert S.nilpotency_degree() == O.nilpotency_degree_by_powers(S), (i, j)
+            assert S.power_subspace() == O.square_by_products(S), (i, j)
+
+
+def test_power_oracle_on_the_truncated_polynomial_algebra():
+    # xF_2[x]/(x^66) as an abstract algebra: basis e_i = x^(i+1), i < 65, and
+    # e_i e_j = e_(i+j+1). The loop finds degree 66; the product reads no
+    # degree off an algebra without layers
+    d = 65
+    sc = np.zeros((d, d, d), dtype=np.uint8)
+    i, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) + 1 < d)
+    sc[i, j, i + j + 1] = 1
+    A = M.QuotientAlgebra(F2, sc)
+    assert O.nilpotency_degree_by_powers(A) == 66
+    assert A.nilpotency_degree() is None
+
+
 # -- relative augmentation ideals ----------------------------------------------------
 
 def test_relative_ideal_dims():
@@ -148,7 +200,7 @@ def test_relative_ideal_dims():
     assert O.relative_augmentation_ideal(A, G.trivial_subgroup()).dim == 0
     full = O.relative_augmentation_ideal(A, G.full_subgroup())
     assert full.dim == 7
-    assert full == M.augmentation_ideal(A)
+    assert full == M.augmentation_powers(A)[0]
 
 
 def test_relative_ideal_dim_formula_across_normals():
@@ -233,7 +285,7 @@ def test_mul_batch_matches_rowwise_mul(spec, p, k, section):
     F = make_field(p, k)
     A = alg(spec, F)
     if section is None:
-        Q = M.quotient_algebra(A, M.augmentation_ideal(A), M._zero_ideal(A))
+        Q = M.quotient_algebra(A, M.augmentation_powers(A)[0], O.zero_ideal(A))
         assert Q.dim > 24
     else:
         Q = M.radical_section(A, *section)
@@ -266,7 +318,7 @@ def test_sampled_associativity_checks_do_not_load_numpy_random():
         "G = build('T:1,6')\n"
         "assert G.n > 512\n"
         "A = group_algebra(build('C:32'), make_field(2, 1))\n"
-        "Q = modalg.quotient_algebra(A, modalg.augmentation_ideal(A), modalg._zero_ideal(A))\n"
+        "Q = modalg.radical_section(A, 1, 32)  # all of Δ\n"
         "assert Q.dim > 24\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
@@ -365,7 +417,7 @@ def test_kernel_size_cap():
 
 def test_lie_first_term_is_delta():
     A = alg("D8")
-    assert O.lie_power_ideals(A, 1)[0] == M.augmentation_ideal(A)
+    assert O.lie_power_ideals(A, 1)[0] == M.augmentation_powers(A)[0]
 
 
 def test_lie_second_term_is_commutator_ideal():
@@ -381,7 +433,7 @@ def test_lie_abelian_vanishes():
 
 def test_zassenhaus_z1_is_delta():
     A = alg("D8")
-    assert O.zassenhaus_ideal(A, 1) == M.augmentation_ideal(A)
+    assert O.zassenhaus_ideal(A, 1) == M.augmentation_powers(A)[0]
 
 
 def test_zassenhaus_z2_d8():
@@ -431,7 +483,7 @@ def test_small_group_ring_product_ideal_oracle():
     # dim(Δ · Δ(G')FG) via a dense product span must equal |G| - small ring dim
     A = alg("D8")
     rel = O.relative_augmentation_ideal(A, char_series(A.group).derived)
-    delta = M.augmentation_ideal(A)
+    delta = M.augmentation_powers(A)[0]
     b = EchelonBuilder(F2, A.n)
     for u in delta.space.rows:
         for v in rel.space.rows:

@@ -14,6 +14,7 @@ from modiso.words import (
     parse_word,
     print_word,
     todd_coxeter,
+    word_concat,
     word_inverse,
 )
 
@@ -144,10 +145,42 @@ def test_presentation_load_rejects_bad_files(tmp_path):
 
 
 def test_presentation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpecParseError, match="unique"):
         Presentation(("a", "a"), ())
     with pytest.raises(ValueError):
         Presentation(("a",), ((2,),))
+    # a name the grammar cannot read back as that one generator
+    for names in (("",), ("a b",), ("x^2",), ("a", "a*a"), ("a", " a"), ("1a",)):
+        with pytest.raises(SpecParseError, match="not an identifier"):
+            Presentation(names, ())
+
+
+IDENTIFIER = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+
+
+def _round_trips(P, data):
+    letter = st.integers(1, len(P.generators)).flatmap(lambda g: st.sampled_from([g, -g]))
+    w = word_concat(data.draw(st.lists(letter, max_size=12)))
+    return parse_word(print_word(w, P.generators), P.generators) == w
+
+
+@settings(max_examples=150)
+@given(st.lists(IDENTIFIER, min_size=1, max_size=4, unique=True), st.data())
+def test_identifier_names_round_trip(names, data):
+    # identifier names are accepted, and a printed word parses back to itself
+    assert _round_trips(Presentation(tuple(names), ()), data)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.text(alphabet="ab_1 ^*()[],x", max_size=4), min_size=1, max_size=3),
+       st.data())
+def test_presentation_names_round_trip_or_are_rejected(names, data):
+    # any other name list is rejected as a parse error or round-trips too
+    try:
+        P = Presentation(tuple(names), ())
+    except SpecParseError:
+        return
+    assert _round_trips(P, data)
 
 
 def test_todd_coxeter_dihedral():
