@@ -168,59 +168,67 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAPS.iso
 # -- nilpotent algebra isomorphism ------------------------------------------------
 
 def _monomial_basis(A: QuotientAlgebra, gens):
-    """A basis of A made of monomials in the given generators (BFS by word
-    length, then generator order), or None if they do not generate."""
+    """A presented on the given generators g_t: the words of a basis V of
+    monomials, the inverse of V and the relations, or None if the g_t do
+    not generate A.
+
+    The basis monomials are kept in BFS order (word length, then generator
+    order). Every product V_j·g_t is either a later basis monomial or a
+    relation (j, t, coordinates of V_j·g_t in V). A generator that depends
+    on the basis before it is skipped.
+    """
     from .gfq import EchelonBuilder, invert_matrix
 
     F = A.field
-    d = A.dim
-    basis = EchelonBuilder(F, d)
-    keep_words, keep_vecs = [], []
-    queue = [((i,), np.asarray(g, dtype=np.uint8)) for i, g in enumerate(gens)]
-    qi = 0
-    while qi < len(queue) and basis.dim < d:
-        w, v = queue[qi]
-        qi += 1
+    basis = EchelonBuilder(F, A.dim)
+    gens = [np.asarray(g, dtype=np.uint8) for g in gens]
+    index, keep_vecs, products = {}, [], []
+    queue = [((t,), g) for t, g in enumerate(gens)]
+    for w, v in queue:  # the queue grows while it is read
         if basis.add(v):
-            keep_words.append(w)
+            index[w] = len(keep_vecs)
             keep_vecs.append(v)
-            for i, g in enumerate(gens):
-                queue.append((w + (i,), A.mul(v, np.asarray(g, dtype=np.uint8))))
-    if basis.dim != d:
+            queue.extend((w + (t,), A.mul(v, g)) for t, g in enumerate(gens))
+        elif len(w) > 1:
+            products.append((index[w[:-1]], w[-1], v))
+    if basis.dim != A.dim:
         return None
-    V = np.array(keep_vecs, dtype=np.uint8)
-    return keep_words, V, invert_matrix(V, F)
+    Vinv = invert_matrix(np.array(keep_vecs, dtype=np.uint8), F)
+    coords = F.matmul(np.array([v for *_, v in products]).reshape(-1, A.dim), Vinv)
+    return list(index), Vinv, [(j, t, c) for (j, t, _), c in zip(products, coords)]
 
 
-def _algebra_generators(A: QuotientAlgebra):
-    """Unit-vector generators of A modulo A^2, a monomial basis expressed as
-    words in those generators, and the product tensor in that basis."""
-    F = A.field
-    d = A.dim
-    sq = A.power_subspace()
-    gens = []
-    probe = sq.builder()
-    for i in range(d):
-        e = np.zeros(d, dtype=np.uint8)
-        e[i] = 1
-        if probe.add(e):
-            gens.append(e)
-    assert len(gens) == d - sq.dim
-    mono = _monomial_basis(A, gens)
-    if mono is None:
-        raise ValueError("generators do not span (algebra not nilpotent?)")
-    words, V, Vinv = mono
-    # c[i, j] = coordinates of V_i * V_j in the V basis (x = coords @ V)
-    c = np.zeros((d, d, d), dtype=np.uint8)
-    for i in range(d):
-        for j in range(d):
-            c[i, j] = F.matmul(A.mul(V[i], V[j])[None, :], Vinv)[0]
-    return gens, words, V, Vinv, c
+def _basis_images(words, images, mul):
+    """The images of the basis monomials under a map that sends generator t
+    to images[t]: each is its prefix's image times one generator image."""
+    out = {}
+    for w in words:
+        out[w] = images[w[0]] if len(w) == 1 else mul(out[w[:-1]], images[w[-1]])
+    return list(out.values())
+
+
+def _relations_hold(B: QuotientAlgebra, relations, U, imgs):
+    """Indices of the candidates whose basis images U (N, d, d) and generator
+    images imgs (N, m, d) satisfy every relation (j, t, c): c·U = U_j·imgs_t.
+    Each relation is checked on the candidates that passed those before it."""
+    F, d = B.field, B.dim
+    live = np.arange(len(U))
+    for j, t, c in relations:
+        lhs = F.matmul(c[None, :], U[live].transpose(1, 0, 2).reshape(d, -1)).reshape(-1, d)
+        live = live[(lhs == B.mul_batch(U[live, j], imgs[live, t])).all(axis=1)]
+        if live.size == 0:
+            break
+    return live
 
 
 def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEFAULT_CAPS.iso_cap):
     """Exhaustive isomorphism search between two nilpotent structure-constant
-    algebras; the witness maps A's chosen generators to B elements."""
+    algebras; the witness maps A's chosen generators to B elements.
+
+    A candidate is a linear map that respects every relation of A's
+    presentation: it then respects every product (notes/decisions.md, "The
+    algebra search reads a presentation"), and every homomorphism passes.
+    """
     if A.field is not B.field:
         raise ValueError("algebras over different fields")
     if A.nilpotency_degree() is None or B.nilpotency_degree() is None:
@@ -229,8 +237,7 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
         return NotIsomorphic("dimension mismatch")
     if A.power_subspace().dim != B.power_subspace().dim:
         return NotIsomorphic("square-dimension prune")
-    F = A.field
-    d = A.dim
+    F, d = A.field, A.dim
     if d == 0:
         return IsoWitness(kind="algebra", images=[], source_gens=[])
     from .gfq import EchelonBuilder
@@ -239,34 +246,18 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     m = d - A.power_subspace().dim  # generators of A modulo A^2
     if F.q ** (d * m) > cap:
         raise CapExceeded("iso_cap", f"{F.q}^{d * m} assignments exceed cap {cap}")
-    gens, words, V, Vinv, c = _algebra_generators(A)
+    # unit vectors spanning A modulo A^2, which generate the nilpotent A
+    probe = A.power_subspace().builder()
+    gens = [e for e in np.eye(d, dtype=np.uint8) if probe.add(e)]
+    words, _, relations = _monomial_basis(A, gens)
 
-    for flat in _enumerate_coords(F.q, d * m, chunk=1 << 14):
+    for flat in _enumerate_coords(F.q, d * m, "iso_cap", chunk=1 << 14):
         imgs = flat.reshape(-1, m, d)
-        N = imgs.shape[0]
-        # evaluate every monomial word at the candidate images
-        U = np.zeros((N, d, d), dtype=np.uint8)
-        for j, w in enumerate(words):
-            val = imgs[:, w[0], :]
-            for t in w[1:]:
-                val = B.mul_batch(val, imgs[:, t, :])
-            U[:, j, :] = val
-        ok = np.ones(N, dtype=bool)
-        Ucols = U.transpose(1, 0, 2).reshape(d, N * d)  # row t: U[:, t, :] flattened
-        for i in range(d):
-            for j in range(d):
-                lhs = F.matmul(c[i, j][None, :], Ucols)[0].reshape(N, d)
-                rhs = B.mul_batch(U[:, i, :], U[:, j, :])
-                ok &= (lhs == rhs).all(axis=1)
-                if not ok.any():
-                    break
-            if not ok.any():
-                break
-        for ci in np.nonzero(ok)[0].tolist():
+        U = np.stack(_basis_images(words, imgs.transpose(1, 0, 2), B.mul_batch), axis=1)
+        for ci in _relations_hold(B, relations, U, imgs).tolist():
             if EchelonBuilder(F, d).add_block(U[ci]) != d:
                 continue
-            w = IsoWitness(kind="algebra",
-                           images=[imgs[ci, t, :].copy() for t in range(m)],
+            w = IsoWitness(kind="algebra", images=[u.copy() for u in imgs[ci]],
                            source_gens=[g.copy() for g in gens])
             assert verify_witness(w, A, B)
             return w
@@ -323,19 +314,17 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
             return False
         if d == 0:
             return True
-        mono = _monomial_basis(A, w.source_gens)
-        if mono is None:
+        presentation = _monomial_basis(A, w.source_gens)
+        if presentation is None:
             return False  # claimed source generators do not generate A
-        words, V, Vinv = mono
-        U = np.zeros((d, d), dtype=np.uint8)
-        for j, word in enumerate(words):
-            val = np.asarray(w.images[word[0]], dtype=np.uint8)
-            for t in word[1:]:
-                val = B.mul(val, np.asarray(w.images[t], dtype=np.uint8))
-            U[j] = val
-        # linear map on the standard basis: e_i -> coords_V(e_i) @ U
-        M = F.matmul(Vinv, U)
+        words, Vinv, _ = presentation
+        images = np.array(w.images, dtype=np.uint8)
+        # linear map on the standard basis: e_i -> coords_V(e_i) @ (basis images)
+        M = F.matmul(Vinv, np.array(_basis_images(words, images, B.mul)))
         w.full_map = M
+        # a generator the basis skipped has its stated image checked here
+        if not np.array_equal(F.matmul(np.array(w.source_gens, dtype=np.uint8), M), images):
+            return False
         if EchelonBuilder(F, d).add_block(M) != d:
             return False
         for i in range(d):

@@ -321,10 +321,14 @@ def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
     return Q._cache["prime_restriction"]
 
 
-def _enumerate_coords(q: int, dim: int, chunk: int = 1 << 15):
+def _enumerate_coords(q: int, dim: int, cap_name: str, chunk: int = 1 << 15):
     """Yield (m, dim) uint8 blocks covering all q^dim coordinate vectors, in
-    mixed-radix order (last coordinate fastest)."""
+    mixed-radix order (last coordinate fastest). The points are indexed in
+    int64, so a space of 2^63 points or more raises CapExceeded(cap_name)."""
     total = q**dim
+    if total >= 1 << 63:
+        raise CapExceeded(cap_name,
+                          f"{q}^{dim} points exceed the 2^63 that one enumeration can index")
     start = 0
     radix = np.array([q**(dim - 1 - i) for i in range(dim)], dtype=np.int64)
     while start < total:
@@ -344,7 +348,7 @@ def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CA
         raise CapExceeded("enum_cap", f"{p}^{dim} elements exceed the enumeration cap")
     zero = 0
     total = p**dim
-    for block in _enumerate_coords(p, dim):
+    for block in _enumerate_coords(p, dim, "enum_cap"):
         powered = P.power_map_batch(block, k)
         zero += int((~powered.any(axis=1)).sum())
     return zero, total - zero

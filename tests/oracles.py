@@ -19,10 +19,14 @@ translating every row of Δ^m by every group element, without the dimension
 subgroups, where the product builds it from a Jennings basis of G; the
 nilpotency degree and the square of a section are echelonized from all
 products of basis vectors, where the product reads them off the section's
-layers. The closure-checked subgroup and ideal constructors, the
-convolution product and the unital quotients FG/J serve the tests only: the
-product trusts the subgroups and radical powers it generates, multiplies
-inside sections and builds radical sections I/J. No `mip` command runs them.
+layers. The algebra search here evaluates each basis monomial from its
+whole word and checks all d² products of a candidate against the product
+tensor of the source in its monomial basis, where the product checks the
+relations of a presentation. The closure-checked subgroup and ideal
+constructors, the convolution product and the unital quotients FG/J serve
+the tests only: the product trusts the subgroups and radical powers it
+generates, multiplies inside sections and builds radical sections I/J. No
+`mip` command runs them.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder, echelon_basis
 from modiso.groups import ConjClass, FiniteGroup, Subgroup, _index_set, char_series
+from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
 from modiso.modalg import GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, quotient_algebra
 from modiso.words import Presentation, _columns, _table_group
 
@@ -274,7 +279,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
                         "enum_cap",
                         f"Zassenhaus section of dim {sect.dim} over GF({F.q}) "
                         "exceeds the enumeration cap")
-                for block in _enumerate_coords(F.q, sect.dim):
+                for block in _enumerate_coords(F.q, sect.dim, "enum_cap"):
                     b.add_block(Q.power_map_batch(F.matmul(block, sect.rows), j))
             if pj >= n:  # higher powers of anything in Δ land inside Δ^(n+1)
                 break
@@ -401,3 +406,80 @@ def todd_coxeter_rescan(P: Presentation, coset_cap: int = 100000):
 
     root = np.array([find(c) for c in range(len(table))], dtype=np.int64)
     return _table_group(P, table, root)
+
+
+def unit_generators(A: QuotientAlgebra) -> list:
+    """The unit vectors e_i that are independent modulo A^2, in order of i."""
+    probe = A.power_subspace().builder()
+    gens = []
+    for i in range(A.dim):
+        e = np.zeros(A.dim, dtype=np.uint8)
+        e[i] = 1
+        if probe.add(e):
+            gens.append(e)
+    return gens
+
+
+def product_tensor(A: QuotientAlgebra, V, Vinv) -> np.ndarray:
+    """c[i, j] = coordinates of V_i * V_j in the basis V (x = coords @ V)."""
+    F, d = A.field, A.dim
+    c = np.zeros((d, d, d), dtype=np.uint8)
+    for i in range(d):
+        for j in range(d):
+            c[i, j] = F.matmul(A.mul(V[i], V[j])[None, :], Vinv)[0]
+    return c
+
+
+def word_images(B: QuotientAlgebra, words, imgs) -> np.ndarray:
+    """U[:, j] = the image of basis word j at the generator images imgs
+    (N, m, d), multiplied out letter by letter."""
+    N, _, d = imgs.shape
+    U = np.zeros((N, d, d), dtype=np.uint8)
+    for j, w in enumerate(words):
+        val = imgs[:, w[0], :]
+        for t in w[1:]:
+            val = B.mul_batch(val, imgs[:, t, :])
+        U[:, j, :] = val
+    return U
+
+
+def products_hold(B: QuotientAlgebra, c, U) -> np.ndarray:
+    """Mask of the candidates whose basis images U (N, d, d) respect all d²
+    products: c[i, j]·U = U_i·U_j for every pair (i, j)."""
+    F = B.field
+    N, d, _ = U.shape
+    ok = np.ones(N, dtype=bool)
+    Ucols = U.transpose(1, 0, 2).reshape(d, N * d)  # row t: U[:, t, :] flattened
+    for i in range(d):
+        for j in range(d):
+            lhs = F.matmul(c[i, j][None, :], Ucols)[0].reshape(N, d)
+            ok &= (lhs == B.mul_batch(U[:, i, :], U[:, j, :])).all(axis=1)
+            if not ok.any():
+                return ok
+    return ok
+
+
+def nilpotent_algebra_iso_all_pairs(A: QuotientAlgebra, B: QuotientAlgebra,
+                                    cap: int = DEFAULT_CAPS.iso_cap):
+    """The reference algebra search: the candidates of
+    `iso.nilpotent_algebra_iso` in the same order, accepted by
+    `products_hold` and a rank check, so the first witness is the same."""
+    if A.dim != B.dim:
+        return NotIsomorphic("dimension mismatch")
+    if A.power_subspace().dim != B.power_subspace().dim:
+        return NotIsomorphic("square-dimension prune")
+    F, d = A.field, A.dim
+    gens = unit_generators(A)
+    m = len(gens)
+    if F.q ** (d * m) > cap:
+        raise CapExceeded("iso_cap", f"{F.q}^{d * m} assignments exceed cap {cap}")
+    words, Vinv, _ = _monomial_basis(A, gens)
+    c = product_tensor(A, word_images(A, words, np.array(gens)[None])[0], Vinv)
+    for flat in _enumerate_coords(F.q, d * m, "iso_cap", chunk=1 << 14):
+        imgs = flat.reshape(-1, m, d)
+        U = word_images(B, words, imgs)
+        for ci in np.flatnonzero(products_hold(B, c, U)).tolist():
+            if EchelonBuilder(F, d).add_block(U[ci]) == d:
+                return IsoWitness(kind="algebra", images=[u.copy() for u in imgs[ci]],
+                                  source_gens=gens)
+    return NotIsomorphic("exhausted")

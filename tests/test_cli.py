@@ -1,14 +1,19 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modiso.caps import Caps
 from modiso.cli import _parse_field, main
 from modiso.errors import SpecParseError
 from modiso.gfq import FiniteField
@@ -360,6 +365,27 @@ def test_iso_algebra_least_witness_pinned(capsys):
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize("argv,code,doc", [
+    ("iso D8 D8 --mode algebra:1,4 --field 2", 0,
+     {"outcome": "isomorphic", "mode": "algebra:1,4", "field": "2", "dim": 6,
+      "generators": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]],
+      "images": [[0, 0, 1, 0, 0, 0], [0, 1, 0, 0, 0, 0]]}),
+    ("iso EA:3,2 EA:3,2 --mode algebra:1,3 --field 3", 0,
+     {"outcome": "isomorphic", "mode": "algebra:1,3", "field": "3", "dim": 5,
+      "generators": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
+      "images": [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]}),
+    ("iso C:8 C:8 --mode algebra:1,8 --field 2", 0,
+     {"outcome": "isomorphic", "mode": "algebra:1,8", "field": "2", "dim": 7,
+      "generators": [[1, 0, 0, 0, 0, 0, 0]], "images": [[0, 0, 0, 0, 0, 0, 1]]}),
+    ("iso D8 Ab:4,2 --mode algebra:1,3 --field 2^2", 3,
+     {"outcome": "not-isomorphic", "mode": "algebra:1,3", "reason": "exhausted"}),
+], ids=["D8-D8-GF2-1,4", "EA:3,2-GF3-1,3", "C:8-GF2-1,8", "D8-Ab:4,2-GF4-1,3"])
+def test_iso_algebra_outputs_pinned(capsys, argv, code, doc):
+    # the first accepting assignment, or the exhausted search, as the
+    # all-pairs search printed them
+    assert run(capsys, *argv.split()) == (code, json.dumps(doc, indent=2) + "\n", "")
+
+
 def test_iso_algebra_mode_uses_iso_cap(tmp_path, capsys):
     # the D8/Q8 section over GF(4) has 4^(4*2) = 4^8 candidate assignments
     args = ("iso", "D8", "Q8", "--mode", "algebra:1,3", "--field", "2^2")
@@ -404,6 +430,10 @@ def test_caps_file_round_trip(tmp_path, capsys):
     (["report", "D8", "--field", "2", "--caps", "{file}"], '{"kernel_sections": [[0, 3, 1]]}', 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], "[" * 5000 + "]" * 5000, 64),
     (["report", "D8", "--field", "2", "--caps", "{file}"], '{"q_cap": 81}', 64),
+    (["iso", "C:128", "C:128", "--mode", "algebra:1,66", "--field", "2", "--caps", "{file}"],
+     json.dumps({"iso_cap": 10**30}), 4),
+    (["kernel-size", "C:128", "--field", "2", "--section", "1,66", "--caps", "{file}"],
+     json.dumps({"enum_cap": 10**30}), 4),
     (["tables", "hh1", "--caps", "{file}"], "{}", 64),
     (["report", "Pres:{file}", "--field", "2"], None, 64),
     (["report", "Pres:{file}", "--field", "2"], '{"generators": ["a"], ', 64),
@@ -426,7 +456,7 @@ def test_caps_file_round_trip(tmp_path, capsys):
         "iso-D8-GF3", "kernel-size-power-minus-1", "field-large-prime",
         "field-huge-power", "caps-not-object", "caps-str-value",
         "caps-bool-value", "caps-sections-not-list", "caps-section-0,3", "caps-deep-json",
-        "caps-q-cap-removed", "tables-caps-removed",
+        "caps-q-cap-removed", "iso-cap-past-int64", "enum-cap-past-int64", "tables-caps-removed",
         "pres-missing-file", "pres-malformed-json", "pres-relator-not-str",
         "pres-generators-not-list", "pres-deep-word", "pres-power-too-long",
         "pres-exponent-5000-digits", "pres-empty-name", "pres-name-with-space",
@@ -440,6 +470,39 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, text, cod
     assert got == code
     assert out == ""
     assert "Traceback" not in err
+    if code == 4:
+        assert err == "mip: 2^65 points exceed the 2^63 that one enumeration can index\n"
+
+
+CAP_VALUE = st.recursive(
+    st.one_of(st.integers(min_value=-10**30, max_value=10**30), st.booleans(), st.floats(),
+              st.none(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+CAPS_JSON = st.dictionaries(
+    st.sampled_from([f.name for f in dataclasses.fields(Caps)] + ["q_cap", "nope"]),
+    st.one_of(st.sampled_from([0, 1, 2**63 - 1, 2**63, 10**30]),
+              st.integers(min_value=0, max_value=10**30), CAP_VALUE,
+              st.lists(st.lists(st.integers(min_value=-1, max_value=10**30),
+                                min_size=3, max_size=3), max_size=2)),
+    max_size=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(CAPS_JSON)
+@example({"iso_cap": 10**30, "enum_cap": 10**30})
+def test_caps_file_fuzz_exits_without_traceback(caps):
+    # any caps file gives a documented exit code: 64 for a malformed one,
+    # else the command's own outcome, with a fired cap exiting 4
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "caps.json"
+        path.write_text(json.dumps(caps), encoding="utf-8")
+        for argv in ("report D8 --field 2", "kernel-size C:128 --field 2 --section 1,66",
+                     "iso C:128 C:128 --mode algebra:1,66 --field 2"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv.split(), "--caps", str(path)])
+            assert code in (0, 3, 4, 64, 65), (argv, caps, code)
+            assert "Traceback" not in err.getvalue()
 
 
 LITERAL_INT = st.integers(min_value=-10**30, max_value=10**30)

@@ -15,7 +15,7 @@ from modiso.iso import (
     nilpotent_algebra_iso,
     verify_witness,
 )
-from modiso import modalg
+from modiso import iso, modalg
 from modiso.words import todd_coxeter
 
 import oracles
@@ -126,6 +126,13 @@ def test_algebra_verify_rejects_malformed_images():
         assert verify_witness(bad, A, B) is False, images
     bad = IsoWitness(kind="algebra", images=w.images, source_gens=w.source_gens[:-1])
     assert verify_witness(bad, A, B) is False
+    # a second copy of a generator: the monomial basis skips it, so the map
+    # must still send it to its stated image
+    twice = w.source_gens + [w.source_gens[0]]
+    bad = IsoWitness(kind="algebra", images=w.images + [np.array([3, 1, 2, 0])], source_gens=twice)
+    assert verify_witness(bad, A, B) is False
+    same = IsoWitness(kind="algebra", images=w.images + [w.images[0]], source_gens=twice)
+    assert verify_witness(same, A, B) is True
 
 
 def test_algebra_iso_deep_nilpotent_algebra_reaches_the_cap():
@@ -230,13 +237,7 @@ def test_algebra_iso_self():
 
 def test_algebra_identity_witness_verifies():
     A = section("Q8", F2)
-    gens = []
-    probe = A.power_subspace().builder()
-    for i in range(A.dim):
-        e = np.zeros(A.dim, dtype=np.uint8)
-        e[i] = 1
-        if probe.add(e):
-            gens.append(e)
+    gens = oracles.unit_generators(A)
     wit = IsoWitness(kind="algebra", images=[g.copy() for g in gens], source_gens=gens)
     assert verify_witness(wit, A, A)
 
@@ -304,3 +305,48 @@ def test_not_isomorphic_pairs_have_differing_battery():
     a = modalg.kernel_size_power_map(section("D8", F2), 1)
     b = modalg.kernel_size_power_map(section("Q8", F2), 1)
     assert a != b
+
+
+# the source and target specs, the field and j of the section Δ/Δ^j
+SEARCH_PAIRS = [
+    ("D8", "Q8", F2, 3), ("D8", "Q8", F4, 3), ("D8", "Q8", F2, 4), ("D8", "D8", F2, 4),
+    ("Q8", "Q8", F2, 3), ("Q8", "Q8", F4, 3), ("C:8", "C:8", F2, 8),
+    ("EA:3,2", "EA:3,2", F3, 3), ("C:9", "EA:3,2", F3, 3),
+    ("D8", "Ab:4,2", F2, 3), ("Q8", "Ab:4,2", F2, 3),
+]
+
+
+@pytest.mark.parametrize("s1,s2,F,j", SEARCH_PAIRS)
+def test_algebra_search_matches_the_all_pairs_search(s1, s2, F, j):
+    A, B = section(s1, F, 1, j), section(s2, F, 1, j)
+    got, want = nilpotent_algebra_iso(A, B), oracles.nilpotent_algebra_iso_all_pairs(A, B)
+    assert type(got) is type(want)
+    if isinstance(want, NotIsomorphic):
+        assert got.reason == want.reason
+    else:
+        for name in ("source_gens", "images"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("s1,s2,F,j", [
+    ("D8", "Q8", F2, 3), ("D8", "D8", F2, 4), ("C:8", "C:8", F2, 8), ("EA:3,2", "EA:3,2", F3, 3)])
+def test_relations_accept_what_all_products_accept(s1, s2, F, j):
+    # over every candidate linear map, checking the relations of A's
+    # presentation accepts exactly the maps that respect all d² products.
+    # Over C:8 and EA:3,2 every map does: both sections are commutative and
+    # their products of top degree vanish
+    A, B = section(s1, F, 1, j), section(s2, F, 1, j)
+    gens = oracles.unit_generators(A)
+    words, Vinv, relations = iso._monomial_basis(A, gens)
+    assert len(relations) == A.dim * len(gens) - (A.dim - len(gens))
+    c = oracles.product_tensor(A, oracles.word_images(A, words, np.array(gens)[None])[0], Vinv)
+    accepted = 0
+    for flat in modalg._enumerate_coords(F.q, A.dim * len(gens), "iso_cap"):
+        imgs = flat.reshape(-1, len(gens), A.dim)
+        U = oracles.word_images(B, words, imgs)
+        assert np.array_equal(
+            np.stack(iso._basis_images(words, imgs.transpose(1, 0, 2), B.mul_batch), axis=1), U)
+        want = np.flatnonzero(oracles.products_hold(B, c, U))
+        assert np.array_equal(iso._relations_hold(B, relations, U, imgs), want)
+        accepted += len(want)
+    assert accepted > 0
