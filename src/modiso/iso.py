@@ -221,6 +221,17 @@ def _relations_hold(B: QuotientAlgebra, relations, U, imgs):
     return live
 
 
+def _live_relations(A: QuotientAlgebra, B: QuotientAlgebra, words, relations):
+    """The relations that a candidate can fail. When A and B have the same
+    nilpotency degree e, a relation whose monomial V_j·g_t has word length
+    at least e holds for every map: its left side is 0 in A^e = 0 and its
+    right side is a product of that many images, in B^e = 0."""
+    e = A.nilpotency_degree()
+    if e != B.nilpotency_degree():
+        return relations
+    return [(j, t, c) for j, t, c in relations if len(words[j]) + 1 < e]
+
+
 def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEFAULT_CAPS.iso_cap):
     """Exhaustive isomorphism search between two nilpotent structure-constant
     algebras; the witness maps A's chosen generators to B elements.
@@ -250,8 +261,9 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     probe = A.power_subspace().builder()
     gens = [e for e in np.eye(d, dtype=np.uint8) if probe.add(e)]
     words, _, relations = _monomial_basis(A, gens)
+    relations = _live_relations(A, B, words, relations)
 
-    for flat in _enumerate_coords(F.q, d * m, "iso_cap", chunk=1 << 14):
+    for flat in _enumerate_coords(F.q, d * m, "iso_cap", chunk=1 << 12):
         imgs = flat.reshape(-1, m, d)
         U = np.stack(_basis_images(words, imgs.transpose(1, 0, 2), B.mul_batch), axis=1)
         for ci in _relations_hold(B, relations, U, imgs).tolist():

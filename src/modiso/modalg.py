@@ -321,14 +321,20 @@ def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
     return Q._cache["prime_restriction"]
 
 
+def _check_indexable(q: int, dim: int, cap_name: str):
+    """Raise CapExceeded(cap_name) for a space of 2^63 points or more, which
+    an int64 index cannot enumerate."""
+    if q**dim >= 1 << 63:
+        raise CapExceeded(cap_name,
+                          f"{q}^{dim} points exceed the 2^63 that one enumeration can index")
+
+
 def _enumerate_coords(q: int, dim: int, cap_name: str, chunk: int = 1 << 15):
     """Yield (m, dim) uint8 blocks covering all q^dim coordinate vectors, in
     mixed-radix order (last coordinate fastest). The points are indexed in
     int64, so a space of 2^63 points or more raises CapExceeded(cap_name)."""
+    _check_indexable(q, dim, cap_name)
     total = q**dim
-    if total >= 1 << 63:
-        raise CapExceeded(cap_name,
-                          f"{q}^{dim} points exceed the 2^63 that one enumeration can index")
     start = 0
     radix = np.array([q**(dim - 1 - i) for i in range(dim)], dtype=np.int64)
     while start < total:
@@ -340,15 +346,37 @@ def _enumerate_coords(q: int, dim: int, cap_name: str, chunk: int = 1 << 15):
 
 
 def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CAPS.enum_cap):
-    """(#elements with x^(p^k) = 0, #elements with x^(p^k) != 0), by exhaustive
-    enumeration of the section."""
-    P = _prime_restriction(Q)
-    p, dim = P.field.p, P.dim
+    """(#elements with x^(p^k) = 0, #elements with x^(p^k) != 0) on a radical
+    section Δ^i/Δ^j, counted by truncation.
+
+    For x in Δ^i and z in Δ^t, (x + z)^(p^k) - x^(p^k) lies in
+    Δ^(t + (p^k - 1)·i), so x^(p^k) in Δ^j depends only on x mod Δ^j' with
+    j' = j - (p^k - 1)·i: the count is q^(dim L_j') times the count over the
+    non-pivot coordinates of the layer L_j'. If j' <= i the whole section
+    is the kernel. Both gates read the full F_p-dimension D
+    (notes/decisions.md, "Kernel cells by truncation").
+    """
+    if Q.powers is None:
+        raise ValueError("kernel cells need a radical section")
+    F = Q.field
+    p, dim = F.p, Q.dim * F.k
     if dim > 0 and p**dim > enum_cap:
-        raise CapExceeded("enum_cap", f"{p}^{dim} elements exceed the enumeration cap")
-    zero = 0
+        raise CapExceeded("enum_cap", f"{p}^{dim} elements exceed the enumeration cap {enum_cap}")
+    _check_indexable(p, dim, "enum_cap")
     total = p**dim
-    for block in _enumerate_coords(p, dim, "enum_cap"):
-        powered = P.power_map_batch(block, k)
-        zero += int((~powered.any(axis=1)).sum())
+    i = Q.first
+    j = i + len(Q.powers) - 1  # Δ^j, or the zero power that equals it
+    if k >= j.bit_length() or i * p**k >= j:  # j' <= i; p^k > j for large k
+        return total, 0
+    L = Q.layer(j - (p**k - 1) * i)
+    free = np.ones((Q.dim, F.k), dtype=bool)  # prime-restriction column c·k + e
+    free[list(L.pivots)] = False
+    cols = np.flatnonzero(free)
+    P = _prime_restriction(Q)
+    zero = 0
+    for block in _enumerate_coords(p, len(cols), "enum_cap"):
+        x = np.zeros((len(block), dim), dtype=np.uint8)
+        x[:, cols] = block
+        zero += int((~P.power_map_batch(x, k).any(axis=1)).sum())
+    zero *= F.q**L.dim
     return zero, total - zero

@@ -19,7 +19,9 @@ translating every row of Δ^m by every group element, without the dimension
 subgroups, where the product builds it from a Jennings basis of G; the
 nilpotency degree and the square of a section are echelonized from all
 products of basis vectors, where the product reads them off the section's
-layers. The algebra search here evaluates each basis monomial from its
+layers. The power-map kernel cells here enumerate the whole section, where
+the product enumerates a complement of the layer that decides them. The
+algebra search here evaluates each basis monomial from its
 whole word and checks all d² products of a candidate against the product
 tensor of the source in its monomial basis, where the product checks the
 relations of a presentation. The closure-checked subgroup and ideal
@@ -38,7 +40,8 @@ from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder, echelon_basis
 from modiso.groups import ConjClass, FiniteGroup, Subgroup, _index_set, char_series
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
-from modiso.modalg import GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, quotient_algebra
+from modiso.modalg import (GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, _prime_restriction,
+                           quotient_algebra)
 from modiso.words import Presentation, _columns, _table_group
 
 
@@ -183,6 +186,21 @@ def square_by_products(Q: QuotientAlgebra):
     """Q^2: the span of all d^2 products of basis vectors."""
     d = Q.dim
     return echelon_basis([Q.sc[i, j] for i in range(d) for j in range(d)], Q.field, d)
+
+
+def kernel_size_by_enumeration(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CAPS.enum_cap):
+    """(#elements with x^(p^k) = 0, #elements with x^(p^k) != 0), by exhaustive
+    enumeration of the section."""
+    P = _prime_restriction(Q)
+    p, dim = P.field.p, P.dim
+    if dim > 0 and p**dim > enum_cap:
+        raise CapExceeded("enum_cap", f"{p}^{dim} elements exceed the enumeration cap")
+    zero = 0
+    total = p**dim
+    for block in _enumerate_coords(p, dim, "enum_cap"):
+        powered = P.power_map_batch(block, k)
+        zero += int((~powered.any(axis=1)).sum())
+    return zero, total - zero
 
 
 def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:

@@ -153,6 +153,10 @@ def test_each_subcommand_loads_only_what_it_runs():
                          (("iso", "T:3,4", "T:3,4"), unused | {"modiso.gfq"})):
         code, modules = _modules_after_mip(*argv)
         assert code == 0 and not modules & absent, (argv, modules & absent)
+    # a kernel cell that theory does not fix builds the algebra, still
+    # without numpy.ma
+    code, modules = _modules_after_mip("compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2^2")
+    assert code == 0 and "modiso.modalg" in modules and not modules & {"numpy.ma", "modiso.iso"}
 
 
 def test_report_parse_error_exit_64(capsys):
@@ -208,6 +212,22 @@ def test_filtration_commands_above_order_32_pinned(capsys, argv, code, doc, err)
     # the stdout, stderr and exit code of three commands that do
     got = run(capsys, *argv.split())
     assert got == (code, "" if doc is None else json.dumps(doc, indent=2) + "\n", err)
+
+
+@pytest.mark.parametrize("spec,field,section,power,dim,kill", [
+    ("B1G:2", "2", "1,5", 2, 19, 131072), ("B1H:2", "2", "1,5", 2, 19, 393216),
+    ("B2G:2,3", "2", "1,5", 2, 20, 262144), ("B2H:2,3", "2", "1,5", 2, 20, 524288),
+    ("X:C:2*D8", "2^2", "1,4", 1, 11, 360448), ("X:C:2*Q8", "2^2", "1,4", 1, 11, 262144),
+])
+def test_deep_kernel_cells_pinned(capsys, spec, field, section, power, dim, kill):
+    # the counts that full enumeration of each section printed; they
+    # separate B1G:2/B1H:2, B2G:2,3/B2H:2,3 and X:C:2*D8/X:C:2*Q8
+    got = run(capsys, "kernel-size", spec, "--field", field, "--section", section,
+              "--power", str(power))
+    q = {"2": 2, "2^2": 4}[field]
+    doc = {"spec": spec, "field": field, "section": [int(x) for x in section.split(",")],
+           "power": power, "dim": dim, "kill": kill, "survive": q**dim - kill}
+    assert got == (0, json.dumps(doc, indent=2) + "\n", "")
 
 
 def test_compare_d8_q8(capsys):
@@ -334,6 +354,7 @@ def test_kernel_size_cap_exit_4(tmp_path, capsys):
     code, _, err = run(capsys, "kernel-size", "D8", "--field", "2",
                        "--section", "1,3", "--caps", str(caps))
     assert code == 4
+    assert err == "mip: 2^4 elements exceed the enumeration cap 4\n"
 
 
 def test_iso_group_witness(capsys):

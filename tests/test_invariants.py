@@ -451,7 +451,7 @@ def _kernel_cell_by_enumeration(G, F, cell, enum_cap):
     i, j, k = cell
     try:
         sect = modalg.radical_section(modalg.group_algebra(G, F), i, j)
-        return modalg.kernel_size_power_map(sect, k, enum_cap=enum_cap)
+        return oracles.kernel_size_by_enumeration(sect, k, enum_cap=enum_cap)
     except CapExceeded as err:
         return Unavailable(err.cap_name)
 

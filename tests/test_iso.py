@@ -350,3 +350,37 @@ def test_relations_accept_what_all_products_accept(s1, s2, F, j):
         assert np.array_equal(iso._relations_hold(B, relations, U, imgs), want)
         accepted += len(want)
     assert accepted > 0
+
+
+@pytest.mark.parametrize("F,j", [(F2, 4), (F4, 3)])
+def test_relations_of_top_degree_hold_on_every_candidate(F, j):
+    # D8 and Q8 have the same degree on Δ/Δ^j, so the relations whose
+    # monomial is a word of that length are dropped: they hold on every
+    # candidate, and the live ones accept what all d² products accept, the
+    # test of `oracles.nilpotent_algebra_iso_all_pairs` (SEARCH_PAIRS runs
+    # both searches on these two pairs)
+    A, B = section("D8", F, 1, j), section("Q8", F, 1, j)
+    e = A.nilpotency_degree()
+    assert e == B.nilpotency_degree()
+    gens = oracles.unit_generators(A)
+    words, Vinv, relations = iso._monomial_basis(A, gens)
+    live = iso._live_relations(A, B, words, relations)
+    dropped = [r for r in relations if len(words[r[0]]) + 1 >= e]
+    assert 0 < len(live) and len(live) + len(dropped) == len(relations)
+    assert all(not c.any() for _, _, c in dropped)
+    c = oracles.product_tensor(A, oracles.word_images(A, words, np.array(gens)[None])[0], Vinv)
+    for flat in modalg._enumerate_coords(F.q, A.dim * len(gens), "iso_cap"):
+        imgs = flat.reshape(-1, len(gens), A.dim)
+        U = oracles.word_images(B, words, imgs)
+        assert len(iso._relations_hold(B, dropped, U, imgs)) == len(U)
+        assert np.array_equal(iso._relations_hold(B, live, U, imgs),
+                              np.flatnonzero(oracles.products_hold(B, c, U)))
+
+
+def test_relations_all_live_when_degrees_differ():
+    # D8 Δ/Δ^4 has degree 4 and C:8 Δ/Δ^8 degree 8: every relation stays,
+    # so the search ends with the same reason as before
+    A, B = section("D8", F2, 1, 4), section("C:8", F2, 1, 8)
+    assert A.nilpotency_degree() != B.nilpotency_degree()
+    words, _, relations = iso._monomial_basis(A, oracles.unit_generators(A))
+    assert iso._live_relations(A, B, words, relations) is relations

@@ -409,8 +409,37 @@ def test_kernel_size_basis_independence_via_relabeled_group():
 
 def test_kernel_size_cap():
     Lam = M.radical_section(alg("D8"), 1, 3)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match=r"^2\^4 elements exceed the enumeration cap 8$"):
         M.kernel_size_power_map(Lam, 1, enum_cap=8)
+    assert M.kernel_size_power_map(Lam, 1, enum_cap=16) == (12, 4)
+
+
+# (spec, field, i, j, k): every F_p-dimension is at most 16. The cells
+# cover k = 0, 1 and 2 over GF(2), GF(3) and GF(4). D8 (1,3,2) and C:9
+# (1,9,2) have j' <= i; D8 (1,9,1), D8 (2,6,1), C:4 (1,9,2) and C:8 (2,12,1)
+# run past the end of the chain
+KERNEL_CELLS = [
+    ("D8", F2, 1, 3, 1), ("Q8", F2, 1, 3, 1), ("D8", F4, 1, 3, 1), ("Q8", F4, 1, 4, 1),
+    ("Q8", F2, 1, 5, 2), ("C:8", F2, 1, 8, 2), ("C:8", F2, 1, 6, 0), ("D8", F4, 1, 4, 0),
+    ("C:9", F3, 1, 5, 1), ("C:9", F3, 1, 9, 2), ("EA:3,2", F3, 1, 4, 0),
+    ("Meta:3,2,1,0,1", F3, 1, 4, 1), ("B2G:1,2", F2, 1, 4, 1), ("D8", F2, 2, 6, 1),
+    ("D8", F2, 1, 3, 2), ("D8", F2, 1, 9, 1), ("C:4", F2, 1, 9, 2), ("C:8", F2, 2, 12, 1),
+    ("Q8", F4, 2, 4, 1), ("C:27", F3, 1, 10, 2), ("C:8", F4, 1, 6, 2),
+]
+
+
+@pytest.mark.parametrize("spec,F,i,j,k", KERNEL_CELLS,
+                         ids=[f"{s}-GF{F.q}-{i},{j},{k}" for s, F, i, j, k in KERNEL_CELLS])
+def test_truncated_kernel_count_matches_enumeration(spec, F, i, j, k):
+    S = M.radical_section(alg(spec, F), i, j)
+    assert F.p ** (S.dim * F.k) <= 1 << 16
+    assert M.kernel_size_power_map(S, k) == O.kernel_size_by_enumeration(S, k)
+
+
+def test_kernel_size_needs_a_radical_section():
+    S = M.radical_section(alg("D8"), 1, 3)
+    with pytest.raises(ValueError, match="radical section"):
+        M.kernel_size_power_map(M.QuotientAlgebra(S.field, S.sc), 1)
 
 
 # -- Lie power ideals and Zassenhaus ideals ----------------------------------------------
