@@ -92,38 +92,49 @@ class FiniteGroup:
         if n == 0 or mul.min() < 0 or mul.max() >= n:
             raise ValueError("table entries out of range")
         mul = mul.astype(table_dtype(n), copy=False)
-        self.n = n
-        self.mul = mul
-        self.mul.setflags(write=False)
 
         # e*0 = 0 for the identity e, and a two-sided identity is unique
         ar = np.arange(n, dtype=mul.dtype)
-        self.id = next((e for e in np.flatnonzero(mul[:, 0] == 0).tolist()
-                        if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)), None)
-        if self.id is None:
+        ident = next((e for e in np.flatnonzero(mul[:, 0] == 0).tolist()
+                      if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)), None)
+        if ident is None:
             raise ValueError("table has no unique identity")
 
         # inv[x] is the last y in row x with x*y = 1, or -1 if there is none
         inv = np.empty(n, dtype=np.int32)
         step = max(1, BLOCK // n)
         for i in range(0, n, step):
-            hit = mul[i:i + step] == self.id
+            hit = mul[i:i + step] == ident
             last = n - 1 - hit[:, ::-1].argmax(axis=1)
             inv[i:i + step] = np.where(hit.any(axis=1), last, -1)
-        if (inv < 0).any() or not np.array_equal(mul[inv, ar], np.full(n, self.id)):
+        if (inv < 0).any() or not np.array_equal(mul[inv, ar], np.full(n, ident)):
             raise ValueError("some element has no two-sided inverse")
+
+        self._set(mul, ident, inv, gens, presentation, elem_words)
+        self._check_associative()
+        if self.generated(self.gens).order != n:
+            raise ValueError("distinguished generators do not generate the group")
+
+    @classmethod
+    def _proven(cls, mul, inv, gens, presentation=None, elem_words=None):
+        """A group whose caller has proved that mul is a group table of
+        `table_dtype(n)` with identity 0, that inv is its inverse map and
+        that gens generate it; none of `__init__`'s checks run."""
+        G = cls.__new__(cls)
+        G._set(mul, 0, inv, gens, presentation, elem_words)
+        return G
+
+    def _set(self, mul, ident, inv, gens, presentation, elem_words):
+        self.n = mul.shape[0]
+        self.mul = mul
+        self.mul.setflags(write=False)
+        self.id = ident
         self.inv = inv
         self.inv.setflags(write=False)
-
-        self._check_associative()
-
         self.presentation = presentation
         self.elem_words = elem_words
         self._cache = {}
-
         self.gens = tuple(int(g) for g in gens)
-        if self.generated(self.gens).order != n:
-            raise ValueError("distinguished generators do not generate the group")
 
     def _check_associative(self):
         """Exhaustive up to ASSOC_EXHAUSTIVE_LIMIT elements; beyond, the triples
@@ -631,7 +642,8 @@ def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = DEFAULT_CAPS.elemab_
                 child = tuple(sorted(np.concatenate(acc).tolist()))
                 if child not in visited:
                     if len(visited) >= cap:
-                        raise CapExceeded("elemab_cap")
+                        raise CapExceeded("elemab_cap", f"{len(visited) + 1} elementary abelian "
+                                          f"subgroups exceed the elemab cap {cap}")
                     visited.add(child)
                     nxt[child] = added + [y]
         level = nxt
@@ -668,7 +680,7 @@ def max_elem_abelian_direct_factor(G: FiniteGroup, cap: int = DEFAULT_CAPS.direc
     """
     p, _ = G.require_p_group()
     if G.n > cap:
-        raise CapExceeded("direct_factor_cap")
+        raise CapExceeded("direct_factor_cap", f"|G| = {G.n} exceeds the direct-factor cap {cap}")
     Z = center(G)
     om = omega(Z, 1)
     frat = char_series(G).frattini

@@ -145,7 +145,8 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     if p != F.p:
         raise ValueError(f"field characteristic {F.p} does not match group prime {p}")
     if G.n > caps.group_order_cap:
-        raise CapExceeded("group_order_cap")
+        raise CapExceeded("group_order_cap",
+                          f"|G| = {G.n} exceeds the group-order cap {caps.group_order_cap}")
 
     cs = char_series(G)
     exp = exponent(G)

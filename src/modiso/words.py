@@ -240,7 +240,8 @@ def _period(cols) -> int:
 
 def _coset_table(P: Presentation, coset_cap: int):
     """HLT coset enumeration of the trivial subgroup with immediate
-    coincidence handling: (coset table, root of every coset).
+    coincidence handling: the action (ncols, n) int32 of every column on the
+    live cosets, numbered in creation order.
 
     A relator u^n (n >= 2) is scanned once per closed u-cycle: when its scan
     from alpha closes with nothing defined, the cosets alpha*u^t lie on that
@@ -255,13 +256,14 @@ def _coset_table(P: Presentation, coset_cap: int):
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
     ncols = 2 * ngens
-    # each nonempty relator, with its root u and the cosets found on a closed
-    # u-cycle when it is a power u^n (n >= 2)
+    # each nonempty relator with its inverse columns, and for a power u^n
+    # (n >= 2) its root u and the cosets found on a closed u-cycle
     relators = []
     for w in P.relators:
         if cols := _columns(w):
             d = _period(cols)
-            relators.append((cols, cols[:d], set()) if d < len(cols) else (cols, None, None))
+            power = (cols[:d], set()) if d < len(cols) else (None, None)
+            relators.append((cols, [x ^ 1 for x in cols], len(cols) - 1, *power))
 
     table = [[None] * ncols]
     rep = [0]
@@ -282,89 +284,108 @@ def _coset_table(P: Presentation, coset_cap: int):
                 f"coset enumeration exceeded {coset_cap} cosets "
                 "(presentation possibly infinite or cap too small)")
         b = len(table)
-        table.append([None] * ncols)
+        row = [None] * ncols
+        row[x ^ 1] = a
+        table.append(row)
         rep.append(b)
         table[a][x] = b
-        table[b][x ^ 1] = a
         return b
 
     def merge(a, b):
         a, b = find(a), find(b)
         if a != b:
-            a, b = min(a, b), max(a, b)
+            if a > b:
+                a, b = b, a
             rep[b] = a
             queue.append(b)
 
     def coincidence(a, b):
         merge(a, b)
-        qi = 0
-        while qi < len(queue):
-            y = queue[qi]
-            qi += 1
-            row = table[y]
-            for x in range(ncols):
-                d = row[x]
+        for y in queue:  # the queue grows while it is read
+            for x, d in enumerate(table[y]):
                 if d is None:
                     continue
                 table[d][x ^ 1] = None
                 mu, nu = find(y), find(d)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x])
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1])
+                if (e := table[mu][x]) is not None:
+                    merge(nu, e)
+                elif (e := table[nu][x ^ 1]) is not None:
+                    merge(mu, e)
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
         queue.clear()
 
-    def scan_and_fill(a, cols):
-        """Scan cols from a, filling the table; True when it already closed
-        at a, with nothing defined, deduced or merged."""
-        f, i = a, 0
-        b, j = a, len(cols) - 1
-        quiet = True
-        while True:
-            while i <= j and table[f][cols[i]] is not None:
-                f = table[f][cols[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return quiet and f == b
-            quiet = False
-            while j >= i and table[b][cols[j] ^ 1] is not None:
-                b = table[b][cols[j] ^ 1]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return False
-            if j == i:
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
-                return False
-            define(f, cols[i])
-
+    # the scan of each relator from alpha is inlined: scan forward, then
+    # back, and fill the gap with one deduction, a coincidence or a new coset
+    # (a coset is live while it is its own representative)
     alpha = 0
     while alpha < len(table):
-        if find(alpha) == alpha:
-            for cols, u, closed in relators:
-                if closed is None:
-                    scan_and_fill(alpha, cols)
-                elif alpha not in closed and scan_and_fill(alpha, cols):
-                    c = alpha
-                    for _ in range(len(cols) // len(u)):
-                        for x in u:
-                            c = table[c][x]
-                        closed.add(c)
-                if find(alpha) != alpha:
+        if rep[alpha] != alpha:
+            alpha += 1
+            continue
+        for cols, icols, last, u, closed in relators:
+            if closed is not None and alpha in closed:
+                continue
+            f, i = alpha, 0
+            b, j = alpha, last
+            quiet = True
+            while True:
+                while i <= j and (c := table[f][cols[i]]) is not None:
+                    f = c
+                    i += 1
+                if i > j:
+                    if f != b:
+                        coincidence(f, b)
+                    elif quiet and closed is not None:
+                        # closed with nothing defined, deduced or merged:
+                        # mark the cosets on its u-cycle
+                        c = alpha
+                        for _ in range(len(cols) // len(u)):
+                            for x in u:
+                                c = table[c][x]
+                            closed.add(c)
                     break
-            if find(alpha) == alpha:
-                for x in range(ncols):
-                    if table[alpha][x] is None:
-                        define(alpha, x)
+                quiet = False
+                while j >= i and (c := table[b][icols[j]]) is not None:
+                    b = c
+                    j -= 1
+                if j < i:
+                    coincidence(f, b)
+                    break
+                if j == i:
+                    table[f][cols[i]] = b
+                    table[b][icols[i]] = f
+                    break
+                f = define(f, cols[i])
+                i += 1
+            if rep[alpha] != alpha:
+                break
+        if rep[alpha] == alpha:
+            row = table[alpha]
+            for x in range(ncols):
+                if row[x] is None:
+                    define(alpha, x)
         alpha += 1
 
-    return table, np.array([find(c) for c in range(len(table))], dtype=np.int64)
+    return _live_action(table, rep)
+
+
+def _live_action(table, rep):
+    """The action (ncols, n) int32 of each column of a coset table on its
+    live cosets, the c with rep[c] == c, renumbered 0..n-1 in creation
+    order; an entry is read through the live coset it was merged into. A
+    live coset with an undefined entry raises ValueError."""
+    root = np.array(rep, dtype=np.int64)
+    while not np.array_equal(up := root[root], root):
+        root = up
+    live = np.flatnonzero(root == np.arange(len(rep)))
+    rows = np.array([table[c] for c in live.tolist()], dtype=np.float64)  # None -> nan
+    if np.isnan(rows).any():
+        raise ValueError("incomplete coset table")
+    index = np.zeros(len(rep), dtype=np.int32)
+    index[live] = np.arange(len(live))
+    return np.ascontiguousarray(index[root[rows.astype(np.int64)]].T)
 
 
 def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_CAPS.coset_cap,
@@ -378,35 +399,38 @@ def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_CAPS.coset_cap,
     processed in creation order, so the multiplication table is reproducible
     bit for bit.
     """
-    return _table_group(P, *_coset_table(P, coset_cap), order_cap)
+    return _table_group(P, _coset_table(P, coset_cap), order_cap)
 
 
-def _table_group(P: Presentation, table, root, order_cap: int | None = None):
-    """The regular-action group of a complete coset table of the trivial
-    subgroup, with root[c] the live coset that coset c was merged into."""
-    from .groups import FiniteGroup, table_dtype
+def _table_group(P: Presentation, act, order_cap: int | None = None):
+    """The group of a coset table of the trivial subgroup, given as the
+    action act[x] (an int32 array per generator column x) on its n cosets.
+
+    The action is proved regular before the table is built: each column pair
+    is mutually inverse, every relator closes at every coset, the generators
+    act transitively and each left generator map commutes with every column.
+    So the table built from the BFS layers is a group table with identity 0,
+    and its inverses are read off the element words (notes/decisions.md, "A
+    presented group is proved by its construction"). A failed check raises
+    ValueError."""
+    from .groups import BLOCK, FiniteGroup, table_dtype
 
     ngens = len(P.generators)
-    ncols = 2 * ngens
-    rel_cols = [_columns(w) for w in P.relators]
-    live = np.flatnonzero(root == np.arange(len(table)))
-    n = len(live)
+    ncols, n = act.shape
     if order_cap is not None and n > order_cap:
         raise ValueError(f"group order {n} exceeds group-order cap {order_cap}")
 
-    rows = np.array([table[c] for c in live], dtype=np.float64)  # None -> nan
-    assert not np.isnan(rows).any(), "incomplete coset table"
-    index = np.zeros(len(table), dtype=np.int32)
-    index[live] = np.arange(n)
-    act = np.ascontiguousarray(index[root[rows.astype(np.int64)]].T)
-
-    # closure sanity check: every relator traces to a cycle at every coset
     ar = np.arange(n)
-    for cols in rel_cols:
+    for x in range(ncols):
+        if not np.array_equal(act[x ^ 1][act[x]], ar):
+            raise ValueError("generator columns are not mutually inverse")
+    # every relator traces to a cycle at every coset
+    for w in P.relators:
         cur = ar
-        for x in cols:
+        for x in _columns(w):
             cur = act[x][cur]
-        assert np.array_equal(cur, ar), "relator does not close"
+        if not np.array_equal(cur, ar):
+            raise ValueError("relator does not close")
 
     # spanning tree in BFS order gives each element a defining word; each
     # layer lists its new elements in (parent, column) order of discovery
@@ -426,28 +450,38 @@ def _table_group(P: Presentation, table, root, order_cap: int | None = None):
         parent_col[layer] = pos % ncols
         seen[layer] = True
         layers.append(layer)
-    assert seen.all(), "generators do not act transitively"
+    if not seen.all():
+        raise ValueError("generators do not act transitively")
 
-    # the table one BFS layer at a time, grouped by the column that reached
-    # each element: v = p*g_x gives g_y*v = (g_y*p)*g_x, so left[y] (left
-    # multiplication by generator column y) is one gather per group, and then
-    # row v of the table is row p permuted by left[x]
+    # left[y] is left multiplication by generator column y: v = p*g_x gives
+    # g_y*v = (g_y*p)*g_x, one gather per group of a layer that column x
+    # reached. It must commute with the action, or the action is not regular
     groups = [(x, kids) for layer in layers[1:] for x in range(ncols)
               if (kids := layer[parent_col[layer] == x]).size]
     left = np.empty((ncols, n), dtype=np.int32)
     left[:, 0] = act[:, 0]
     for x, kids in groups:
         left[:, kids] = act[x][left[:, parent[kids]]]
+    for x in range(ncols):
+        if not np.array_equal(left[:, act[x]], act[x][left]):
+            raise ValueError("the action is not regular")
+
+    # row v = p*g_x of the table is row p permuted by left[x], written in
+    # blocks of rows so no temporary nears n x n; the inverse of v is g_x^-1
+    # times the inverse of p
     mul = np.empty((n, n), dtype=table_dtype(n))
     mul[0] = ar
-    for x, kids in groups:
-        mul[kids] = np.take(mul[parent[kids]], left[x], axis=1)
-
+    inv = np.zeros(n, dtype=np.int32)
     words = [()] * n
+    step = max(1, BLOCK // n)
     for x, kids in groups:
+        parents = parent[kids]
+        for i in range(0, kids.size, step):
+            mul[kids[i:i + step]] = np.take(mul[parents[i:i + step]], left[x], axis=1)
+        inv[kids] = left[x ^ 1][inv[parents]]
         letter = (x // 2 + 1) if x % 2 == 0 else -(x // 2 + 1)
-        for v, p in zip(kids.tolist(), parent[kids].tolist()):
+        for v, p in zip(kids.tolist(), parents.tolist()):
             words[v] = words[p] + (letter,)
 
     gens = tuple(int(act[2 * g, 0]) for g in range(ngens))
-    return FiniteGroup(mul, gens=gens, presentation=P, elem_words=tuple(words))
+    return FiniteGroup._proven(mul, inv, gens, presentation=P, elem_words=tuple(words))

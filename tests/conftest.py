@@ -5,7 +5,11 @@ that exhaustive power-map enumerations stay inside the default caps, and the
 order-128 pair appears only where the algebra side is affordable.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -95,3 +99,14 @@ def adversarial_presentation(P: Presentation, rng: random.Random) -> Presentatio
     rels = [tuple((slot[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in w) for w in rels]
     names = rng.sample([f"{c}{i}" for c in "uvwxyz" for i in range(10)], ngens)
     return Presentation(tuple(names), tuple(rels))
+
+
+def run_optimized(code: str) -> str:
+    """Run code under `python -O`, which strips every assert, with the
+    package and the tests importable; its stdout."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -24,9 +24,10 @@ the product enumerates a complement of the layer that decides them. The
 algebra search here evaluates each basis monomial from its
 whole word and checks all d² products of a candidate against the product
 tensor of the source in its monomial basis, where the product checks the
-relations of a presentation. The closure-checked subgroup and ideal
-constructors, the convolution product and the unital quotients FG/J serve
-the tests only: the product trusts the subgroups and radical powers it
+relations of a presentation. A group witness here is checked on every pair
+of elements, where the product checks it on every element and generator. The
+closure-checked subgroup and ideal constructors, the convolution product and
+the unital quotients FG/J serve the tests only: the product trusts the subgroups and radical powers it
 generates, multiplies inside sections and builds radical sections I/J. No
 `mip` command runs them.
 """
@@ -42,7 +43,7 @@ from modiso.groups import ConjClass, FiniteGroup, Subgroup, _index_set, char_ser
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
 from modiso.modalg import (GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, _prime_restriction,
                            quotient_algebra)
-from modiso.words import Presentation, _columns, _table_group
+from modiso.words import Presentation, _columns, _live_action, _table_group
 
 
 def subgroup(G: FiniteGroup, elems) -> Subgroup:
@@ -422,8 +423,16 @@ def todd_coxeter_rescan(P: Presentation, coset_cap: int = 100000):
                         define(alpha, x)
         alpha += 1
 
-    root = np.array([find(c) for c in range(len(table))], dtype=np.int64)
-    return _table_group(P, table, root)
+    return _table_group(P, _live_action(table, rep))
+
+
+def group_witness_holds_all_pairs(w: IsoWitness, G: FiniteGroup, H: FiniteGroup) -> bool:
+    """Whether the map that evaluates G's element words at the witness images
+    is a bijection G -> H with phi(a*b) = phi(a)*phi(b) for every pair."""
+    phi = np.array([int(H.word_image(word, w.images)) for word in G.elem_words])
+    if sorted(phi.tolist()) != list(range(H.n)):
+        return False
+    return bool(np.array_equal(phi[G.mul], H.mul[np.ix_(phi, phi)]))
 
 
 def unit_generators(A: QuotientAlgebra) -> list:

@@ -526,6 +526,48 @@ def test_caps_file_fuzz_exits_without_traceback(caps):
             assert "Traceback" not in err.getvalue()
 
 
+def _presentations():
+    """Presentation JSON on one to three generators: a power of 2 of each
+    generator and up to three words of bounded powers and commutators, or a
+    malformed document or word."""
+    def words(gens):
+        power = st.tuples(st.sampled_from(gens), st.integers(-9, 9)).map(lambda ge: f"{ge[0]}^{ge[1]}")
+        factor = st.one_of(power, st.tuples(power, power).map(lambda uv: f"[{uv[0]},{uv[1]}]"))
+        return st.lists(factor, min_size=1, max_size=4).map("*".join)
+
+    def presentation(gens):
+        powers = st.tuples(*(st.sampled_from([f"{g}^2", f"{g}^4", f"{g}^8"]) for g in gens))
+        return st.tuples(powers, st.lists(words(gens), max_size=3)).map(
+            lambda pw: {"generators": gens, "relators": [*pw[0], *pw[1]]})
+
+    well_formed = st.integers(1, 3).map(lambda k: list("abc"[:k])).flatmap(presentation)
+    junk_word = well_formed.flatmap(lambda doc: st.text(max_size=6).map(
+        lambda text: {**doc, "relators": [*doc["relators"], text]}))
+    junk_doc = st.one_of(st.text(max_size=8), st.dictionaries(
+        st.sampled_from(["generators", "relators"]), st.one_of(st.text(max_size=4), st.integers())))
+    return st.one_of(well_formed, junk_word, junk_doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_presentations())
+@example({"generators": ["a", "b"], "relators": []})
+@example({"generators": ["a"], "relators": ["a^6561"]})
+@example({"generators": ["a", "b"], "relators": ["a^4", "b^2", "(b*a)^2"]})
+def test_presentation_file_fuzz_exits_without_traceback(doc):
+    # any presentation file gives a documented exit code: 64 for a malformed
+    # one, 65 when the group cannot be built or fingerprinted, else 0, or 4
+    # when a cap fires
+    with tempfile.TemporaryDirectory() as tmp:
+        pres, caps = pathlib.Path(tmp) / "pres.json", pathlib.Path(tmp) / "caps.json"
+        pres.write_text(json.dumps(doc), encoding="utf-8")
+        caps.write_text(json.dumps({"coset_cap": 256}), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", f"Pres:{pres}", "--field", "2", "--caps", str(caps)])
+        assert code in (0, 4, 64, 65), (doc, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+
 LITERAL_INT = st.integers(min_value=-10**30, max_value=10**30)
 
 

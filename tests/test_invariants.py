@@ -14,6 +14,8 @@ from modiso.groups import (
     agemo,
     conjugacy_classes,
     jennings_ranks,
+    max_elem_abelian_direct_factor,
+    maximal_elem_abelian_classes,
     min_generators,
     quotient_group,
 )
@@ -253,6 +255,17 @@ def test_compare_unavailable_is_not_compared():
     v = compare(f, g)
     assert "elem_ab_direct_factor_rank" not in v.compared
     assert v.distinguished  # still separated by the other entries
+
+
+def test_cap_messages_give_requested_and_allowed_size():
+    # each group-side cap names the size it was asked for and the size it allows
+    with pytest.raises(CapExceeded, match=r"^3 elementary abelian subgroups exceed the elemab cap 2$"):
+        maximal_elem_abelian_classes(build("D8"), cap=2)
+    with pytest.raises(CapExceeded, match=r"^\|G\| = 8 exceeds the direct-factor cap 4$"):
+        max_elem_abelian_direct_factor(build("D8"), cap=4)
+    with pytest.raises(CapExceeded, match=r"^\|G\| = 8 exceeds the group-order cap 4$") as err:
+        fingerprint(build("D8"), F2, Caps(group_order_cap=4))
+    assert err.value.cap_name == "group_order_cap"
 
 
 def test_group_side_entries_field_size_independent():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from modiso import iso, modalg
 from modiso.words import todd_coxeter
 
 import oracles
-from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group
+from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group, run_optimized
 
 F2 = make_field(2, 1)
 F4 = make_field(2, 2)
@@ -104,6 +105,48 @@ def test_group_verify_rejects_malformed_images():
     for images in ([-7, -4], [99, 1], [1]):
         bad = IsoWitness(kind="group", images=images, source_gens=list(G.gens))
         assert verify_witness(bad, G, H) is False, images
+
+
+def test_generator_check_matches_all_pairs_check():
+    # the witness check on generators accepts exactly the image tuples that
+    # the all-pairs check accepts: every tuple between groups of order 8
+    # (|Aut(D8)| = 8, |Aut(Q8)| = 24), and random tuples plus the identity
+    # on T:2,5
+    D8, Q8, T = build("D8"), build("Q8"), build("T:2,5")
+    rng = random.Random(0)
+    cases = [(G, H, list(itertools.product(range(H.n), repeat=len(G.gens))), accepted)
+             for G, H, accepted in ((D8, D8, 8), (D8, Q8, 0), (Q8, Q8, 24))]
+    cases.append((T, T, [tuple(T.gens)] + [tuple(rng.randrange(T.n) for _ in T.gens)
+                                           for _ in range(200)], None))
+    for G, H, tuples, accepted in cases:
+        hits = 0
+        for images in tuples:
+            w = IsoWitness(kind="group", images=list(images), source_gens=list(G.gens))
+            verdict = verify_witness(w, G, H)
+            assert verdict == oracles.group_witness_holds_all_pairs(w, G, H), (G, H, images)
+            hits += verdict
+        assert hits == accepted if accepted is not None else hits >= 1
+
+
+def test_searches_return_no_unverified_witness_under_optimize():
+    # python -O strips asserts; with the verifier refusing every witness,
+    # neither search may hand one out
+    out = run_optimized(
+        "from modiso import iso, modalg\n"
+        "from modiso.families import build\n"
+        "from modiso.gfq import make_field\n"
+        "F = make_field(2, 2)\n"
+        "A, B = (modalg.radical_section(modalg.group_algebra(build(s), F), 1, 3) for s in ('D8', 'Q8'))\n"
+        "print('found', type(iso.nilpotent_algebra_iso(A, B)).__name__)\n"
+        "iso.verify_witness = lambda *args: False\n"
+        "for search, X, Y in ((iso.nilpotent_algebra_iso, A, B),\n"
+        "                     (iso.group_isomorphic, build('D8'), build('D8'))):\n"
+        "    try:\n"
+        "        print('returned', type(search(X, Y)).__name__)\n"
+        "    except AssertionError as err:\n"
+        "        print('refused:', err)\n")
+    refused = "refused: accepted assignment failed verification"
+    assert out.splitlines() == ["found IsoWitness", refused, refused], out
 
 
 def test_algebra_verify_rejects_malformed_images():

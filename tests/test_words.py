@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from modiso.errors import CapExceeded, SpecParseError
 from modiso.families import build
+from modiso.groups import FiniteGroup
 from modiso.words import (
     EXPONENT_CAP,
     Presentation,
+    _table_group,
     parse_word,
     print_word,
     todd_coxeter,
@@ -18,7 +20,7 @@ from modiso.words import (
     word_inverse,
 )
 
-from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group
+from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group, run_optimized
 from oracles import todd_coxeter_rescan
 
 GENS = ("a", "b", "c")
@@ -247,7 +249,7 @@ def test_table_columns_are_regular_actions_of_element_words(corpus_small):
 
 
 def _hlt_cases():
-    for spec in CORPUS_SMALL + ["T:2,6", "T:3,6"]:
+    for spec in CORPUS_SMALL + ["T:2,6", "T:3,6", "T:2,7", "T:3,7"]:
         P = build_corpus_group(spec).presentation
         yield pytest.param(P, id=spec)
         if len(P.generators) >= 2:
@@ -266,3 +268,55 @@ def test_power_relator_marks_match_rescanning_hlt(P):
     assert np.array_equal(G.mul, H.mul)
     assert G.gens == H.gens
     assert G.elem_words == H.elem_words
+
+
+# -- the regularity proof ---------------------------------------------------------
+
+D8_PRESENTATION = Presentation.parse(("r", "s"), ("r^4", "s^2", "(s*r)^2"))
+
+
+def _square_action():
+    """D8 on the four vertices of a square, as columns r, r^-1, s, s^-1: a
+    transitive action in which every relator closes, but a reflection fixes
+    vertex 0, so it is not regular."""
+    v = np.arange(4)
+    r, s = (v + 1) % 4, (-v) % 4
+    return np.array([r, (v - 1) % 4, s, s], dtype=np.int32)
+
+
+def test_regularity_rejects_a_transitive_non_regular_action():
+    act = _square_action()
+    # every check before the regularity one passes
+    for x in range(4):
+        assert np.array_equal(act[x ^ 1][act[x]], np.arange(4))
+    with pytest.raises(ValueError, match="not regular"):
+        _table_group(D8_PRESENTATION, act)
+
+
+def test_regularity_rejects_columns_that_are_not_mutually_inverse():
+    # a^3 closes under the 3-cycle, but its inverse column repeats it
+    cycle = np.array([1, 2, 0], dtype=np.int32)
+    act = np.array([cycle, cycle], dtype=np.int32)
+    with pytest.raises(ValueError, match="mutually inverse"):
+        _table_group(Presentation.parse(("a",), ("a^3",)), act)
+
+
+def test_regularity_is_checked_under_optimize():
+    # python -O strips asserts; the checks of a built table must still run
+    out = run_optimized(
+        "from test_words import D8_PRESENTATION, _square_action\n"
+        "from modiso.words import _table_group\n"
+        "try:\n"
+        "    _table_group(D8_PRESENTATION, _square_action())\n"
+        "except ValueError as err:\n"
+        "    print('rejected:', err)\n")
+    assert out.startswith("rejected:"), out
+
+
+def test_proven_group_passes_the_table_checks(corpus_small):
+    # the group a presentation builds is accepted by every check of the
+    # public constructor, and has the same identity, inverses and generators
+    for spec, G in corpus_small + [("T:2,5", build("T:2,5"))]:
+        H = FiniteGroup(np.array(G.mul), gens=G.gens)
+        assert (H.id, H.gens) == (G.id, G.gens), spec
+        assert np.array_equal(H.inv, G.inv), spec
