@@ -4,9 +4,11 @@ Groups are immutable multiplication tables on element indices 0..n-1; all
 subgroup operators, characteristic series, and section invariants work on
 index sets inside a parent group. A subgroup is a trusted membership mask
 plus the generators `FiniteGroup.generated` kept; no product route forms a
-subgroup from an arbitrary element set. Everything is deterministic: kept
-generators follow seed order, coset representatives are minimal indices,
-conjugacy classes are ordered by least representative.
+subgroup from an arbitrary element set, and none builds a group from an
+arbitrary table: each builder of a `FiniteGroup` proves its table by
+construction. Everything is deterministic: kept generators follow seed
+order, coset representatives are minimal indices, conjugacy classes are
+ordered by least representative.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import numpy as np
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
 
-ASSOC_EXHAUSTIVE_LIMIT = 512
-ASSOC_SAMPLES = 100_000
 # entries per block of a pass over the table, so no pass allocates n x n
 BLOCK = 1 << 16
 
@@ -27,20 +27,6 @@ BLOCK = 1 << 16
 def table_dtype(n: int):
     """The entry type of an order-n Cayley table: 2 bytes while every index fits."""
     return np.int16 if n <= np.iinfo(np.int16).max else np.int32
-
-
-def sample_ints(high: int, shape, offset: int = 0) -> np.ndarray:
-    """Deterministic pseudo-random integers in [0, high): the splitmix64
-    finalizer applied to offset + 1, offset + 2, ... (no numpy.random, no
-    global state), so consecutive offsets continue one stream."""
-    z = np.arange(offset + 1, offset + int(np.prod(shape)) + 1, dtype=np.uint64)
-    z *= np.uint64(0x9E3779B97F4A7C15)
-    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> np.uint64(shift)
-        z *= np.uint64(mult)
-    z ^= z >> np.uint64(31)
-    z %= np.uint64(high)
-    return z.astype(np.int64).reshape(shape)
 
 
 def _index_set(a, n: int) -> np.ndarray:
@@ -79,52 +65,20 @@ def _log_p(n: int, p: int) -> int:
 
 class FiniteGroup:
     """A finite group as an n x n multiplication table of element indices,
-    stored as `table_dtype(n)`. Above ASSOC_EXHAUSTIVE_LIMIT elements the
-    table is the only n x n array the group engine allocates: every other
-    pass reads it in row blocks or through the generator columns."""
+    stored as `table_dtype(n)`; the table is the only n x n array the group
+    engine allocates: every other pass reads it in row blocks or through
+    the generator columns.
 
-    def __init__(self, mul, gens, presentation=None, elem_words=None):
-        mul = np.asarray(mul)
-        if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
-            raise ValueError("multiplication table must be square")
-        n = mul.shape[0]
-        # range-check before narrowing, or an entry could wrap into range
-        if n == 0 or mul.min() < 0 or mul.max() >= n:
-            raise ValueError("table entries out of range")
-        mul = mul.astype(table_dtype(n), copy=False)
+    The one constructor trusts its caller, which has proved that mul is a
+    group table with identity `ident`, that inv is its inverse map and that
+    gens generate it. Three builders do: `words._table_group` proves a coset
+    action regular, `Subgroup.as_group` restricts a group table to a closed
+    subset and `quotient_group` multiplies the cosets of a normal subgroup
+    through their representatives (notes/decisions.md, "Subgroup and
+    quotient tables are proved by construction"). The checked constructor
+    for an arbitrary table is `checked_group` in `tests/oracles.py`."""
 
-        # e*0 = 0 for the identity e, and a two-sided identity is unique
-        ar = np.arange(n, dtype=mul.dtype)
-        ident = next((e for e in np.flatnonzero(mul[:, 0] == 0).tolist()
-                      if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)), None)
-        if ident is None:
-            raise ValueError("table has no unique identity")
-
-        # inv[x] is the last y in row x with x*y = 1, or -1 if there is none
-        inv = np.empty(n, dtype=np.int32)
-        step = max(1, BLOCK // n)
-        for i in range(0, n, step):
-            hit = mul[i:i + step] == ident
-            last = n - 1 - hit[:, ::-1].argmax(axis=1)
-            inv[i:i + step] = np.where(hit.any(axis=1), last, -1)
-        if (inv < 0).any() or not np.array_equal(mul[inv, ar], np.full(n, ident)):
-            raise ValueError("some element has no two-sided inverse")
-
-        self._set(mul, ident, inv, gens, presentation, elem_words)
-        self._check_associative()
-        if self.generated(self.gens).order != n:
-            raise ValueError("distinguished generators do not generate the group")
-
-    @classmethod
-    def _proven(cls, mul, inv, gens, presentation=None, elem_words=None):
-        """A group whose caller has proved that mul is a group table of
-        `table_dtype(n)` with identity 0, that inv is its inverse map and
-        that gens generate it; none of `__init__`'s checks run."""
-        G = cls.__new__(cls)
-        G._set(mul, 0, inv, gens, presentation, elem_words)
-        return G
-
-    def _set(self, mul, ident, inv, gens, presentation, elem_words):
+    def __init__(self, mul, ident, inv, gens, presentation=None, elem_words=None):
         self.n = mul.shape[0]
         self.mul = mul
         self.mul.setflags(write=False)
@@ -135,23 +89,6 @@ class FiniteGroup:
         self.elem_words = elem_words
         self._cache = {}
         self.gens = tuple(int(g) for g in gens)
-
-    def _check_associative(self):
-        """Exhaustive up to ASSOC_EXHAUSTIVE_LIMIT elements; beyond, the triples
-        of `sample_ints(n, (3, ASSOC_SAMPLES))`, drawn a block at a time."""
-        mul, n = self.mul, self.n
-        if n <= ASSOC_EXHAUSTIVE_LIMIT:
-            for i in range(n):
-                if not np.array_equal(mul[mul[i], :], mul[i][mul]):
-                    raise ValueError("table is not associative")
-            return
-        step = BLOCK // 16  # the draw's int64 temporaries stay a few times BLOCK bytes
-        for start in range(0, ASSOC_SAMPLES, step):
-            size = min(step, ASSOC_SAMPLES - start)
-            i, j, k = (sample_ints(n, size, offset=row * ASSOC_SAMPLES + start)
-                       for row in range(3))
-            if not np.array_equal(mul[mul[i, j], k], mul[i, mul[j, k]]):
-                raise ValueError("table is not associative")
 
     # -- element arithmetic ----------------------------------------------------
 
@@ -309,12 +246,14 @@ class Subgroup:
         return True
 
     def as_group(self):
-        """This subgroup as a standalone FiniteGroup plus the index embedding."""
-        G = self.parent
+        """This subgroup as a standalone FiniteGroup plus the index embedding.
+        The parent's table restricted to the closed set elems is a group
+        table with the parent's identity and inverses, renumbered."""
+        G, elems = self.parent, self.elems
         local = np.full(G.n, -1, dtype=np.int32)
-        local[self.elems] = np.arange(self.order, dtype=np.int32)
-        table = local[G.mul[np.ix_(self.elems, self.elems)]]
-        return FiniteGroup(table, gens=local[self.gens]), self.elems
+        local[elems] = np.arange(self.order, dtype=np.int32)
+        table = local[G.mul[np.ix_(elems, elems)]].astype(table_dtype(self.order))
+        return FiniteGroup(table, int(local[G.id]), local[G.inv[elems]], local[self.gens]), elems
 
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self._key == other._key
@@ -447,7 +386,8 @@ def _check_normal_in(X: Subgroup, N: Subgroup):
 def quotient_group(X, N: Subgroup):
     """(X/N as a FiniteGroup, projection array G -> X/N, -1 off X), for a
     group or subgroup X and N normal in X. Cosets are numbered in order of
-    their least elements."""
+    their least elements, and the table, identity and inverses are those of
+    the least representatives, projected."""
     if isinstance(X, FiniteGroup):
         X = X.full_subgroup()
     _check_normal_in(X, N)
@@ -457,7 +397,9 @@ def quotient_group(X, N: Subgroup):
     reps = _index_set(rep_of[X.elems], G.n)
     proj = np.full(G.n, -1, dtype=np.int32)
     proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])
-    Q = FiniteGroup(proj[G.mul[np.ix_(reps, reps)]], gens=_index_set(proj[X.gens], len(reps)))
+    m = len(reps)
+    Q = FiniteGroup(proj[G.mul[np.ix_(reps, reps)]].astype(table_dtype(m)), int(proj[G.id]),
+                    proj[G.inv[reps]], _index_set(proj[X.gens], m))
     assert Q.n * N.order == X.order
     return Q, proj
 

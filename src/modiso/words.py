@@ -484,4 +484,4 @@ def _table_group(P: Presentation, act, order_cap: int | None = None):
             words[v] = words[p] + (letter,)
 
     gens = tuple(int(act[2 * g, 0]) for g in range(ngens))
-    return FiniteGroup._proven(mul, inv, gens, presentation=P, elem_words=tuple(words))
+    return FiniteGroup(mul, 0, inv, gens, presentation=P, elem_words=tuple(words))

@@ -77,6 +77,25 @@ def corpus_medium():
     return [(spec, build_corpus_group(spec)) for spec in CORPUS_MEDIUM]
 
 
+@pytest.fixture
+def associative_sections(monkeypatch):
+    """Every radical section built while the test runs, and its prime
+    restriction, passes `oracles.check_associative`."""
+    import oracles
+    from modiso import modalg
+
+    build_section = modalg.radical_section
+
+    def checked(*args, **kwargs):
+        Q = build_section(*args, **kwargs)
+        oracles.check_associative(Q)
+        if (P := modalg._prime_restriction(Q)) is not Q:
+            oracles.check_associative(P)
+        return Q
+
+    monkeypatch.setattr(modalg, "radical_section", checked)
+
+
 def adversarial_presentation(P: Presentation, rng: random.Random) -> Presentation:
     """The same group through the Tietze substitution a -> a'*b^-1 (a' = ab)
     for two distinct generators a and b, then every relator rotated and

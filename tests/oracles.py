@@ -26,10 +26,17 @@ whole word and checks all d² products of a candidate against the product
 tensor of the source in its monomial basis, where the product checks the
 relations of a presentation. A group witness here is checked on every pair
 of elements, where the product checks it on every element and generator. The
-closure-checked subgroup and ideal constructors, the convolution product and
-the unital quotients FG/J serve the tests only: the product trusts the subgroups and radical powers it
-generates, multiplies inside sections and builds radical sections I/J. No
-`mip` command runs them.
+checked group constructor here takes an arbitrary table and searches its
+identity, scans its inverses, checks associativity (exhaustively up to 512
+elements, on 100,000 sampled triples beyond) and generation, where the product
+builds every group by a route that proves its table: a regular coset action,
+a restriction to a closed subgroup or the cosets of a normal subgroup. The
+associativity check of structure constants runs on the radical sections and
+prime restrictions the product builds, which are associative by
+construction. The closure-checked subgroup and ideal constructors, the
+convolution product and the unital quotients FG/J serve the tests only: the
+product trusts the subgroups and radical powers it generates, multiplies
+inside sections and builds radical sections I/J. No `mip` command runs them.
 """
 
 from __future__ import annotations
@@ -39,11 +46,107 @@ import numpy as np
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder, echelon_basis
-from modiso.groups import ConjClass, FiniteGroup, Subgroup, _index_set, char_series
+from modiso.groups import BLOCK, ConjClass, FiniteGroup, Subgroup, _index_set, char_series, table_dtype
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
 from modiso.modalg import (GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, _prime_restriction,
                            quotient_algebra)
 from modiso.words import Presentation, _columns, _live_action, _table_group
+
+ASSOC_EXHAUSTIVE_LIMIT = 512
+ASSOC_SAMPLES = 100_000
+
+
+def sample_ints(high: int, shape, offset: int = 0) -> np.ndarray:
+    """Deterministic pseudo-random integers in [0, high): the splitmix64
+    finalizer applied to offset + 1, offset + 2, ... (no numpy.random, no
+    global state), so consecutive offsets continue one stream."""
+    z = np.arange(offset + 1, offset + int(np.prod(shape)) + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z %= np.uint64(high)
+    return z.astype(np.int64).reshape(shape)
+
+
+def checked_group(mul, gens, presentation=None, elem_words=None) -> FiniteGroup:
+    """The group of an arbitrary table, checked: square, entries in range
+    (before narrowing to `table_dtype(n)`), a unique two-sided identity, an
+    inverse for every element, associativity and generation by gens. A
+    failed check raises ValueError."""
+    mul = np.asarray(mul)
+    if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
+        raise ValueError("multiplication table must be square")
+    n = mul.shape[0]
+    # range-check before narrowing, or an entry could wrap into range
+    if n == 0 or mul.min() < 0 or mul.max() >= n:
+        raise ValueError("table entries out of range")
+    mul = mul.astype(table_dtype(n), copy=False)
+
+    # e*0 = 0 for the identity e, and a two-sided identity is unique
+    ar = np.arange(n, dtype=mul.dtype)
+    ident = next((e for e in np.flatnonzero(mul[:, 0] == 0).tolist()
+                  if np.array_equal(mul[e], ar) and np.array_equal(mul[:, e], ar)), None)
+    if ident is None:
+        raise ValueError("table has no unique identity")
+
+    # inv[x] is the last y in row x with x*y = 1, or -1 if there is none
+    inv = np.empty(n, dtype=np.int32)
+    step = max(1, BLOCK // n)
+    for i in range(0, n, step):
+        hit = mul[i:i + step] == ident
+        last = n - 1 - hit[:, ::-1].argmax(axis=1)
+        inv[i:i + step] = np.where(hit.any(axis=1), last, -1)
+    if (inv < 0).any() or not np.array_equal(mul[inv, ar], np.full(n, ident)):
+        raise ValueError("some element has no two-sided inverse")
+
+    _check_table_associative(mul)
+    G = FiniteGroup(mul, ident, inv, gens, presentation, elem_words)
+    if G.generated(G.gens).order != n:
+        raise ValueError("distinguished generators do not generate the group")
+    return G
+
+
+def _check_table_associative(mul):
+    """Exhaustive up to ASSOC_EXHAUSTIVE_LIMIT elements; beyond, the triples
+    of `sample_ints(n, (3, ASSOC_SAMPLES))`, drawn a block at a time."""
+    n = mul.shape[0]
+    if n <= ASSOC_EXHAUSTIVE_LIMIT:
+        for i in range(n):
+            if not np.array_equal(mul[mul[i], :], mul[i][mul]):
+                raise ValueError("table is not associative")
+        return
+    step = BLOCK // 16  # the draw's int64 temporaries stay a few times BLOCK bytes
+    for start in range(0, ASSOC_SAMPLES, step):
+        size = min(step, ASSOC_SAMPLES - start)
+        i, j, k = (sample_ints(n, size, offset=row * ASSOC_SAMPLES + start)
+                   for row in range(3))
+        if not np.array_equal(mul[mul[i, j], k], mul[i, mul[j, k]]):
+            raise ValueError("table is not associative")
+
+
+def check_associative(Q: QuotientAlgebra):
+    """Raise AssertionError unless the structure constants of Q are
+    associative: exhaustive on basis triples up to dimension 24, on 200
+    sampled triples of elements beyond."""
+    d = Q.dim
+    if d == 0:
+        return
+    F = Q.field
+    if d <= 24:
+        for l in range(d):
+            lhs = F.matmul(Q.sc.reshape(d * d, d), Q.sc[:, l, :]).reshape(d, d, d)
+            rhs = np.zeros_like(lhs)
+            for i in range(d):
+                rhs[i] = F.matmul(Q.sc[:, l, :], Q.sc[i])
+            if not np.array_equal(lhs, rhs):
+                raise AssertionError("structure constants are not associative")
+    else:
+        X, Y, Z = sample_ints(F.q, (3, 200, d)).astype(np.uint8)
+        if not np.array_equal(Q.mul_batch(Q.mul_batch(X, Y), Z),
+                              Q.mul_batch(X, Q.mul_batch(Y, Z))):
+            raise AssertionError("structure constants are not associative")
 
 
 def subgroup(G: FiniteGroup, elems) -> Subgroup:

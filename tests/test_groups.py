@@ -4,13 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modiso import groups
 from modiso.errors import CapExceeded
 from modiso.families import build
 from modiso.groups import (
-    ASSOC_EXHAUSTIVE_LIMIT,
-    ASSOC_SAMPLES,
-    FiniteGroup,
     Subgroup,
     abelian_type,
     agemo,
@@ -28,13 +24,13 @@ from modiso.groups import (
     omega,
     omega_in,
     quotient_group,
-    sample_ints,
     subgroup_intersection,
     subgroup_product,
     table_dtype,
 )
 
 import oracles as O
+from oracles import ASSOC_EXHAUSTIVE_LIMIT, ASSOC_SAMPLES, sample_ints
 
 
 def D8():
@@ -63,23 +59,23 @@ def twisted_table(n):
 
 def test_finite_group_rejects_bad_tables():
     with pytest.raises(ValueError, match="square"):
-        FiniteGroup(np.zeros((2, 3)), gens=[0])
+        O.checked_group(np.zeros((2, 3)), gens=[0])
     with pytest.raises(ValueError, match="out of range"):
-        FiniteGroup([[0, 1], [1, 2]], gens=[1])
+        O.checked_group([[0, 1], [1, 2]], gens=[1])
     with pytest.raises(ValueError, match="unique identity"):
-        FiniteGroup([[0, 0], [0, 0]], gens=[0])
+        O.checked_group([[0, 0], [0, 0]], gens=[0])
     with pytest.raises(ValueError, match="inverse"):
-        FiniteGroup([[0, 1, 2], [1, 1, 1], [2, 1, 2]], gens=[1, 2])
-    assert FiniteGroup(cyclic_table(4), gens=[1]).n == 4
+        O.checked_group([[0, 1, 2], [1, 1, 1], [2, 1, 2]], gens=[1, 2])
+    assert O.checked_group(cyclic_table(4), gens=[1]).n == 4
     with pytest.raises(ValueError, match="do not generate"):
-        FiniteGroup(cyclic_table(4), gens=[2])
+        O.checked_group(cyclic_table(4), gens=[2])
 
 
 def test_finite_group_rejects_nonassociative_exhaustive():
     t = twisted_table(12)
     assert t[t[1, 1], 3] != t[1, t[1, 3]]
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(t, gens=[1])
+        O.checked_group(t, gens=[1])
 
 
 def test_finite_group_rejects_nonassociative_sampled():
@@ -89,7 +85,7 @@ def test_finite_group_rejects_nonassociative_sampled():
     i, j, k = sample_ints(n, (3, ASSOC_SAMPLES))
     assert (t[t[i, j], k] != t[i, t[j, k]]).any()
     with pytest.raises(ValueError, match="not associative"):
-        FiniteGroup(t, gens=[1])
+        O.checked_group(t, gens=[1])
 
 
 def test_finite_group_range_checks_before_narrowing():
@@ -99,14 +95,14 @@ def test_finite_group_range_checks_before_narrowing():
     t[1, 1] += 1 << 16
     assert np.array_equal(t.astype(np.int16), cyclic_table(4))
     with pytest.raises(ValueError, match="out of range"):
-        FiniteGroup(t, gens=[1])
+        O.checked_group(t, gens=[1])
 
 
 def test_table_is_two_bytes_while_indices_fit():
     assert table_dtype(32767) == np.int16
     assert table_dtype(32768) == np.int32
     assert build("T:2,7").mul.dtype == np.int16
-    assert FiniteGroup(cyclic_table(4), gens=[1]).mul.dtype == np.int16
+    assert O.checked_group(cyclic_table(4), gens=[1]).mul.dtype == np.int16
 
 
 def test_sampled_associativity_draws_the_one_shot_stream(monkeypatch):
@@ -116,9 +112,9 @@ def test_sampled_associativity_draws_the_one_shot_stream(monkeypatch):
         drawn.append(sample_ints(*args, **kwargs))
         return drawn[-1]
 
-    monkeypatch.setattr(groups, "sample_ints", recording)
+    monkeypatch.setattr(O, "sample_ints", recording)
     n = ASSOC_EXHAUSTIVE_LIMIT + 88
-    FiniteGroup(cyclic_table(n), gens=[1])
+    O.checked_group(cyclic_table(n), gens=[1])
     # each block draws one chunk of the i, j and k rows, in that order
     rows = [np.concatenate(drawn[r::3]) for r in range(3)]
     assert len(drawn) > 3
@@ -137,9 +133,9 @@ def _peak_bytes(fn):
 def test_no_pass_allocates_an_n_by_n_temporary():
     # numpy reports its buffers to tracemalloc, so the peaks are exact counts
     G = build("T:2,6")
-    fresh = _peak_bytes(lambda: FiniteGroup(G.mul, gens=G.gens))
+    fresh = _peak_bytes(lambda: O.checked_group(G.mul, gens=G.gens))
     assert fresh < G.n ** 2
-    H = FiniteGroup(G.mul, gens=G.gens)
+    H = O.checked_group(G.mul, gens=G.gens)
     assert _peak_bytes(lambda: center(H)) < G.n ** 2
     assert _peak_bytes(lambda: conjugacy_classes(H)) < G.n ** 2
 
@@ -289,7 +285,7 @@ def test_conjugacy_classes_build_no_subgroup(monkeypatch):
         init(self, parent, elems)
 
     G = build("T:2,5")
-    fresh = FiniteGroup(G.mul, gens=G.gens)
+    fresh = O.checked_group(G.mul, gens=G.gens)
     monkeypatch.setattr(Subgroup, "__init__", counting_init)
     assert sum(c.length for c in conjugacy_classes(fresh)) == fresh.n
     assert built == []
@@ -311,6 +307,49 @@ def test_classes_match_per_element_oracle(oracle_groups):
         assert [c.rep for c in got] == [c.rep for c in want], spec
         assert [c.length for c in got] == [c.length for c in want], spec
         assert all(np.array_equal(a.elems, b.elems) for a, b in zip(got, want)), spec
+
+
+# -- subgroup and quotient tables against the checked constructor ------------------
+
+def proved_tables(G):
+    """(label, group) for `as_group` and `quotient_group` on the centre, the
+    derived and Frattini subgroups, Ω_1(Z) and each Lazard D_j of G."""
+    cs = char_series(G)
+    normal = [("Z", cs.center), ("G'", cs.derived), ("Frat", cs.frattini),
+              ("Omega_1(Z)", omega(cs.center, 1))]
+    normal += [(f"D_{j}", D) for j, D in enumerate(dimension_subgroups_lazard(G), start=1)]
+    for name, N in normal:
+        yield f"{name} as group", N.as_group()[0]
+        yield f"G/{name}", quotient_group(G, N)[0]
+
+
+def assert_matches_checked_group(H, label):
+    C = O.checked_group(np.array(H.mul), gens=H.gens)
+    assert isinstance(H.id, int) and H.id == C.id, label
+    assert H.gens == C.gens, label
+    assert np.array_equal(H.inv, C.inv), label
+    assert H.mul.dtype == C.mul.dtype and np.array_equal(H.mul, C.mul), label
+
+
+def test_proved_subgroup_and_quotient_tables_match_checked_group(oracle_groups):
+    for spec, G in oracle_groups:
+        for label, H in proved_tables(G):
+            assert_matches_checked_group(H, f"{spec}: {label}")
+
+
+def test_proved_tables_of_a_relabeled_group_keep_their_identity():
+    # renumbered elements put the identity of the group, of its subgroups
+    # and of its quotients away from index 0
+    G = build("T:1,4")
+    perm = np.random.default_rng(G.n).permutation(G.n)
+    inv_perm = np.argsort(perm)
+    H = O.checked_group(inv_perm[G.mul[np.ix_(perm, perm)]], gens=[int(inv_perm[g]) for g in G.gens])
+    assert H.id != 0
+    ids = []
+    for label, K in proved_tables(H):
+        assert_matches_checked_group(K, f"T:1,4 relabeled: {label}")
+        ids.append(K.id)
+    assert any(ids), ids
 
 
 def test_class_partition_and_centralizer_identity():

@@ -398,15 +398,13 @@ def test_fingerprint_invariant_under_relabeling():
     # change a single entry of the fingerprint
     import numpy as np
 
-    from modiso.groups import FiniteGroup
-
     for spec, F in [("D8", F2), ("Meta:2,3,1,0,3", F2), ("T:1,4", F3)]:
         G = build(spec)
         rng = np.random.default_rng(G.n)
         perm = rng.permutation(G.n)
         inv_perm = np.argsort(perm)
-        H = FiniteGroup(inv_perm[G.mul[np.ix_(perm, perm)]],
-                        gens=[int(inv_perm[g]) for g in G.gens])
+        H = oracles.checked_group(inv_perm[G.mul[np.ix_(perm, perm)]],
+                                  gens=[int(inv_perm[g]) for g in G.gens])
         assert not compare(fingerprint(G, F), fingerprint(H, F)).distinguished
 
 

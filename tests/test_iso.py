@@ -26,6 +26,10 @@ F2 = make_field(2, 1)
 F4 = make_field(2, 2)
 F3 = make_field(3, 1)
 
+# every radical section a test builds is checked associative, with its
+# prime restriction
+pytestmark = pytest.mark.usefixtures("associative_sections")
+
 
 def section(spec, F, i=1, j=3):
     return modalg.radical_section(modalg.group_algebra(build(spec), F), i, j)
@@ -78,12 +82,12 @@ def test_group_iso_cap():
 
 def test_group_iso_requires_presentation():
     G = build("D8")
-    table_only = FiniteGroup(G.mul.copy(), gens=list(G.gens))
+    table_only = oracles.checked_group(G.mul.copy(), gens=list(G.gens))
     with pytest.raises(ValueError):
         group_isomorphic(table_only, G)
     # without element words the search could not be verified, so it does
     # not start, whatever the target
-    wordless = FiniteGroup(G.mul.copy(), gens=list(G.gens), presentation=G.presentation)
+    wordless = oracles.checked_group(G.mul.copy(), gens=list(G.gens), presentation=G.presentation)
     for H in (G, build("Q8")):
         with pytest.raises(ValueError):
             group_isomorphic(wordless, H)

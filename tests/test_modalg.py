@@ -23,6 +23,10 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 
+# every radical section a test builds is checked associative, with its
+# prime restriction
+pytestmark = pytest.mark.usefixtures("associative_sections")
+
 
 def alg(spec, F=F2):
     return M.group_algebra(build(spec), F)
@@ -307,7 +311,26 @@ def test_sampled_associativity_check_rejects_nonassociative_tensor():
     right = square @ sc[0, :] % 2       # e0 (e0 e0): row k of sc[0, :] is e0 e_k
     assert not np.array_equal(left, right)
     with pytest.raises(AssertionError, match="not associative"):
-        M.QuotientAlgebra(F2, sc)
+        O.check_associative(M.QuotientAlgebra(F2, sc))
+
+
+def test_associativity_oracle_on_both_branches(monkeypatch):
+    # the GF(4) section Δ/Δ^5 of X:C:2*D8 has d = 14, inside the exhaustive
+    # branch; its prime restriction has dimension 28, past it
+    drawn, sample_ints = [], O.sample_ints
+
+    def recording(*args, **kwargs):
+        drawn.append(args)
+        return sample_ints(*args, **kwargs)
+
+    S = M.radical_section(alg("X:C:2*D8", F4), 1, 5)
+    P = M._prime_restriction(S)
+    assert (S.dim, P.dim) == (14, 28)
+    monkeypatch.setattr(O, "sample_ints", recording)
+    O.check_associative(S)
+    assert drawn == []
+    O.check_associative(P)
+    assert drawn == [(2, (3, 200, 28))]
 
 
 def test_sampled_associativity_checks_do_not_load_numpy_random():
@@ -399,9 +422,8 @@ def test_kernel_size_basis_independence_via_relabeled_group():
     perm = np.roll(np.arange(G.n), 3)
     perm[np.nonzero(perm == G.id)[0][0]], perm[G.id] = perm[G.id], perm[np.nonzero(perm == G.id)[0][0]]
     inv_perm = np.argsort(perm)
-    from modiso.groups import FiniteGroup
     table = inv_perm[G.mul[np.ix_(perm, perm)]]
-    H = FiniteGroup(table, gens=[int(inv_perm[g]) for g in G.gens])
+    H = O.checked_group(table, gens=[int(inv_perm[g]) for g in G.gens])
     S1 = M.radical_section(M.group_algebra(G, F2), 1, 3)
     S2 = M.radical_section(M.group_algebra(H, F2), 1, 3)
     assert M.kernel_size_power_map(S1, 1) == M.kernel_size_power_map(S2, 1)

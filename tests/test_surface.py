@@ -9,6 +9,12 @@ library API that the package does not read; being exported in
 
 Every capped library function defaults to the cap `mip` uses, so a library
 call and the command line agree on every cap.
+
+Every group and every structure-constant algebra is built by a route that
+proves it: a `FiniteGroup` only by the three builders that prove its table,
+a `QuotientAlgebra` only as a section I/J or its prime restriction. The
+checks of an arbitrary table or tensor are oracles, so a new unproved
+construction route fails here.
 """
 
 import ast
@@ -38,6 +44,17 @@ CAP_DEFAULTS = {
     ("iso", "group_isomorphic", "cap"): "iso_cap",
     ("iso", "nilpotent_algebra_iso", "cap"): "iso_cap",
 }
+
+# class -> (module, enclosing function) of every call that builds one
+CONSTRUCTION_SITES = {
+    "FiniteGroup": {("words.py", "_table_group"), ("groups.py", "Subgroup.as_group"),
+                    ("groups.py", "quotient_group")},
+    "QuotientAlgebra": {("modalg.py", "quotient_algebra"), ("modalg.py", "_prime_restriction")},
+    "__new__": set(),
+}
+
+# names defined only in tests/oracles.py: the checks of arbitrary tables
+ORACLE_ONLY = ("sample_ints", "ASSOC_", "_check_associative")
 
 
 def _definitions(tree):
@@ -116,3 +133,42 @@ def test_cap_defaults_are_the_default_caps():
         if default != getattr(DEFAULT_CAPS, field):
             drifted.append(f"{module}.{name}({param}={default!r}) != {field}")
     assert drifted == []
+
+
+def _calls(node, scope=""):
+    """(enclosing qualified name, callee name) for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _calls(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Name):
+                yield scope, func.id
+            elif isinstance(func, ast.Attribute):
+                yield scope, func.attr
+        yield from _calls(child, scope)
+
+
+def test_groups_and_algebras_are_built_only_where_they_are_proved():
+    sites = {name: set() for name in CONSTRUCTION_SITES}
+    for module, tree in _trees().items():
+        for scope, callee in _calls(tree):
+            if callee in sites:
+                sites[callee].add((module, scope))
+    assert sites == CONSTRUCTION_SITES
+
+
+def test_table_checks_live_only_in_the_oracles():
+    defined = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}:{name}" for name in names if name.startswith(ORACLE_ONLY)]
+    assert defined == []
