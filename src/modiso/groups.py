@@ -393,7 +393,10 @@ def quotient_group(X, N: Subgroup):
     _check_normal_in(X, N)
     G = X.parent
     rep_of = np.full(G.n, -1, dtype=np.int32)
-    rep_of[X.elems] = G.mul[np.ix_(X.elems, N.elems)].min(axis=1)
+    step = max(1, BLOCK // N.order)
+    for i in range(0, X.order, step):
+        rows = X.elems[i:i + step]
+        rep_of[rows] = G.mul[np.ix_(rows, N.elems)].min(axis=1)
     reps = _index_set(rep_of[X.elems], G.n)
     proj = np.full(G.n, -1, dtype=np.int32)
     proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -91,15 +92,43 @@ def test_stdout_independent_of_hash_seed():
         assert outs[0] == outs[1], argv
 
 
-def test_closed_stdout_exits_74_without_traceback():
+@pytest.mark.parametrize("closed", ["reader-gone", "fd-closed"])
+def test_closed_stdout_exits_74_without_traceback(closed):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.Popen([sys.executable, "-m", "modiso", "compare", "D8", "Q8", "--field", "2"],
-                            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()  # the reader is gone before the child writes
+    if closed == "reader-gone":
+        proc = subprocess.Popen([sys.executable, "-m", "modiso", "compare", "D8", "Q8",
+                                 "--field", "2"],
+                                cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the child writes
+    else:
+        # fd 1 is closed before the interpreter starts, so sys.stdout is None
+        proc = subprocess.Popen(["sh", "-c", 'exec "$0" -m modiso report D8 --field 2 >&-',
+                                 sys.executable], cwd=ROOT, env=env, stderr=subprocess.PIPE)
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=300) == 74
     assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    # only the process entry point cli.run freezes; in-process callers keep a normal heap
+    frozen = gc.get_freeze_count()
+    code, out, _ = run(capsys, "report", "D8", "--field", "2")
+    assert code == 0 and json.loads(out)["order"] == 8
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_profiler_prints_its_stats_after_a_command(capsys):
+    # the process ends through sys.exit, so cProfile's stats and atexit handlers still run
+    code, report, _ = run(capsys, "report", "D8", "--field", "2")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "modiso", "report", "D8",
+                           "--field", "2"], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert code == proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(report)
+    assert "function calls" in proc.stdout[len(report):]
 
 
 def _fresh(code):

@@ -248,6 +248,12 @@ def test_quotient_by_whole_group():
     assert Q.n == 1
 
 
+def test_quotient_reads_coset_minima_in_row_blocks():
+    # G/D_1 = G/G is trivial, but its coset minima span the whole n x n table
+    G = build("T:2,7")
+    assert _peak_bytes(lambda: quotient_group(G, G.full_subgroup())) < 1 << 20
+
+
 def test_quotient_requires_normal():
     G = D8()
     s = next(g for g in range(G.n)

@@ -15,12 +15,18 @@ proves it: a `FiniteGroup` only by the three builders that prove its table,
 a `QuotientAlgebra` only as a section I/J or its prime restriction. The
 checks of an arbitrary table or tensor are oracles, so a new unproved
 construction route fails here.
+
+The process ends in one place, `cli.run`: it alone freezes the collector and
+exits, and both `python -m modiso` and the `mip` script call it, so `main`
+stays safe to call in-process.
 """
 
 import ast
 import importlib
 import inspect
 import pathlib
+
+import pytest
 
 from modiso.caps import DEFAULT_CAPS
 
@@ -52,6 +58,11 @@ CONSTRUCTION_SITES = {
     "QuotientAlgebra": {("modalg.py", "quotient_algebra"), ("modalg.py", "_prime_restriction")},
     "__new__": set(),
 }
+
+# callee -> the only (module, enclosing function) that may call it: the calls
+# that end the process (sys.exit, os._exit) or change the collector's state
+PROCESS_END = {"gc.freeze": {("cli.py", "run")}, "gc.disable": set(), "os._exit": set(),
+               "sys.exit": {("cli.py", "run")}}
 
 # names defined only in tests/oracles.py: the checks of arbitrary tables
 ORACLE_ONLY = ("sample_ints", "ASSOC_", "_check_associative")
@@ -135,18 +146,25 @@ def test_cap_defaults_are_the_default_caps():
     assert drifted == []
 
 
+def _dotted(func):
+    """The dotted name of a callee: "gc.freeze", "run", or ".mul" for an
+    attribute of an expression that is not a plain name."""
+    parts = []
+    while isinstance(func, ast.Attribute):
+        parts.append(func.attr)
+        func = func.value
+    parts.append(func.id if isinstance(func, ast.Name) else "")
+    return ".".join(reversed(parts))
+
+
 def _calls(node, scope=""):
-    """(enclosing qualified name, callee name) for every call under node."""
+    """(enclosing qualified name, dotted callee name) for every call under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _calls(child, f"{scope}.{child.name}" if scope else child.name)
             continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            if isinstance(func, ast.Name):
-                yield scope, func.id
-            elif isinstance(func, ast.Attribute):
-                yield scope, func.attr
+        if isinstance(child, ast.Call) and isinstance(child.func, (ast.Name, ast.Attribute)):
+            yield scope, _dotted(child.func)
         yield from _calls(child, scope)
 
 
@@ -154,8 +172,9 @@ def test_groups_and_algebras_are_built_only_where_they_are_proved():
     sites = {name: set() for name in CONSTRUCTION_SITES}
     for module, tree in _trees().items():
         for scope, callee in _calls(tree):
-            if callee in sites:
-                sites[callee].add((module, scope))
+            name = callee.rpartition(".")[2]
+            if name in sites:
+                sites[name].add((module, scope))
     assert sites == CONSTRUCTION_SITES
 
 
@@ -172,3 +191,20 @@ def test_table_checks_live_only_in_the_oracles():
                 continue
             defined += [f"{module}:{name}" for name in names if name.startswith(ORACLE_ONLY)]
     assert defined == []
+
+
+def test_the_process_ends_only_in_cli_run():
+    trees = _trees()
+    sites = {name: set() for name in PROCESS_END}
+    for module, tree in trees.items():
+        for scope, callee in _calls(tree):
+            if callee in sites:
+                sites[callee].add((module, scope))
+    assert sites == PROCESS_END
+    entry = trees["__main__.py"]
+    assert {node.names[0].name for node in ast.walk(entry)
+            if isinstance(node, ast.ImportFrom) and node.module == "cli"} == {"run"}
+    assert set(_calls(entry)) == {("", "run")}
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"mip": "modiso.cli:run"}
