@@ -129,6 +129,30 @@ def make_field(p: int, k: int) -> FiniteField:
     return _FIELDS[key]
 
 
+def _check_indexable(q: int, dim: int, cap_name: str):
+    """Raise CapExceeded(cap_name) for a space of 2^63 points or more, which
+    an int64 index cannot enumerate."""
+    if q**dim >= 1 << 63:
+        raise CapExceeded(cap_name,
+                          f"{q}^{dim} points exceed the 2^63 that one enumeration can index")
+
+
+def _enumerate_coords(q: int, dim: int, cap_name: str, chunk: int = 1 << 15):
+    """Yield (m, dim) uint8 blocks covering all q^dim coordinate vectors, in
+    mixed-radix order (last coordinate fastest). The points are indexed in
+    int64, so a space of 2^63 points or more raises CapExceeded(cap_name)."""
+    _check_indexable(q, dim, cap_name)
+    total = q**dim
+    start = 0
+    radix = np.array([q**(dim - 1 - i) for i in range(dim)], dtype=np.int64)
+    while start < total:
+        stop = min(start + chunk, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        out = (idx[:, None] // radix[None, :]) % q
+        yield out.astype(np.uint8)
+        start = stop
+
+
 # -- echelon-form subspaces ---------------------------------------------------
 
 def _sift(field: FiniteField, rows: np.ndarray, pivots, V) -> np.ndarray:
@@ -185,9 +209,10 @@ class EchelonBuilder:
         r = F.vsmul(int(F.INV[r[j]]), r)
         d = self.dim
         if d:
+            # each entry of a rank-one update is one product: a MUL gather
             coefs = self._buf[:d, j].copy()
             if coefs.any():
-                self._buf[:d] = F.vsub(self._buf[:d], F.matmul(coefs[:, None], r[None, :]))
+                self._buf[:d] = F.vsub(self._buf[:d], F.MUL[coefs[:, None], r[None, :]])
         self._buf[d] = r
         self._pivots.append(j)
         return r
@@ -213,7 +238,7 @@ class EchelonBuilder:
                 return added
             j = int(np.nonzero(C[0, :w])[0][0])
             r = self._insert_reduced(C[0], j)
-            C = F.vsub(C[1:], F.matmul(C[1:, j, None], r[None, :]))
+            C = F.vsub(C[1:], F.MUL[C[1:, j, None], r[None, :]])
             added += 1
 
     def freeze(self) -> "Subspace":
@@ -316,3 +341,21 @@ def invert_matrix(M, field: FiniteField) -> np.ndarray:
     # row i of the result expresses e_i in the rows of M: out @ M = I
     return te.solve(eye)
 
+
+def invertible(M, field: FiniteField) -> np.ndarray:
+    """Boolean mask over a batch of square code matrices (N, m, m): True
+    where the matrix is invertible. Gaussian elimination runs on the whole
+    batch at once, one column at a time; a matrix without a pivot in some
+    column is singular."""
+    M = np.array(M, dtype=np.uint8)
+    N, m, _ = M.shape
+    F, rows = field, np.arange(N)
+    ok = np.ones(N, dtype=bool)
+    for c in range(m):
+        nonzero = M[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        r = c + nonzero.argmax(axis=1)
+        M[rows, c], M[rows, r] = M[rows, r], M[rows, c]
+        piv = F.MUL[F.INV[M[:, c, c]][:, None], M[:, c]]  # a zero row on singular ones
+        M[:, c + 1:] = F.vsub(M[:, c + 1:], F.MUL[M[:, c + 1:, c, None], piv[:, None, :]])
+    return ok

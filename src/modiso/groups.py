@@ -59,7 +59,8 @@ def _log_p(n: int, p: int) -> int:
     while n > 1 and n % p == 0:
         n //= p
         r += 1
-    assert n == 1, "not a power of p"
+    if n != 1:
+        raise AssertionError("not a power of p")
     return r
 
 
@@ -145,7 +146,8 @@ class FiniteGroup:
                 orders[hit] = k
                 cur = self.mul[cur, ar]
                 k += 1
-                assert k <= n + 1
+                if k > n + 1:
+                    raise AssertionError("an element order exceeds the group order")
             orders.setflags(write=False)
             self._cache["orders"] = orders
         return self._cache["orders"]
@@ -271,9 +273,11 @@ def subgroup_product(A: Subgroup, B: Subgroup) -> Subgroup:
     """The set product AB, built as ⟨A, B⟩; the order check asserts that the
     two agree, as they do when A or B is normal."""
     G = A.parent
-    assert B.parent is G
+    if B.parent is not G:
+        raise AssertionError("subgroups of different groups")
     S = G.generated(A.gens + B.gens)
-    assert S.order * _intersection_order(A, B) == A.order * B.order
+    if S.order * _intersection_order(A, B) != A.order * B.order:
+        raise AssertionError("the set product is not the subgroup generated")
     return S
 
 
@@ -282,14 +286,16 @@ def _intersection_order(A: Subgroup, B: Subgroup) -> int:
 
 
 def subgroup_intersection(A: Subgroup, B: Subgroup) -> Subgroup:
-    assert A.parent is B.parent
+    if A.parent is not B.parent:
+        raise AssertionError("subgroups of different groups")
     return Subgroup(A.parent, A._member & B._member)
 
 
 def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B] for A ⊆ B, generated by [a, b] over a in A.gens and b in B.
     B normalizes that set, since [a,b]^c = [a,c]^-1 [a,bc]."""
-    assert B.contains_set(A)
+    if not B.contains_set(A):
+        raise AssertionError("A is not contained in B")
     G = A.parent
     mul, inv = G.mul, G.inv
     a = np.asarray(A.gens, dtype=np.int32)[:, None]
@@ -401,9 +407,11 @@ def quotient_group(X, N: Subgroup):
     proj = np.full(G.n, -1, dtype=np.int32)
     proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])
     m = len(reps)
-    Q = FiniteGroup(proj[G.mul[np.ix_(reps, reps)]].astype(table_dtype(m)), int(proj[G.id]),
+    # proj narrowed first, so the gather is the table: two m x m arrays, not three
+    Q = FiniteGroup(proj.astype(table_dtype(m))[G.mul[np.ix_(reps, reps)]], int(proj[G.id]),
                     proj[G.inv[reps]], _index_set(proj[X.gens], m))
-    assert Q.n * N.order == X.order
+    if Q.n * N.order != X.order:
+        raise AssertionError("the cosets do not partition X")
     return Q, proj
 
 
@@ -439,7 +447,8 @@ def conjugacy_classes(G: FiniteGroup):
         for i in range(0, reps.size, step):
             r = reps[i:i + step]
             cent = (mul[r] == mul[:, r].T).sum(axis=1)
-            assert np.array_equal(lengths[i:i + step] * cent, np.full(r.size, n))
+            if not np.array_equal(lengths[i:i + step] * cent, np.full(r.size, n)):
+                raise AssertionError("class lengths break orbit-stabilizer")
         out = [ConjClass(rep=g, elems=cls, length=len(cls))
                for g, cls in zip(reps.tolist(), np.split(order, np.cumsum(lengths)[:-1]))]
         G._cache["classes"] = out
@@ -506,6 +515,17 @@ def dimension_subgroups_lazard(G: FiniteGroup, n_max: int | None = None):
         if n_max is None and Dn.order == 1:
             break
         n += 1
+    return out
+
+
+def _jennings_basis(G: FiniteGroup):
+    """[(g, w)]: the g of weight w are a basis of D_w/D_(w+1), the generators
+    that the elements of D_w add to those of D_(w+1)."""
+    D = dimension_subgroups_lazard(G)
+    out = []
+    for w, (Dw, Dnext) in enumerate(zip(D, D[1:]), start=1):
+        kept = G.generated(list(Dnext.gens) + Dw.elems.tolist()).gens
+        out += [(g, w) for g in kept[len(Dnext.gens):]]
     return out
 
 

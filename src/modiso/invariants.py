@@ -16,9 +16,10 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceeded
-from .gfq import FiniteField
+from .gfq import FiniteField, _enumerate_coords
 from .groups import (
     FiniteGroup,
+    _jennings_basis,
     _log_p,
     abelian_type,
     agemo,
@@ -101,6 +102,41 @@ def transfer_sections(G: FiniteGroup, k_max: int | None = None):
         }
         out.append(row)
     return out
+
+
+def square_cell(G: FiniteGroup, F: FiniteField, jdims) -> tuple:
+    """The kernel cell (1, 3, 1) for p = 2, read off the group: (#x in Δ/Δ³
+    with x² in Δ³, #other x).
+
+    Let g_1..g_d be the weight-1 Jennings generators and v: D_2/D_3 ->
+    F_2^r the coordinates in the weight-2 ones. In characteristic 2,
+    x = Σ a_i (g_i - 1) + Δ² has x² ≡ Σ_l Q_l(a) (h_l - 1) mod Δ³ with
+    Q(a) = Σ a_i² v(g_i²) + Σ_(i<j) a_i a_j v([g_i, g_j]), and the h_l - 1
+    are independent mod Δ³ (notes/decisions.md, "The square cell is read
+    off the group"). So the kernel is the zeros of Q over F^d, times
+    |Δ²/Δ³| = q^jdims[1]."""
+    basis = _jennings_basis(G)
+    ones = [g for g, w in basis if w == 1]
+    twos = [g for g, w in basis if w == 2]
+    # coordinates on D_2: D_3, which the weights >= 3 generate, is 0, and
+    # x·h_l adds bit l to x in D_3<h_1..h_(l-1)>
+    coord = np.full(G.n, -1, dtype=np.int64)
+    coord[G.generated([g for g, w in basis if w >= 3]).elems] = 0
+    for bit, h in enumerate(twos):
+        known = np.flatnonzero(coord >= 0)
+        coord[G.mul[known, h]] = coord[known] | (1 << bit)
+    mul, inv = G.mul, G.inv
+    a = np.asarray(ones, dtype=np.int32)
+    pairs = np.triu_indices(len(ones), 1)
+    comm = mul[mul[inv[a][:, None], inv[a]], mul[a[:, None], a]][pairs]
+    terms = np.concatenate([coord[mul[a, a]], coord[comm]])
+    C = ((terms[:, None] >> np.arange(len(twos))) & 1).astype(np.uint8)
+    zero = 0
+    for x in _enumerate_coords(F.q, len(ones), "enum_cap"):
+        monomials = np.hstack([F.MUL[x, x], F.MUL[x[:, pairs[0]], x[:, pairs[1]]]])
+        zero += int((~F.matmul(monomials, C).any(axis=1)).sum())
+    zero *= F.q ** sum(jdims[1:2])
+    return zero, F.p ** (F.k * sum(jdims[:2])) - zero
 
 
 @dataclass
@@ -199,6 +235,13 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
                 counts = Unavailable("enum_cap")
             else:
                 counts = (p**dim, 0)
+        elif p == 2 and (i, j, k) == (1, 3, 1):
+            # x ↦ x² on Δ/Δ³, behind the gates of kernel_size_power_map
+            dim = F.k * sum(jdims[:2])
+            if dim > 0 and p**dim > caps.enum_cap or p**dim >= 1 << 63:
+                counts = Unavailable("enum_cap")
+            else:
+                counts = square_cell(G, F, jdims)
         else:
             from . import modalg
 

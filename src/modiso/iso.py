@@ -4,9 +4,10 @@ generator-assignment search for small nilpotent structure-constant algebras.
 
 NotIsomorphic is only ever returned after a provably exhaustive search. The
 group search is pruned by element order, class size and the socle, the
-algebra search by section dimensions: the invariants are preserved by every
-isomorphism, and the socle prune removes only homomorphisms that are not
-injective. No pruning is heuristic.
+algebra search by section dimensions and to onto maps: the invariants are
+preserved by every isomorphism, the socle prune removes only homomorphisms
+that are not injective, and the onto prune only maps that are not
+surjective. No pruning is heuristic.
 """
 
 from __future__ import annotations
@@ -239,6 +240,10 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     A candidate is a linear map that respects every relation of A's
     presentation: it then respects every product (notes/decisions.md, "The
     algebra search reads a presentation"), and every homomorphism passes.
+    Only candidates whose generator images span B modulo B^2 are checked: a
+    homomorphism is onto exactly then, and onto is bijective at equal
+    dimension (notes/decisions.md, "The algebra search visits only onto
+    maps"). So the first candidate that passes is the witness.
     """
     if A.field is not B.field:
         raise ValueError("algebras over different fields")
@@ -251,8 +256,7 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     F, d = A.field, A.dim
     if d == 0:
         return IsoWitness(kind="algebra", images=[], source_gens=[])
-    from .gfq import EchelonBuilder
-    from .modalg import _enumerate_coords
+    from .gfq import EchelonBuilder, _enumerate_coords, invertible
 
     m = d - A.power_subspace().dim  # generators of A modulo A^2
     if F.q ** (d * m) > cap:
@@ -262,13 +266,22 @@ def nilpotent_algebra_iso(A: QuotientAlgebra, B: QuotientAlgebra, cap: int = DEF
     gens = [e for e in np.eye(d, dtype=np.uint8) if probe.add(e)]
     words, _, relations = _monomial_basis(A, gens)
     relations = _live_relations(A, B, words, relations)
+    # B modulo B^2 in coordinates: the m columns off the pivots of B^2
+    square = B.power_subspace()
+    top = np.ones(d, dtype=bool)
+    top[list(square.pivots)] = False
 
     for flat in _enumerate_coords(F.q, d * m, "iso_cap", chunk=1 << 12):
-        imgs = flat.reshape(-1, m, d)
+        mod_square = square.sift(flat.reshape(-1, d))[:, top].reshape(-1, m, m)
+        imgs = flat.reshape(-1, m, d)[invertible(mod_square, F)]
+        if not len(imgs):
+            continue
         U = np.stack(_basis_images(words, imgs.transpose(1, 0, 2), B.mul_batch), axis=1)
-        for ci in _relations_hold(B, relations, U, imgs).tolist():
+        hits = _relations_hold(B, relations, U, imgs)
+        if hits.size:
+            ci = int(hits[0])
             if EchelonBuilder(F, d).add_block(U[ci]) != d:
-                continue
+                raise AssertionError("an onto homomorphism is not of full rank")
             w = IsoWitness(kind="algebra", images=[u.copy() for u in imgs[ci]],
                            source_gens=[g.copy() for g in gens])
             if not verify_witness(w, A, B):

@@ -14,8 +14,9 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
-from .gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, echelon_basis, make_field
-from .groups import FiniteGroup, dimension_subgroups_lazard
+from .gfq import (EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _check_indexable,
+                  _enumerate_coords, echelon_basis, make_field)
+from .groups import FiniteGroup, _jennings_basis
 
 
 class GroupAlgebra:
@@ -84,17 +85,6 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal(dim={self.dim} of {self.algebra})"
-
-
-def _jennings_basis(G: FiniteGroup):
-    """[(g, w)]: the g of weight w are a basis of D_w/D_(w+1), the generators
-    that the elements of D_w add to those of D_(w+1)."""
-    D = dimension_subgroups_lazard(G)
-    out = []
-    for w, (Dw, Dnext) in enumerate(zip(D, D[1:]), start=1):
-        kept = G.generated(list(Dnext.gens) + Dw.elems.tolist()).gens
-        out += [(g, w) for g in kept[len(Dnext.gens):]]
-    return out
 
 
 def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
@@ -254,7 +244,8 @@ def quotient_algebra(A: GroupAlgebra, I: Ideal, J: Ideal, label="") -> QuotientA
     jpiv = set(J.space.pivots)
     reps = carrier.rows[[i for i, pv in enumerate(carrier.pivots) if pv not in jpiv]]
     d = len(reps)
-    assert d == carrier.dim - J.space.dim
+    if d != carrier.dim - J.space.dim:
+        raise AssertionError("the section basis does not complement J in I")
 
     # J's rows carry the zero tag and rep_i carries e_i
     solver = TaggedEchelon(F, A.n, d)
@@ -299,30 +290,6 @@ def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
         Q._cache["prime_restriction"] = QuotientAlgebra(
             make_field(F.p, 1), sc_p.reshape(dk, dk, dk), label=f"{Q.label}|prime")
     return Q._cache["prime_restriction"]
-
-
-def _check_indexable(q: int, dim: int, cap_name: str):
-    """Raise CapExceeded(cap_name) for a space of 2^63 points or more, which
-    an int64 index cannot enumerate."""
-    if q**dim >= 1 << 63:
-        raise CapExceeded(cap_name,
-                          f"{q}^{dim} points exceed the 2^63 that one enumeration can index")
-
-
-def _enumerate_coords(q: int, dim: int, cap_name: str, chunk: int = 1 << 15):
-    """Yield (m, dim) uint8 blocks covering all q^dim coordinate vectors, in
-    mixed-radix order (last coordinate fastest). The points are indexed in
-    int64, so a space of 2^63 points or more raises CapExceeded(cap_name)."""
-    _check_indexable(q, dim, cap_name)
-    total = q**dim
-    start = 0
-    radix = np.array([q**(dim - 1 - i) for i in range(dim)], dtype=np.int64)
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        out = (idx[:, None] // radix[None, :]) % q
-        yield out.astype(np.uint8)
-        start = stop
 
 
 def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CAPS.enum_cap):

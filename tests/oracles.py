@@ -45,11 +45,10 @@ import numpy as np
 
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
-from modiso.gfq import EchelonBuilder, echelon_basis
+from modiso.gfq import EchelonBuilder, _enumerate_coords, echelon_basis
 from modiso.groups import BLOCK, ConjClass, FiniteGroup, Subgroup, _index_set, char_series, table_dtype
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
-from modiso.modalg import (GroupAlgebra, Ideal, QuotientAlgebra, _enumerate_coords, _prime_restriction,
-                           quotient_algebra)
+from modiso.modalg import GroupAlgebra, Ideal, QuotientAlgebra, _prime_restriction, quotient_algebra
 from modiso.words import Presentation, _columns, _live_action, _table_group
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
@@ -590,10 +589,12 @@ def products_hold(B: QuotientAlgebra, c, U) -> np.ndarray:
 
 
 def nilpotent_algebra_iso_all_pairs(A: QuotientAlgebra, B: QuotientAlgebra,
-                                    cap: int = DEFAULT_CAPS.iso_cap):
+                                    cap: int = DEFAULT_CAPS.iso_cap, rejected: list | None = None):
     """The reference algebra search: the candidates of
     `iso.nilpotent_algebra_iso` in the same order, accepted by
-    `products_hold` and a rank check, so the first witness is the same."""
+    `products_hold` and a rank check, so the first witness is the same.
+    The generator images of every homomorphism that the rank check rejects
+    go to `rejected` when it is given."""
     if A.dim != B.dim:
         return NotIsomorphic("dimension mismatch")
     if A.power_subspace().dim != B.power_subspace().dim:
@@ -612,4 +613,6 @@ def nilpotent_algebra_iso_all_pairs(A: QuotientAlgebra, B: QuotientAlgebra,
             if EchelonBuilder(F, d).add_block(U[ci]) == d:
                 return IsoWitness(kind="algebra", images=[u.copy() for u in imgs[ci]],
                                   source_gens=gens)
+            if rejected is not None:
+                rejected.append(imgs[ci].copy())
     return NotIsomorphic("exhausted")

@@ -172,19 +172,26 @@ def test_lazy_exports_are_the_defining_objects():
         "    print(json.dumps('ok'), file=sys.stderr)\n") == "ok"
 
 
-def test_each_subcommand_loads_only_what_it_runs():
+def test_each_subcommand_loads_only_what_it_runs(tmp_path):
     code, modules = _modules_after_mip("--help")
     assert code == 0 and "numpy" not in modules
-    # a group-mode `iso` builds no algebra either
+    # a group-mode `iso` builds no algebra either, and no default `report`
+    # or `compare` does: the p = 2 square cell (1,3,1) is read off the group
     unused = {"numpy.ma", "modiso.tables", "modiso.modalg"}
     for argv, absent in ((("report", "B2G:2,3", "--field", "2"), unused | {"modiso.iso"}),
                          (("compare", "T:2,6", "T:3,6", "--field", "3"), unused | {"modiso.iso"}),
+                         (("compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2^2"),
+                          unused | {"modiso.iso"}),
+                         (("report", "Meta:2,4,1,0,15", "--field", "2"), unused | {"modiso.iso"}),
                          (("iso", "T:3,4", "T:3,4"), unused | {"modiso.gfq"})):
         code, modules = _modules_after_mip(*argv)
         assert code == 0 and not modules & absent, (argv, modules & absent)
     # a kernel cell that theory does not fix builds the algebra, still
-    # without numpy.ma
-    code, modules = _modules_after_mip("compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2^2")
+    # without numpy.ma: for p = 2, (1,4,1) has 1·2 < 4 and j' = 3
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps({"kernel_sections": [[1, 4, 1]]}))
+    code, modules = _modules_after_mip("compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2^2",
+                                       "--caps", str(caps))
     assert code == 0 and "modiso.modalg" in modules and not modules & {"numpy.ma", "modiso.iso"}
 
 

@@ -9,6 +9,7 @@ from modiso.gfq import (
     TaggedEchelon,
     echelon_basis,
     invert_matrix,
+    invertible,
     make_field,
 )
 
@@ -171,6 +172,24 @@ def test_invert_matrix_random_invertible(p, k):
             if echelon_basis(list(M), F, d).dim == d:
                 break
         assert np.array_equal(F.matmul(invert_matrix(M, F), M), np.eye(d, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_invertible_matches_the_echelon_rank(p, k):
+    # half of each batch is made singular: a random row is replaced by a
+    # random combination of the others
+    F = make_field(p, k)
+    rng = np.random.default_rng(11 * p + k)
+    for m in (0, 1, 2, 3, 5):
+        M = rng.integers(0, F.q, size=(200, m, m)).astype(np.uint8)
+        for M_i in M[:100] if m else ():
+            r = rng.integers(0, m)
+            coefs = rng.integers(0, F.q, size=(1, m)).astype(np.uint8)
+            coefs[0, r] = 0
+            M_i[r] = F.matmul(coefs, M_i)[0]
+        want = [EchelonBuilder(F, m).add_block(M_i) == m for M_i in M]
+        assert invertible(M, F).tolist() == want
+        assert not any(want[:100]) or m == 0
 
 
 def test_invert_matrix_singular_raises():

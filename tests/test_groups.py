@@ -254,6 +254,14 @@ def test_quotient_reads_coset_minima_in_row_blocks():
     assert _peak_bytes(lambda: quotient_group(G, G.full_subgroup())) < 1 << 20
 
 
+def test_quotient_table_is_gathered_through_a_narrow_projection():
+    # G/Z of T:2,7 has order 729, a 1.0 MiB int16 table: the m x m gather
+    # and the table itself, with no int32 copy between them
+    G = build("T:2,7")
+    Z = center(G)
+    assert _peak_bytes(lambda: quotient_group(G, Z)) < 2.5 * (1 << 20)
+
+
 def test_quotient_requires_normal():
     G = D8()
     s = next(g for g in range(G.n)

@@ -498,6 +498,40 @@ def test_forced_kernel_cell_enum_cap_gate_matches_enumeration():
             assert counts == ((size, 0) if enum_cap == size else Unavailable("enum_cap"))
 
 
+def test_square_cell_matches_enumeration(corpus_medium):
+    # x -> x^2 on Δ/Δ^3 for p = 2 is read off squares and commutators in
+    # D_2/D_3; enumeration checks it where the section has at most 2^16
+    # elements, and the truncated count of kernel_size_power_map elsewhere
+    F8 = make_field(2, 3)
+    caps = Caps(kernel_sections=((1, 3, 1),), algebra_order_cap=128, kernel_order_cap=128,
+                kernel_q_cap=8, enum_cap=1 << 40)
+    enumerated = 0
+    for spec, G in corpus_medium:
+        if G.require_p_group()[0] != 2:
+            continue
+        for F in (F2, F4, F8):
+            counts = fingerprint(G, F, caps).kernel_sizes[0]["counts"]
+            sect = modalg.radical_section(modalg.group_algebra(G, F, order_cap=128), 1, 3)
+            if sect.dim * F.k <= 16:
+                want = oracles.kernel_size_by_enumeration(sect, 1)
+                enumerated += 1
+            else:
+                want = modalg.kernel_size_power_map(sect, 1, enum_cap=1 << 40)
+            assert counts == want, (spec, F)
+    assert enumerated > 40
+
+
+def test_square_cell_enum_cap_gate_matches_enumeration():
+    # D8: Δ/Δ^3 has dimension 2 + 2 over F, so 2^4 elements over GF(2), 2^8 over GF(4)
+    G = build("D8")
+    for F, size in [(F2, 16), (F4, 256)]:
+        for enum_cap in (size - 1, size):
+            caps = Caps(kernel_sections=((1, 3, 1),), enum_cap=enum_cap)
+            counts = fingerprint(G, F, caps).kernel_sizes[0]["counts"]
+            assert counts == _kernel_cell_by_enumeration(G, F, (1, 3, 1), enum_cap)
+            assert isinstance(counts, tuple) == (enum_cap == size)
+
+
 # -- serialization ---------------------------------------------------------------------
 
 def test_fingerprint_json_roundtrip_byte_identical():

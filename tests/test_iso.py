@@ -16,7 +16,7 @@ from modiso.iso import (
     nilpotent_algebra_iso,
     verify_witness,
 )
-from modiso import iso, modalg
+from modiso import gfq, iso, modalg
 from modiso.words import todd_coxeter
 
 import oracles
@@ -32,7 +32,7 @@ pytestmark = pytest.mark.usefixtures("associative_sections")
 
 
 def section(spec, F, i=1, j=3):
-    return modalg.radical_section(modalg.group_algebra(build(spec), F), i, j)
+    return modalg.radical_section(modalg.group_algebra(build_corpus_group(spec), F), i, j)
 
 
 # -- groups -----------------------------------------------------------------------
@@ -360,13 +360,30 @@ SEARCH_PAIRS = [
     ("Q8", "Q8", F2, 3), ("Q8", "Q8", F4, 3), ("C:8", "C:8", F2, 8),
     ("EA:3,2", "EA:3,2", F3, 3), ("C:9", "EA:3,2", F3, 3),
     ("D8", "Ab:4,2", F2, 3), ("Q8", "Ab:4,2", F2, 3),
+    ("Ab:4,2", "D8", F2, 3), ("EA:2,3", "EA:2,3", F2, 3), ("HEIS27", "HEIS27", F3, 3),
+    ("D8", "D8", F4, 3), ("Ab:4,2", "Ab:4,2", F4, 3),
 ]
+
+# (s1, s2, q, j) -> the homomorphisms that the all-pairs search rejects on
+# rank alone before it ends: maps that are not onto, which the search skips
+# before it checks a relation. C:9/EA:3,2 ends at the square-dimension prune
+RANK_REJECTED = {
+    ("D8", "Q8", 2, 3): 16, ("D8", "Q8", 4, 3): 456, ("D8", "Q8", 2, 4): 256,
+    ("D8", "D8", 2, 4): 128, ("Q8", "Q8", 2, 3): 8, ("Q8", "Q8", 4, 3): 448,
+    ("C:8", "C:8", 2, 8): 1, ("EA:3,2", "EA:3,2", 3, 3): 246, ("C:9", "EA:3,2", 3, 3): 0,
+    ("D8", "Ab:4,2", 2, 3): 64, ("Q8", "Ab:4,2", 2, 3): 64, ("Ab:4,2", "D8", 2, 3): 128,
+    ("EA:2,3", "EA:2,3", 2, 3): 4232, ("HEIS27", "HEIS27", 3, 3): 756,
+    ("D8", "D8", 4, 3): 453, ("Ab:4,2", "Ab:4,2", 4, 3): 65,
+}
 
 
 @pytest.mark.parametrize("s1,s2,F,j", SEARCH_PAIRS)
 def test_algebra_search_matches_the_all_pairs_search(s1, s2, F, j):
     A, B = section(s1, F, 1, j), section(s2, F, 1, j)
-    got, want = nilpotent_algebra_iso(A, B), oracles.nilpotent_algebra_iso_all_pairs(A, B)
+    rejected = []
+    got = nilpotent_algebra_iso(A, B)
+    want = oracles.nilpotent_algebra_iso_all_pairs(A, B, rejected=rejected)
+    assert len(rejected) == RANK_REJECTED[s1, s2, F.q, j]
     assert type(got) is type(want)
     if isinstance(want, NotIsomorphic):
         assert got.reason == want.reason
@@ -388,7 +405,7 @@ def test_relations_accept_what_all_products_accept(s1, s2, F, j):
     assert len(relations) == A.dim * len(gens) - (A.dim - len(gens))
     c = oracles.product_tensor(A, oracles.word_images(A, words, np.array(gens)[None])[0], Vinv)
     accepted = 0
-    for flat in modalg._enumerate_coords(F.q, A.dim * len(gens), "iso_cap"):
+    for flat in gfq._enumerate_coords(F.q, A.dim * len(gens), "iso_cap"):
         imgs = flat.reshape(-1, len(gens), A.dim)
         U = oracles.word_images(B, words, imgs)
         assert np.array_equal(
@@ -416,7 +433,7 @@ def test_relations_of_top_degree_hold_on_every_candidate(F, j):
     assert 0 < len(live) and len(live) + len(dropped) == len(relations)
     assert all(not c.any() for _, _, c in dropped)
     c = oracles.product_tensor(A, oracles.word_images(A, words, np.array(gens)[None])[0], Vinv)
-    for flat in modalg._enumerate_coords(F.q, A.dim * len(gens), "iso_cap"):
+    for flat in gfq._enumerate_coords(F.q, A.dim * len(gens), "iso_cap"):
         imgs = flat.reshape(-1, len(gens), A.dim)
         U = oracles.word_images(B, words, imgs)
         assert len(iso._relations_hold(B, dropped, U, imgs)) == len(U)

@@ -193,6 +193,13 @@ def test_table_checks_live_only_in_the_oracles():
     assert defined == []
 
 
+def test_no_assert_statement_in_the_package():
+    # checks are explicit raises, so they survive `python -O`
+    sites = [f"{module}:{node.lineno}" for module, tree in _trees().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert sites == []
+
+
 def test_the_process_ends_only_in_cli_run():
     trees = _trees()
     sites = {name: set() for name in PROCESS_END}
