@@ -17,7 +17,7 @@ _EXPORTS = {
     "fingerprint": "invariants",
     "IsoWitness": "iso", "NotIsomorphic": "iso", "group_isomorphic": "iso",
     "nilpotent_algebra_iso": "iso", "verify_witness": "iso",
-    "GroupAlgebra": "modalg", "Ideal": "modalg", "QuotientAlgebra": "modalg",
+    "GroupAlgebra": "modalg", "QuotientAlgebra": "modalg",
     "group_algebra": "modalg",
     "Presentation": "words", "parse_word": "words", "print_word": "words",
     "todd_coxeter": "words",

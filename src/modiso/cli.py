@@ -168,7 +168,7 @@ def _plain(v):
 
 
 def cmd_kernel_size(args) -> int:
-    from . import modalg
+    from .invariants import kernel_cell, predicted_jennings_dims
 
     caps = _load_caps(args.caps)
     G = _build(args.spec, caps)
@@ -177,13 +177,18 @@ def cmd_kernel_size(args) -> int:
     if args.power < 0:
         raise SpecParseError(f"bad --power {args.power}, need >= 0")
     try:
-        sect = modalg.radical_section(_algebra_or_die(G, F, caps), i, j)
-        kill, survive = modalg.kernel_size_power_map(sect, args.power, enum_cap=caps.enum_cap)
+        if G.n > caps.algebra_order_cap:  # the gate of modalg.group_algebra, before any FG
+            raise CapExceeded("algebra_order_cap",
+                              f"|G| = {G.n} exceeds the algebra-side cap {caps.algebra_order_cap}")
+        kill, survive = kernel_cell(G, F, i, j, args.power, caps)
     except CapExceeded as err:
         print(f"mip: {err}", file=sys.stderr)
         return EX_CAP
-    _emit({"spec": args.spec, "field": args.field, "section": [i, j],
-           "power": args.power, "dim": sect.dim, "kill": kill, "survive": survive})
+    except ValueError as err:
+        print(f"mip: cannot build the group algebra: {err}", file=sys.stderr)
+        return EX_BUILD
+    _emit({"spec": args.spec, "field": args.field, "section": [i, j], "power": args.power,
+           "dim": sum(predicted_jennings_dims(G)[i - 1:j - 1]), "kill": kill, "survive": survive})
     return EX_OK
 
 

@@ -190,10 +190,12 @@ class FiniteGroup:
     def prime_power(self):
         return _is_prime_power(self.n)
 
-    def require_p_group(self) -> tuple:
+    def require_p_group(self, char: int | None = None) -> tuple:
         pp = self.prime_power()
         if pp is None:
             raise ValueError(f"group of order {self.n} is not a p-group")
+        if char not in (None, pp[0]):  # the characteristic of the field over G
+            raise ValueError(f"field characteristic {char} does not match group prime {pp[0]}")
         return pp
 
     def label(self, i: int) -> str:
@@ -520,25 +522,22 @@ def dimension_subgroups_lazard(G: FiniteGroup, n_max: int | None = None):
 
 def _jennings_basis(G: FiniteGroup):
     """[(g, w)]: the g of weight w are a basis of D_w/D_(w+1), the generators
-    that the elements of D_w add to those of D_(w+1)."""
-    D = dimension_subgroups_lazard(G)
-    out = []
-    for w, (Dw, Dnext) in enumerate(zip(D, D[1:]), start=1):
-        kept = G.generated(list(Dnext.gens) + Dw.elems.tolist()).gens
-        out += [(g, w) for g in kept[len(Dnext.gens):]]
-    return out
+    that the elements of D_w add to those of D_(w+1); cached on the group."""
+    if "jennings_basis" not in G._cache:
+        D = dimension_subgroups_lazard(G)
+        out = []
+        for w, (Dw, Dnext) in enumerate(zip(D, D[1:]), start=1):
+            kept = G.generated(list(Dnext.gens) + Dw.elems.tolist()).gens
+            out += [(g, w) for g in kept[len(Dnext.gens):]]
+        G._cache["jennings_basis"] = tuple(out)
+    return G._cache["jennings_basis"]
 
 
 def jennings_ranks(G: FiniteGroup):
-    """Ranks of the elementary abelian factors D_n/D_{n+1}."""
-    p, _ = G.require_p_group()
-    D = dimension_subgroups_lazard(G)
-    if D[-1].order != 1:
-        D = D + [G.trivial_subgroup()]
-    ranks = [_log_p(a.order // b.order, p) for a, b in zip(D, D[1:])]
-    while ranks and ranks[-1] == 0:
-        ranks.pop()
-    return ranks
+    """Ranks of the elementary abelian factors D_n/D_{n+1}: the weight counts
+    of the Jennings basis."""
+    weights = [w for _, w in _jennings_basis(G)]
+    return [weights.count(w) for w in range(1, max(weights, default=0) + 1)]
 
 
 def min_generators(X) -> int:

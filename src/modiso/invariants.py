@@ -16,7 +16,7 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import CapExceeded
-from .gfq import FiniteField, _enumerate_coords
+from .gfq import FiniteField, _check_indexable, _enumerate_coords
 from .groups import (
     FiniteGroup,
     _jennings_basis,
@@ -104,9 +104,9 @@ def transfer_sections(G: FiniteGroup, k_max: int | None = None):
     return out
 
 
-def square_cell(G: FiniteGroup, F: FiniteField, jdims) -> tuple:
+def square_cell(G: FiniteGroup, F: FiniteField, D: int) -> tuple:
     """The kernel cell (1, 3, 1) for p = 2, read off the group: (#x in Δ/Δ³
-    with x² in Δ³, #other x).
+    with x² in Δ³, #other x), where Δ/Δ³ has F_2-dimension D.
 
     Let g_1..g_d be the weight-1 Jennings generators and v: D_2/D_3 ->
     F_2^r the coordinates in the weight-2 ones. In characteristic 2,
@@ -114,7 +114,7 @@ def square_cell(G: FiniteGroup, F: FiniteField, jdims) -> tuple:
     Q(a) = Σ a_i² v(g_i²) + Σ_(i<j) a_i a_j v([g_i, g_j]), and the h_l - 1
     are independent mod Δ³ (notes/decisions.md, "The square cell is read
     off the group"). So the kernel is the zeros of Q over F^d, times
-    |Δ²/Δ³| = q^jdims[1]."""
+    |Δ²/Δ³| = 2^(D - F.k·d)."""
     basis = _jennings_basis(G)
     ones = [g for g, w in basis if w == 1]
     twos = [g for g, w in basis if w == 2]
@@ -135,8 +135,35 @@ def square_cell(G: FiniteGroup, F: FiniteField, jdims) -> tuple:
     for x in _enumerate_coords(F.q, len(ones), "enum_cap"):
         monomials = np.hstack([F.MUL[x, x], F.MUL[x[:, pairs[0]], x[:, pairs[1]]]])
         zero += int((~F.matmul(monomials, C).any(axis=1)).sum())
-    zero *= F.q ** sum(jdims[1:2])
-    return zero, F.p ** (F.k * sum(jdims[:2])) - zero
+    zero *= F.p ** (D - F.k * len(ones))
+    return zero, F.p**D - zero
+
+
+def kernel_cell(G: FiniteGroup, F: FiniteField, i: int, j: int, k: int,
+                caps: Caps = DEFAULT_CAPS) -> tuple:
+    """The kernel cell (i, j, k): (#x in Δ^i/Δ^j with x^(p^k) in Δ^j, #other
+    x). The one route of every cell, and every gate of the work it does, in
+    order (notes/decisions.md, "One kernel-cell route"): the section's
+    F_p-dimension D is read off the Jennings dims; `enum_cap` bounds p^D; a
+    forced cell is the whole section; any other cell needs p^D < 2^63, and
+    is read off the group for p = 2 and (1,3,1), else counted by truncation
+    in FG. Raises CapExceeded, and ValueError unless G is a p-group of F's
+    characteristic."""
+    p, _ = G.require_p_group(F.p)
+    D = F.k * sum(predicted_jennings_dims(G)[i - 1:j - 1])
+    if D > 0 and p**D > caps.enum_cap:
+        raise CapExceeded("enum_cap", f"{p}^{D} elements exceed the enumeration cap {caps.enum_cap}")
+    if k >= j.bit_length() or i * p**k >= j:
+        # forced: x in Δ^i has x^(p^k) in Δ^(i p^k) ⊆ Δ^j (p^k >= 2^k > j
+        # when k >= j.bit_length()), so the whole section is the kernel
+        return p**D, 0
+    _check_indexable(p, D, "enum_cap")
+    if p == 2 and (i, j, k) == (1, 3, 1):
+        return square_cell(G, F, D)
+    from . import modalg
+
+    A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
+    return modalg.kernel_size_power_map(modalg.radical_section(A, i, j), k)
 
 
 @dataclass
@@ -164,22 +191,20 @@ class Fingerprint:
 
 
 def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fingerprint:
-    """The invariant battery of FG. Only `kernel_sizes` builds the group
-    algebra, and only for a cell (i, j, k) with i * p^k < j; a forced cell
-    is the whole section, whose F_p-dimension F.k * dim Δ^i/Δ^j is read off
-    `jennings_dims` behind the same gates in the same order. Every other
-    entry is read off the group side, including three algebra dimensions
-    that theory pins (derivations in notes/decisions.md; the algebra-side
-    routes are the test oracles in tests/oracles.py): `jennings_dims` from
-    Jennings' product over the ranks d_n of D_n/D_(n+1),
-    `small_group_ring_dim` = |G:G'| + d(G') and `zassenhaus_dims` =
-    dim Δ^(n+1) + d_n. Each entry keeps the availability gates of its
-    algebra route; `enum_cap` fires where enumerating the widest Zassenhaus
-    section, Δ/Δ^(depth+1), would have. `min_gens` is d_1, since
+    """The invariant battery of FG. Each `kernel_sizes` cell passes the
+    fingerprint's own gates, `algebra_order_cap` and then
+    `kernel_order_cap`/`kernel_q_cap`, and is then computed by `kernel_cell`,
+    which holds the gates of its work; only a cell that theory does not fix
+    builds the group algebra. Every other entry is read off the group side,
+    including three algebra dimensions that theory pins (derivations in
+    notes/decisions.md; the algebra-side routes are the test oracles in
+    tests/oracles.py): `jennings_dims` from Jennings' product over the ranks
+    d_n of D_n/D_(n+1), `small_group_ring_dim` = |G:G'| + d(G') and
+    `zassenhaus_dims` = dim Δ^(n+1) + d_n. Each entry keeps the availability
+    gates of its algebra route; `enum_cap` fires where enumerating the widest
+    Zassenhaus section, Δ/Δ^(depth+1), would have. `min_gens` is d_1, since
     D_2 = G^p G' = Φ(G)."""
-    p, _ = G.require_p_group()
-    if p != F.p:
-        raise ValueError(f"field characteristic {F.p} does not match group prime {p}")
+    p, _ = G.require_p_group(F.p)
     if G.n > caps.group_order_cap:
         raise CapExceeded("group_order_cap",
                           f"|G| = {G.n} exceeds the group-order cap {caps.group_order_cap}")
@@ -227,28 +252,9 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
             counts = Unavailable("algebra_order_cap")
         elif G.n > caps.kernel_order_cap or F.q > caps.kernel_q_cap:
             counts = Unavailable("kernel_order_cap")
-        elif k >= j.bit_length() or i * p**k >= j:
-            # forced: x in Δ^i has x^(p^k) in Δ^(i p^k) ⊆ Δ^j (p^k >= 2^k > j
-            # when k >= j.bit_length()), so the whole section is the kernel
-            dim = F.k * sum(jdims[i - 1:j - 1])
-            if dim > 0 and p**dim > caps.enum_cap:
-                counts = Unavailable("enum_cap")
-            else:
-                counts = (p**dim, 0)
-        elif p == 2 and (i, j, k) == (1, 3, 1):
-            # x ↦ x² on Δ/Δ³, behind the gates of kernel_size_power_map
-            dim = F.k * sum(jdims[:2])
-            if dim > 0 and p**dim > caps.enum_cap or p**dim >= 1 << 63:
-                counts = Unavailable("enum_cap")
-            else:
-                counts = square_cell(G, F, jdims)
         else:
-            from . import modalg
-
             try:
-                A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
-                sect = modalg.radical_section(A, i, j)
-                counts = modalg.kernel_size_power_map(sect, k, enum_cap=caps.enum_cap)
+                counts = kernel_cell(G, F, i, j, k, caps)
             except CapExceeded as err:
                 counts = Unavailable(err.cap_name)
         kernel.append({"section": (i, j), "power": k, "counts": counts})

@@ -14,8 +14,8 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS
 from .errors import CapExceeded
-from .gfq import (EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _check_indexable,
-                  _enumerate_coords, echelon_basis, make_field)
+from .gfq import (EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _enumerate_coords,
+                  echelon_basis, make_field)
 from .groups import FiniteGroup, _jennings_basis
 
 
@@ -59,37 +59,16 @@ def group_algebra(G: FiniteGroup, F: FiniteField,
         raise CapExceeded(
             "algebra_order_cap",
             f"|G| = {G.n} exceeds the algebra-side cap {order_cap}")
-    p, _ = G.require_p_group()
-    if p != F.p:
-        raise ValueError(f"field characteristic {F.p} does not match group prime {p}")
+    G.require_p_group(F.p)
     key = ("algebra", F.p, F.k)
     if key not in G._cache:
         G._cache[key] = GroupAlgebra(G, F)
     return G._cache[key]
 
 
-class Ideal:
-    """A two-sided ideal of FG, carried by an echelonized subspace. The
-    product builds only radical powers, which are ideals by construction."""
-
-    def __init__(self, algebra: GroupAlgebra, space: Subspace):
-        self.algebra = algebra
-        self.space = space
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and self.space == other.space
-
-    def __repr__(self):
-        return f"Ideal(dim={self.dim} of {self.algebra})"
-
-
 def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
-    """[Δ^1, Δ^2, ...]; stops at the first zero power or after n_max terms,
-    whichever comes first.
+    """[Δ^1, Δ^2, ...] as echelon subspaces of FG; stops at the first zero
+    power or after n_max terms, whichever comes first.
 
     Jennings: the monomials ∏(g_i - 1)^(a_i), 0 <= a_i < p, over a Jennings
     basis g_i of weights w_i, are a basis of FG, and those of weight
@@ -110,12 +89,12 @@ def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
             mons = np.vstack(blocks)
             weights = np.concatenate([weights + a * w for a in range(F.p)])
         b = EchelonBuilder(F, A.n)
-        chain = [Ideal(A, b.freeze())]  # the zero ideal past the top weight
+        chain = [b.freeze()]  # the zero ideal past the top weight
         for m in range(int(weights.max()), 0, -1):
             block = mons[weights == m]
             if b.add_block(block) != len(block):
                 raise AssertionError(f"the Jennings monomials of weight {m} are dependent")
-            chain.append(Ideal(A, b.freeze()))
+            chain.append(b.freeze())
         A._cache["delta_chain"] = chain[::-1]
     return A._cache["delta_chain"][:n_max]
 
@@ -210,7 +189,7 @@ class QuotientAlgebra:
         key = ("layer", t)
         if key not in self._cache:
             P = self.powers[min(t - self.first, len(self.powers) - 1)]
-            self._cache[key] = echelon_basis(self.project(P.space.rows), self.field, self.dim)
+            self._cache[key] = echelon_basis(self.project(P.rows), self.field, self.dim)
         return self._cache[key]
 
     def power_subspace(self) -> "Subspace":
@@ -230,26 +209,25 @@ class QuotientAlgebra:
         return f"QuotientAlgebra(dim={self.dim}, {self.field}{tag})"
 
 
-def quotient_algebra(A: GroupAlgebra, I: Ideal, J: Ideal, label="") -> QuotientAlgebra:
-    """The section I/J as a structure-constant algebra.
+def quotient_algebra(A: GroupAlgebra, I: Subspace, J: Subspace, label="") -> QuotientAlgebra:
+    """The section I/J of two ideals of FG as a structure-constant algebra.
 
     The section basis is canonical: the echelon rows of I whose pivots are not
     pivots of J.
     """
     F = A.field
-    carrier = I.space
-    if not J.space <= carrier:
+    if not J <= I:
         raise ValueError("J is not contained in I")
 
-    jpiv = set(J.space.pivots)
-    reps = carrier.rows[[i for i, pv in enumerate(carrier.pivots) if pv not in jpiv]]
+    jpiv = set(J.pivots)
+    reps = I.rows[[i for i, pv in enumerate(I.pivots) if pv not in jpiv]]
     d = len(reps)
-    if d != carrier.dim - J.space.dim:
+    if d != I.dim - J.dim:
         raise AssertionError("the section basis does not complement J in I")
 
     # J's rows carry the zero tag and rep_i carries e_i
     solver = TaggedEchelon(F, A.n, d)
-    solver.add_block(np.block([[J.space.rows, np.zeros((J.space.dim, d), dtype=np.uint8)],
+    solver.add_block(np.block([[J.rows, np.zeros((J.dim, d), dtype=np.uint8)],
                                [reps, np.eye(d, dtype=np.uint8)]]))
 
     sc = np.zeros((d, d, d), dtype=np.uint8)
@@ -292,30 +270,25 @@ def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
     return Q._cache["prime_restriction"]
 
 
-def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CAPS.enum_cap):
+def kernel_size_power_map(Q: QuotientAlgebra, k: int):
     """(#elements with x^(p^k) = 0, #elements with x^(p^k) != 0) on a radical
     section Δ^i/Δ^j, counted by truncation.
 
     For x in Δ^i and z in Δ^t, (x + z)^(p^k) - x^(p^k) lies in
     Δ^(t + (p^k - 1)·i), so x^(p^k) in Δ^j depends only on x mod Δ^j' with
     j' = j - (p^k - 1)·i: the count is q^(dim L_j') times the count over the
-    non-pivot coordinates of the layer L_j'. If j' <= i the whole section
-    is the kernel. Both gates read the full F_p-dimension D
+    non-pivot coordinates of the layer L_j'. If j' <= i the layer L_i is the
+    whole section and so is the kernel. This bounds no work:
+    `invariants.kernel_cell` gates every cell before it gets here
     (notes/decisions.md, "Kernel cells by truncation").
     """
     if Q.powers is None:
         raise ValueError("kernel cells need a radical section")
     F = Q.field
     p, dim = F.p, Q.dim * F.k
-    if dim > 0 and p**dim > enum_cap:
-        raise CapExceeded("enum_cap", f"{p}^{dim} elements exceed the enumeration cap {enum_cap}")
-    _check_indexable(p, dim, "enum_cap")
-    total = p**dim
     i = Q.first
     j = i + len(Q.powers) - 1  # Δ^j, or the zero power that equals it
-    if k >= j.bit_length() or i * p**k >= j:  # j' <= i; p^k > j for large k
-        return total, 0
-    L = Q.layer(j - (p**k - 1) * i)
+    L = Q.layer(max(j - (p**k - 1) * i, i))
     free = np.ones((Q.dim, F.k), dtype=bool)  # prime-restriction column c·k + e
     free[list(L.pivots)] = False
     cols = np.flatnonzero(free)
@@ -326,4 +299,4 @@ def kernel_size_power_map(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAULT_CA
         x[:, cols] = block
         zero += int((~P.power_map_batch(x, k).any(axis=1)).sum())
     zero *= F.q**L.dim
-    return zero, total - zero
+    return zero, p**dim - zero

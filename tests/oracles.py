@@ -45,10 +45,10 @@ import numpy as np
 
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
-from modiso.gfq import EchelonBuilder, _enumerate_coords, echelon_basis
+from modiso.gfq import EchelonBuilder, Subspace, _enumerate_coords, echelon_basis
 from modiso.groups import BLOCK, ConjClass, FiniteGroup, Subgroup, _index_set, char_series, table_dtype
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
-from modiso.modalg import GroupAlgebra, Ideal, QuotientAlgebra, _prime_restriction, quotient_algebra
+from modiso.modalg import GroupAlgebra, QuotientAlgebra, _prime_restriction, quotient_algebra
 from modiso.words import Presentation, _columns, _live_action, _table_group
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
@@ -159,18 +159,19 @@ def subgroup(G: FiniteGroup, elems) -> Subgroup:
     return Subgroup(G, member)
 
 
-def ideal(A: GroupAlgebra, space) -> Ideal:
-    """The ideal on an echelon subspace, checked to be closed under left and
-    right multiplication by the group's generators (hence by all of G)."""
+def ideal(A: GroupAlgebra, space: Subspace) -> Subspace:
+    """An echelon subspace of FG, checked to be a two-sided ideal: closed
+    under left and right multiplication by the group's generators (hence by
+    all of G)."""
     for g in A.group.gens:
         for side in ("left", "right"):
             if not space.contains_rows(A.translate(space.rows, g, side)).all():
                 raise ValueError("subspace is not a two-sided ideal")
-    return Ideal(A, space)
+    return space
 
 
-def zero_ideal(A: GroupAlgebra) -> Ideal:
-    return Ideal(A, echelon_basis([], A.field, A.n))
+def zero_ideal(A: GroupAlgebra) -> Subspace:
+    return echelon_basis([], A.field, A.n)
 
 
 def convolve(A: GroupAlgebra, x, y) -> np.ndarray:
@@ -179,10 +180,10 @@ def convolve(A: GroupAlgebra, x, y) -> np.ndarray:
     return A.field.matmul(x[None, :], A.right_mul_matrix(y))[0]
 
 
-def unital_quotient(A: GroupAlgebra, J: Ideal) -> QuotientAlgebra:
+def unital_quotient(A: GroupAlgebra, J: Subspace) -> QuotientAlgebra:
     """FG/J as a structure-constant algebra, with `unit` set to the
     coordinates of the identity and checked to act as one."""
-    whole = Ideal(A, echelon_basis(list(np.eye(A.n, dtype=np.uint8)), A.field, A.n))
+    whole = echelon_basis(list(np.eye(A.n, dtype=np.uint8)), A.field, A.n)
     Q = quotient_algebra(A, whole, J)
     one = np.zeros(A.n, dtype=np.uint8)
     one[A.group.id] = 1
@@ -254,14 +255,14 @@ def augmentation_powers_by_translates(A: GroupAlgebra, n_max: int | None = None)
         A._cache["translate_chain"] = [ideal(A, b.freeze())]
     chain = A._cache["translate_chain"]
     while chain[-1].dim > 0 and (n_max is None or len(chain) < n_max):
-        prev = chain[-1].space
+        prev = chain[-1]
         b = EchelonBuilder(A.field, A.n)
         for g in range(A.n):
             if g != A.group.id:
                 b.add_block(A.field.vsub(A.translate(prev.rows, g, "right"), prev.rows))
         nxt = b.freeze()
         assert nxt.dim < prev.dim
-        chain.append(Ideal(A, nxt))
+        chain.append(nxt)
     return list(chain[:n_max])
 
 
@@ -306,7 +307,7 @@ def kernel_size_by_enumeration(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAU
     return zero, total - zero
 
 
-def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Ideal:
+def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Subspace:
     """Δ(N)FG for N normal in G: the ideal generated by {u - 1 : u in N}.
 
     Spanned by e_x - e_rep over the right cosets of N, so dim = |G| - [G:N].
@@ -332,7 +333,7 @@ def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
     span of commutators [g, u] with u running over the previous basis."""
     chain = A._cache.setdefault("lie_chain", augmentation_powers_by_translates(A, 1))
     while chain[-1].dim > 0 and (i_max is None or len(chain) < i_max):
-        prev = chain[-1].space
+        prev = chain[-1]
         b = EchelonBuilder(A.field, A.n)
         F = A.field
         for g in range(A.n):
@@ -365,14 +366,14 @@ def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
     out = []
     g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
     for P in pows:
-        members = np.nonzero(P.space.contains_rows(g_minus_one))[0]
+        members = np.nonzero(P.contains_rows(g_minus_one))[0]
         out.append(subgroup(G, members))
         if n_max is None and out[-1].order == 1:
             break
     return out
 
 
-def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_cap) -> Ideal:
+def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_cap) -> Subspace:
     """Z_n(FG): the sum over i * p^j >= n of the spans of p^j-th powers of the
     i-th Lie power ideal, plus Δ^(n+1); computed inside FG/Δ^(n+1) (legitimate
     because Z_n contains Δ^(n+1)) with the power images enumerated exhaustively.
@@ -393,7 +394,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
             if i * pj >= n:
                 # image of the i-th Lie ideal inside Q
                 img = EchelonBuilder(F, Q.dim)
-                img.add_block(Q.project(L.space.rows))
+                img.add_block(Q.project(L.rows))
                 sect = img.freeze()
                 if sect.dim > 0 and p**sect.dim > enum_cap:
                     raise CapExceeded(
@@ -409,7 +410,7 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
     span_q = b.freeze()
 
     out = EchelonBuilder(F, A.n)
-    out.add_block(np.vstack([Jnp1.space.rows, F.matmul(span_q.rows, Q.reps)]))
+    out.add_block(np.vstack([Jnp1.rows, F.matmul(span_q.rows, Q.reps)]))
     return ideal(A, out.freeze())
 
 
@@ -420,8 +421,8 @@ def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
     rel = relative_augmentation_ideal(A, derived)
     delta = augmentation_powers_by_translates(A, 1)[0]
     b = EchelonBuilder(F, A.n)
-    for v in rel.space.rows:
-        b.add_block(F.matmul(delta.space.rows, A.right_mul_matrix(v)))
+    for v in rel.rows:
+        b.add_block(F.matmul(delta.rows, A.right_mul_matrix(v)))
     K = ideal(A, b.freeze())
     return unital_quotient(A, K)
 

@@ -219,18 +219,18 @@ def test_criterion_08_power_congruence(corpus_small):
             Dn = D[n - 1]
             Zn = oracles.zassenhaus_ideal(A, n)
             b = EchelonBuilder(F, A.n)
-            for row in pows[n].space.rows:
+            for row in pows[n].rows:
                 b.add(row)
             for g in Dn.elems.tolist():
                 b.add(A.basis_minus_one(g))
-            if b.freeze() != Zn.space:
+            if b.freeze() != Zn:
                 failures.append(f"{spec}: Z_{n} != span(D_{n} - 1) + radical^{n + 1}")
             # elementwise congruence: λ(g-1) ≡ g^λ - 1 mod Δ^(n+1)
             for g in Dn.elems.tolist():
                 gm1 = A.basis_minus_one(g)
                 for lam in range(p):
                     diff = F.vsub(F.vsmul(lam, gm1), A.basis_minus_one(G.power(g, lam)))
-                    if not pows[n].space.contains_rows(diff):
+                    if not pows[n].contains_rows(diff):
                         failures.append(f"{spec}: congruence fails at n={n}, λ={lam}")
     _verdict(8, "power-map congruence identifies dimension subgroups modulo the "
                 "next radical power (prime fields, corpus to order 64)", failures)

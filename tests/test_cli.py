@@ -160,7 +160,7 @@ def test_lazy_exports_are_the_defining_objects():
     assert _fresh(
         "import json, sys, modiso\n"
         "from modiso import build, cli\n"
-        "assert '__all__' in dir(modiso) and len(modiso.__all__) == 28\n"
+        "assert '__all__' in dir(modiso) and len(modiso.__all__) == 27\n"
         "for name in modiso.__all__:\n"
         "    value = getattr(modiso, name)\n"
         "    holders = [m for key, m in sys.modules.items() if key.startswith('modiso.')\n"
@@ -186,12 +186,23 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path):
                          (("iso", "T:3,4", "T:3,4"), unused | {"modiso.gfq"})):
         code, modules = _modules_after_mip(*argv)
         assert code == 0 and not modules & absent, (argv, modules & absent)
+    # `kernel-size` routes its cell as `report` does: a forced cell, the
+    # square cell and an enum_cap refusal read the Jennings dims only
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps({"algebra_order_cap": 729}))
+    for argv, want in ((("D8", "--field", "2", "--section", "1,3", "--power", "2"), 0),
+                       (("X:C:2*D8", "--field", "2^2", "--section", "1,3"), 0),
+                       (("T:2,6", "--field", "3", "--section", "1,5", "--caps", str(caps)), 4)):
+        code, modules = _modules_after_mip("kernel-size", *argv)
+        assert code == want and not modules & unused, (argv, modules & unused)
     # a kernel cell that theory does not fix builds the algebra, still
     # without numpy.ma: for p = 2, (1,4,1) has 1·2 < 4 and j' = 3
-    caps = tmp_path / "caps.json"
     caps.write_text(json.dumps({"kernel_sections": [[1, 4, 1]]}))
     code, modules = _modules_after_mip("compare", "X:C:2*D8", "X:C:2*Q8", "--field", "2^2",
                                        "--caps", str(caps))
+    assert code == 0 and "modiso.modalg" in modules and not modules & {"numpy.ma", "modiso.iso"}
+    code, modules = _modules_after_mip("kernel-size", "X:C:2*D8", "--field", "2^2",
+                                       "--section", "1,4")
     assert code == 0 and "modiso.modalg" in modules and not modules & {"numpy.ma", "modiso.iso"}
 
 
@@ -491,6 +502,8 @@ def test_caps_file_round_trip(tmp_path, capsys):
      json.dumps({"iso_cap": 10**30}), 4),
     (["kernel-size", "C:128", "--field", "2", "--section", "1,66", "--caps", "{file}"],
      json.dumps({"enum_cap": 10**30}), 4),
+    (["kernel-size", "C:128", "--field", "2", "--section", "1,66", "--power", "7",
+      "--caps", "{file}"], json.dumps({"enum_cap": 10**30}), 0),
     (["tables", "hh1", "--caps", "{file}"], "{}", 64),
     (["report", "Pres:{file}", "--field", "2"], None, 64),
     (["report", "Pres:{file}", "--field", "2"], '{"generators": ["a"], ', 64),
@@ -513,7 +526,8 @@ def test_caps_file_round_trip(tmp_path, capsys):
         "iso-D8-GF3", "kernel-size-power-minus-1", "field-large-prime",
         "field-huge-power", "caps-not-object", "caps-str-value",
         "caps-bool-value", "caps-sections-not-list", "caps-section-0,3", "caps-deep-json",
-        "caps-q-cap-removed", "iso-cap-past-int64", "enum-cap-past-int64", "tables-caps-removed",
+        "caps-q-cap-removed", "iso-cap-past-int64", "enum-cap-past-int64",
+        "forced-cell-past-int64", "tables-caps-removed",
         "pres-missing-file", "pres-malformed-json", "pres-relator-not-str",
         "pres-generators-not-list", "pres-deep-word", "pres-power-too-long",
         "pres-exponent-5000-digits", "pres-empty-name", "pres-name-with-space",
@@ -525,10 +539,15 @@ def test_bad_input_exit_code_without_traceback(tmp_path, capsys, argv, text, cod
         path.write_text(text, encoding="utf-8")
     got, out, err = run(capsys, *(a.replace("{file}", str(path)) for a in argv))
     assert got == code
-    assert out == ""
     assert "Traceback" not in err
     if code == 4:
         assert err == "mip: 2^65 points exceed the 2^63 that one enumeration can index\n"
+    if code == 0:
+        # a forced cell enumerates nothing: the whole section, as `report` reads it
+        doc = json.loads(out)
+        assert (doc["dim"], doc["kill"], doc["survive"], err) == (65, 36893488147419103232, 0, "")
+    else:
+        assert out == ""
 
 
 CAP_VALUE = st.recursive(

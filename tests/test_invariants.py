@@ -31,7 +31,7 @@ from modiso.invariants import (
     transfer_sections,
     verdict_to_dict,
 )
-from modiso import invariants, modalg
+from modiso import groups, invariants, modalg
 
 import oracles
 from conftest import build_corpus_group
@@ -516,7 +516,7 @@ def test_square_cell_matches_enumeration(corpus_medium):
                 want = oracles.kernel_size_by_enumeration(sect, 1)
                 enumerated += 1
             else:
-                want = modalg.kernel_size_power_map(sect, 1, enum_cap=1 << 40)
+                want = modalg.kernel_size_power_map(sect, 1)
             assert counts == want, (spec, F)
     assert enumerated > 40
 
@@ -530,6 +530,18 @@ def test_square_cell_enum_cap_gate_matches_enumeration():
             counts = fingerprint(G, F, caps).kernel_sizes[0]["counts"]
             assert counts == _kernel_cell_by_enumeration(G, F, (1, 3, 1), enum_cap)
             assert isinstance(counts, tuple) == (enum_cap == size)
+
+
+def test_fingerprint_runs_the_lazard_series_once(monkeypatch):
+    # the Jennings basis is cached on the group, and jennings_ranks and the
+    # square cell (1,3,1) both read it; a fresh group, past build's cache
+    calls = []
+    lazard = groups.dimension_subgroups_lazard
+    monkeypatch.setattr(groups, "dimension_subgroups_lazard",
+                        lambda G, *args, **kw: calls.append(G) or lazard(G, *args, **kw))
+    G = build.__wrapped__("X:C:2*D8")
+    assert isinstance(fingerprint(G, F4).kernel_sizes[1]["counts"], tuple)
+    assert calls == [G]
 
 
 # -- serialization ---------------------------------------------------------------------

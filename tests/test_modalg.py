@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from modiso.caps import Caps
 from modiso.errors import CapExceeded
 from modiso.families import build
 from modiso.gfq import EchelonBuilder, make_field
@@ -16,6 +17,7 @@ from modiso.groups import (
     quotient_group,
 )
 from modiso import modalg as M
+from modiso.invariants import kernel_cell
 
 import oracles as O
 
@@ -110,7 +112,7 @@ def test_aug_powers_strictly_decreasing_and_nested():
     pows = M.augmentation_powers(A)
     for a, b in zip(pows, pows[1:]):
         assert b.dim < a.dim
-        assert a.space.contains_rows(b.space.rows).all()
+        assert a.contains_rows(b.rows).all()
 
 
 @pytest.mark.parametrize("spec,F", [("D8", F2), ("Q8", F2), ("C:8", F2), ("C:9", F3)])
@@ -123,14 +125,14 @@ def test_ideal_power_coherence(spec, F):
         for b in range(1, len(nz) - a + 2):
             target = pows[a + b - 1] if a + b <= len(pows) else pows[-1]
             built = EchelonBuilder(F, A.n)
-            for u in pows[a - 1].space.rows:
+            for u in pows[a - 1].rows:
                 RM = A.right_mul_matrix(u)
                 # u * v == (v^T rows of product); use rows of Δ^b on the right
-                for v in pows[b - 1].space.rows:
+                for v in pows[b - 1].rows:
                     built.add(O.convolve(A, u, v))
             got = built.freeze()
             assert got.dim == target.dim
-            assert target.space.contains_rows(got.rows).all()
+            assert target.contains_rows(got.rows).all()
 
 
 def test_two_sided_closure_under_every_group_element():
@@ -139,7 +141,7 @@ def test_two_sided_closure_under_every_group_element():
         for P in M.augmentation_powers(A):
             for g in range(A.n):
                 for side in ("left", "right"):
-                    assert P.space.contains_rows(A.translate(P.space.rows, g, side)).all()
+                    assert P.contains_rows(A.translate(P.rows, g, side)).all()
 
 
 def test_jennings_chain_matches_translate_oracle(corpus_medium):
@@ -154,8 +156,8 @@ def test_jennings_chain_matches_translate_oracle(corpus_medium):
         jennings, translates = M.augmentation_powers(A), O.augmentation_powers_by_translates(A)
         assert len(jennings) == len(translates), (spec, F)
         for m, (a, b) in enumerate(zip(jennings, translates), start=1):
-            assert a.space.pivots == b.space.pivots, (spec, F, m)
-            assert np.array_equal(a.space.rows, b.space.rows), (spec, F, m)
+            assert a.pivots == b.pivots, (spec, F, m)
+            assert np.array_equal(a.rows, b.rows), (spec, F, m)
 
 
 @pytest.mark.parametrize("spec,p,k,max_dim", [
@@ -430,10 +432,13 @@ def test_kernel_size_basis_independence_via_relabeled_group():
 
 
 def test_kernel_size_cap():
-    Lam = M.radical_section(alg("D8"), 1, 3)
-    with pytest.raises(CapExceeded, match=r"^2\^4 elements exceed the enumeration cap 8$"):
-        M.kernel_size_power_map(Lam, 1, enum_cap=8)
-    assert M.kernel_size_power_map(Lam, 1, enum_cap=16) == (12, 4)
+    # the enum_cap gate is kernel_cell's: it reads p^D off the Jennings dims
+    # before FG is built, and kernel_size_power_map only counts
+    G = build("D8")
+    with pytest.raises(CapExceeded, match=r"^2\^6 elements exceed the enumeration cap 63$"):
+        kernel_cell(G, F2, 1, 4, 1, Caps(enum_cap=63))
+    S = M.radical_section(M.group_algebra(G, F2), 1, 4)
+    assert kernel_cell(G, F2, 1, 4, 1, Caps(enum_cap=64)) == _brute_kernel(S, 1)
 
 
 # (spec, field, i, j, k): every F_p-dimension is at most 16. The cells
@@ -495,11 +500,11 @@ def test_zassenhaus_z2_d8():
     # oracle: span(D_2 - 1) + Δ^3  (Passi-Sehgal over the prime field)
     D2 = dimension_subgroups_lazard(G)[1]
     b = EchelonBuilder(F2, A.n)
-    for row in M.augmentation_powers(A, 3)[2].space.rows:
+    for row in M.augmentation_powers(A, 3)[2].rows:
         b.add(row)
     for g in D2.elems.tolist():
         b.add(A.basis_minus_one(g))
-    assert b.freeze() == Z2.space
+    assert b.freeze() == Z2
 
 
 def test_zassenhaus_over_extension_field_sandwich():
@@ -509,8 +514,8 @@ def test_zassenhaus_over_extension_field_sandwich():
         A = alg(spec, F4)
         pows = M.augmentation_powers(A, 3)
         Z2 = O.zassenhaus_ideal(A, 2)
-        assert Z2.space.contains_rows(pows[2].space.rows).all()
-        assert pows[1].space.contains_rows(Z2.space.rows).all()
+        assert Z2.contains_rows(pows[2].rows).all()
+        assert pows[1].contains_rows(Z2.rows).all()
 
 
 def test_zassenhaus_z2_c4():
@@ -518,7 +523,7 @@ def test_zassenhaus_z2_c4():
     Z2 = O.zassenhaus_ideal(A, 2)
     a = A.group.gens[0]
     sq = A.basis_minus_one(int(A.group.mul[a, a]))
-    assert Z2.space.contains_rows(sq)
+    assert Z2.contains_rows(sq)
     delta3 = M.augmentation_powers(A, 3)[2]
     assert Z2.dim == delta3.dim + 1
 
@@ -536,8 +541,8 @@ def test_small_group_ring_product_ideal_oracle():
     rel = O.relative_augmentation_ideal(A, char_series(A.group).derived)
     delta = M.augmentation_powers(A)[0]
     b = EchelonBuilder(F2, A.n)
-    for u in delta.space.rows:
-        for v in rel.space.rows:
+    for u in delta.rows:
+        for v in rel.rows:
             b.add(O.convolve(A, u, v))
     assert b.freeze().dim == 3
     assert O.small_group_ring(A).dim == A.n - 3

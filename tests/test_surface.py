@@ -16,6 +16,11 @@ a `QuotientAlgebra` only as a section I/J or its prime restriction. The
 checks of an arbitrary table or tensor are oracles, so a new unproved
 construction route fails here.
 
+A power-map kernel cell has one route, `invariants.kernel_cell`, which
+holds its gates: the forced test, the 2^63 index guard and the cell's
+`enum_cap` comparison are each written once, and the cell routes are called
+only from there, so a second route with its own gates fails here.
+
 The process ends in one place, `cli.run`: it alone freezes the collector and
 exits, and both `python -m modiso` and the `mip` script call it, so `main`
 stays safe to call in-process.
@@ -28,7 +33,7 @@ import pathlib
 
 import pytest
 
-from modiso.caps import DEFAULT_CAPS
+from modiso.caps import DEFAULT_CAPS, Caps
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "modiso"
 
@@ -44,7 +49,7 @@ CAP_DEFAULTS = {
     ("families", "build", "coset_cap"): "coset_cap",
     ("words", "todd_coxeter", "coset_cap"): "coset_cap",
     ("modalg", "group_algebra", "order_cap"): "algebra_order_cap",
-    ("modalg", "kernel_size_power_map", "enum_cap"): "enum_cap",
+    ("invariants", "kernel_cell", "caps"): "enum_cap",
     ("groups", "maximal_elem_abelian_classes", "cap"): "elemab_cap",
     ("groups", "max_elem_abelian_direct_factor", "cap"): "direct_factor_cap",
     ("iso", "group_isomorphic", "cap"): "iso_cap",
@@ -57,6 +62,16 @@ CONSTRUCTION_SITES = {
                     ("groups.py", "quotient_group")},
     "QuotientAlgebra": {("modalg.py", "quotient_algebra"), ("modalg.py", "_prime_restriction")},
     "__new__": set(),
+}
+
+# callee -> the (module, enclosing function) of every call: a kernel cell is
+# routed and gated in `kernel_cell` alone; the d8q8 table's reference cells
+# count the sections it builds, and `_enumerate_coords` guards its own points
+KERNEL_CELL_ROUTE = {
+    "square_cell": {("invariants.py", "kernel_cell")},
+    "kernel_size_power_map": {("invariants.py", "kernel_cell"),
+                              ("tables.py", "table_example_d8q8")},
+    "_check_indexable": {("invariants.py", "kernel_cell"), ("gfq.py", "_enumerate_coords")},
 }
 
 # callee -> the only (module, enclosing function) that may call it: the calls
@@ -141,6 +156,8 @@ def test_cap_defaults_are_the_default_caps():
     for (module, name, param), field in CAP_DEFAULTS.items():
         fn = getattr(importlib.import_module(f"modiso.{module}"), name)
         default = inspect.signature(fn).parameters[param].default
+        if isinstance(default, Caps):  # a whole Caps parameter: its field
+            default = getattr(default, field)
         if default != getattr(DEFAULT_CAPS, field):
             drifted.append(f"{module}.{name}({param}={default!r}) != {field}")
     assert drifted == []
@@ -157,25 +174,59 @@ def _dotted(func):
     return ".".join(reversed(parts))
 
 
-def _calls(node, scope=""):
-    """(enclosing qualified name, dotted callee name) for every call under node."""
+def _scoped(node, scope=""):
+    """(enclosing qualified name, node) for every node under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _calls(child, f"{scope}.{child.name}" if scope else child.name)
+            yield from _scoped(child, f"{scope}.{child.name}" if scope else child.name)
             continue
-        if isinstance(child, ast.Call) and isinstance(child.func, (ast.Name, ast.Attribute)):
-            yield scope, _dotted(child.func)
-        yield from _calls(child, scope)
+        yield scope, child
+        yield from _scoped(child, scope)
 
 
-def test_groups_and_algebras_are_built_only_where_they_are_proved():
-    sites = {name: set() for name in CONSTRUCTION_SITES}
-    for module, tree in _trees().items():
+def _calls(node):
+    """(enclosing qualified name, dotted callee name) for every call under node."""
+    for scope, sub in _scoped(node):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, (ast.Name, ast.Attribute)):
+            yield scope, _dotted(sub.func)
+
+
+def _call_sites(trees, names):
+    """{name: every (module, enclosing function) that calls a callee of that
+    final name}."""
+    sites = {name: set() for name in names}
+    for module, tree in trees.items():
         for scope, callee in _calls(tree):
             name = callee.rpartition(".")[2]
             if name in sites:
                 sites[name].add((module, scope))
-    assert sites == CONSTRUCTION_SITES
+    return sites
+
+
+def test_groups_and_algebras_are_built_only_where_they_are_proved():
+    assert _call_sites(_trees(), CONSTRUCTION_SITES) == CONSTRUCTION_SITES
+
+
+def test_each_kernel_cell_gate_is_written_once():
+    trees = _trees()
+    assert _call_sites(trees, KERNEL_CELL_ROUTE) == KERNEL_CELL_ROUTE
+
+    def written(test):
+        return sorted((module, scope) for module, tree in trees.items()
+                      for scope, node in _scoped(tree) if test(node))
+
+    def is_pow(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+
+    # the forced test i·p^k >= j; the 2^63 index guard; and the enum_cap
+    # comparisons: the cell's, and fingerprint's Zassenhaus gate
+    assert written(lambda n: isinstance(n, ast.Compare) and isinstance(n.left, ast.BinOp)
+                   and isinstance(n.left.op, ast.Mult) and is_pow(n.left.right)) == [
+        ("invariants.py", "kernel_cell")]
+    assert written(lambda n: isinstance(n, ast.BinOp) and isinstance(n.right, ast.Constant)
+                   and n.right.value == 63) == [("gfq.py", "_check_indexable")]
+    assert written(lambda n: isinstance(n, ast.Compare) and "enum_cap" in _names(n)) == [
+        ("invariants.py", "fingerprint"), ("invariants.py", "kernel_cell")]
 
 
 def test_table_checks_live_only_in_the_oracles():
