@@ -8,9 +8,9 @@ from modiso.groups import (
     center,
     char_series,
     conjugacy_classes,
-    dimension_subgroups_lazard,
     exponent,
     is_metacyclic,
+    jennings_series,
     maximal_elem_abelian_classes,
     min_generators,
 )
@@ -23,7 +23,7 @@ print("abelianization:", abelian_type(G.full_subgroup(), cs.derived))
 print("class profile (length -> count):",
       dict(Counter(c.length for c in conjugacy_classes(G))))
 
-D = dimension_subgroups_lazard(G)
+D = jennings_series(G)
 print("dimension subgroup orders:", [S.order for S in D])
 print("minimal generators:", min_generators(G), " exponent:", exponent(G))
 

@@ -2,7 +2,7 @@
 
 from modiso import build, fingerprint, group_algebra, make_field
 from modiso import modalg
-from modiso.groups import dimension_subgroups_lazard
+from modiso.groups import jennings_series
 from modiso.invariants import predicted_jennings_dims
 
 F2 = make_field(2, 1)
@@ -16,10 +16,10 @@ print("radical power dimensions:", [P.dim for P in powers])
 print("section dims:", modalg.jennings_dims(A),
       " predicted from the group side:", predicted_jennings_dims(G))
 
-# Lazard's product formula gives the dimension subgroups D_n = G ∩ (1 + Δ^n);
-# their ranks fix the Jennings prediction above
-laz = dimension_subgroups_lazard(G)
-print("dimension subgroup orders:", [S.order for S in laz])
+# Jennings' recursion D_n = [D_(n-1), G]·℧_1(D_⌈n/p⌉) gives the dimension
+# subgroups D_n = G ∩ (1 + Δ^n); their ranks fix the Jennings prediction above
+D = jennings_series(G)
+print("dimension subgroup orders:", [S.order for S in D])
 
 # the radical section between the first and third powers, as a
 # structure-constant algebra; its powers are images of radical powers,

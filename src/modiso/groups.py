@@ -72,12 +72,13 @@ class FiniteGroup:
 
     The one constructor trusts its caller, which has proved that mul is a
     group table with identity `ident`, that inv is its inverse map and that
-    gens generate it. Three builders do: `words._table_group` proves a coset
-    action regular, `Subgroup.as_group` restricts a group table to a closed
-    subset and `quotient_group` multiplies the cosets of a normal subgroup
-    through their representatives (notes/decisions.md, "Subgroup and
-    quotient tables are proved by construction"). The checked constructor
-    for an arbitrary table is `checked_group` in `tests/oracles.py`."""
+    gens generate it. Two builders do: `words._table_group` proves a coset
+    action regular and `quotient_group` multiplies the cosets of a normal
+    subgroup through their representatives (notes/decisions.md, "Subgroup
+    and quotient tables are proved by construction"). A subgroup stays a
+    `Subgroup` of its parent: every series and invariant that the package
+    reads of one works on it in place. The checked constructor for an
+    arbitrary table is `checked_group` in `tests/oracles.py`."""
 
     def __init__(self, mul, ident, inv, gens, presentation=None, elem_words=None):
         self.n = mul.shape[0]
@@ -249,16 +250,6 @@ class Subgroup:
                 return False
         return True
 
-    def as_group(self):
-        """This subgroup as a standalone FiniteGroup plus the index embedding.
-        The parent's table restricted to the closed set elems is a group
-        table with the parent's identity and inverses, renumbered."""
-        G, elems = self.parent, self.elems
-        local = np.full(G.n, -1, dtype=np.int32)
-        local[elems] = np.arange(self.order, dtype=np.int32)
-        table = local[G.mul[np.ix_(elems, elems)]].astype(table_dtype(self.order))
-        return FiniteGroup(table, int(local[G.id]), local[G.inv[elems]], local[self.gens]), elems
-
     def __eq__(self, other):
         return isinstance(other, Subgroup) and self._key == other._key
 
@@ -364,18 +355,16 @@ class CharSeries:
 
 def char_series(G: FiniteGroup) -> CharSeries:
     if "char_series" not in G._cache:
-        p, _ = G.require_p_group()
+        G.require_p_group()
         full = G.full_subgroup()
         lc = [full]
         while lc[-1].order > 1:
             lc.append(commutator_subgroup(lc[-1], full))
-        derived = lc[1] if len(lc) > 1 else lc[0]
-        frat = G.generated(_index_set(np.concatenate([G.pow_map(p), derived.elems]), G.n))
         G._cache["char_series"] = CharSeries(
             lower_central=lc,
-            derived=derived,
+            derived=lc[1] if len(lc) > 1 else lc[0],
             center=center(G),
-            frattini=frat,
+            frattini=_jennings_step(full, full, full),
             nilpotency_class=len(lc) - 1,
         )
     return G._cache["char_series"]
@@ -489,42 +478,42 @@ def abelian_type(X, Y: Subgroup | None = None) -> tuple:
     return tuple(p**k for k in range(len(ge) - 1, 0, -1) for _ in range(ge[k - 1] - ge[k]))
 
 
-def dimension_subgroups_lazard(G: FiniteGroup, n_max: int | None = None):
-    """Jennings series by Lazard's product formula:
-    D_n = ∏ ℧_j(γ_i) over i * p^j >= n.
-
-    Returns [D_1, D_2, ...]; without n_max the list ends at the first trivial
-    term.
-    """
+def _jennings_step(X: Subgroup, A: Subgroup, B: Subgroup) -> Subgroup:
+    """[A, X]·℧_1(B), for A, B normal in X and A ⊆ X: the next term of the
+    Jennings series of X, and Φ(X) for A = B = X. [A, X] is generated by the
+    [a, x] over a in A.gens, as in `commutator_subgroup`, and both factors
+    are normal in X, so one walk of both seeds generates the product."""
+    G = X.parent
     p, _ = G.require_p_group()
-    lc = char_series(G).lower_central
-    out = []
-    n = 1
-    while True:
-        seeds = [np.array([G.id], dtype=np.int32)]
-        for i, gamma in enumerate(lc, start=1):
-            if gamma.order == 1:
-                break
-            pj, j = 1, 0
-            while i * pj < n:
-                pj *= p
-                j += 1
-            seeds.append(G.pow_map(pj)[gamma.elems])
-        Dn = G.generated(_index_set(np.concatenate(seeds), G.n))
-        out.append(Dn)
-        if n_max is not None and n >= n_max:
-            break
-        if n_max is None and Dn.order == 1:
-            break
-        n += 1
-    return out
+    mul, inv = G.mul, G.inv
+    a = np.asarray(A.gens, dtype=np.int32)[:, None]
+    x = X.elems[None, :]
+    comm = mul[mul[inv[a], inv[x]], mul[a, x]].ravel()
+    return G.generated(_index_set(np.concatenate([comm, G.pow_map(p)[B.elems]]), G.n))
+
+
+def jennings_series(X) -> tuple:
+    """The Jennings series (D_1, D_2, ...) of a group or subgroup X, down to
+    the first trivial term: D_1 = X and D_n = [D_(n-1), X]·℧_1(D_⌈n/p⌉)
+    (Jennings 1941), whose D_n = X ∩ (1 + Δ^n) over every field of
+    characteristic p. The series of a whole group is cached on it."""
+    if isinstance(X, FiniteGroup):
+        if "jennings_series" not in X._cache:
+            X._cache["jennings_series"] = jennings_series(X.full_subgroup())
+        return X._cache["jennings_series"]
+    p, _ = X.parent.require_p_group()
+    D = [X]
+    while D[-1].order > 1:
+        n = len(D) + 1
+        D.append(_jennings_step(X, D[-1], D[-(-n // p) - 1]))
+    return tuple(D)
 
 
 def _jennings_basis(G: FiniteGroup):
     """[(g, w)]: the g of weight w are a basis of D_w/D_(w+1), the generators
     that the elements of D_w add to those of D_(w+1); cached on the group."""
     if "jennings_basis" not in G._cache:
-        D = dimension_subgroups_lazard(G)
+        D = jennings_series(G)
         out = []
         for w, (Dw, Dnext) in enumerate(zip(D, D[1:]), start=1):
             kept = G.generated(list(Dnext.gens) + Dw.elems.tolist()).gens
@@ -534,22 +523,20 @@ def _jennings_basis(G: FiniteGroup):
 
 
 def jennings_ranks(G: FiniteGroup):
-    """Ranks of the elementary abelian factors D_n/D_{n+1}: the weight counts
-    of the Jennings basis."""
-    weights = [w for _, w in _jennings_basis(G)]
-    return [weights.count(w) for w in range(1, max(weights, default=0) + 1)]
+    """Ranks of the elementary abelian factors D_n/D_(n+1), read off the
+    orders of the Jennings series."""
+    p, _ = G.require_p_group()
+    D = jennings_series(G)
+    return [_log_p(a.order // b.order, p) for a, b in zip(D, D[1:])]
 
 
 def min_generators(X) -> int:
-    """Rank of X/Frat(X) (minimal number of generators of a p-group)."""
-    G, elems = _unpack(X)
-    if elems.size == 1:
+    """Rank of X/Φ(X) (minimal number of generators of a p-group)."""
+    S = X.full_subgroup() if isinstance(X, FiniteGroup) else X
+    if S.order == 1:
         return 0
-    p, _ = G.require_p_group()
-    S = X if isinstance(X, Subgroup) else G.full_subgroup()
-    derived = commutator_subgroup(S, S)
-    frat = G.generated(np.concatenate([G.pow_map(p)[elems], derived.elems]))
-    return _log_p(elems.size // frat.order, p)
+    p, _ = S.parent.require_p_group()
+    return _log_p(S.order // _jennings_step(S, S, S).order, p)
 
 
 def exponent(G: FiniteGroup) -> int:

@@ -28,6 +28,7 @@ from .groups import (
     conjugacy_classes,
     exponent,
     jennings_ranks,
+    jennings_series,
     max_elem_abelian_direct_factor,
     maximal_elem_abelian_classes,
     min_generators,
@@ -75,20 +76,18 @@ def class_power_stats(G: FiniteGroup, k: int):
     return len(distinct), preserving
 
 
-def transfer_sections(G: FiniteGroup, k_max: int | None = None):
-    """For k = 0..k_max, the types of the six invariant abelian sections built
+def transfer_sections(G: FiniteGroup):
+    """For k = 0..e, the types of the six invariant abelian sections built
     from Z = Z(G), ℧_k, Ω_k, and G', in row order Z ∩ ℧_k(G)G',
     Z℧_k(G)G' / ℧_k(G)G', G / ℧_k(Z)G', ℧_k(Z)G' / G', G / Ω_k(Z)G' and
-    Ω_k(Z)G' / G'. Default k_max: the least k with ℧_k(G) = 1, which is
-    log_p exp(G), since g^(p^k) = 1 for all g iff p^k >= exp(G)."""
+    Ω_k(Z)G' / G'. e is the least k with ℧_k(G) = 1, which is log_p exp(G),
+    since g^(p^k) = 1 for all g iff p^k >= exp(G)."""
     p, _ = G.require_p_group()
-    if k_max is None:
-        k_max = _log_p(exponent(G), p)
     cs = char_series(G)
     Z, derived = cs.center, cs.derived
     full = G.full_subgroup()
     out = []
-    for k in range(k_max + 1):
+    for k in range(_log_p(exponent(G), p) + 1):
         pow_derived = subgroup_product(agemo(G, k), derived)
         pow_center_derived = subgroup_product(agemo(Z, k), derived)
         tor_center_derived = subgroup_product(omega(Z, k), derived)
@@ -118,10 +117,11 @@ def square_cell(G: FiniteGroup, F: FiniteField, D: int) -> tuple:
     basis = _jennings_basis(G)
     ones = [g for g, w in basis if w == 1]
     twos = [g for g, w in basis if w == 2]
-    # coordinates on D_2: D_3, which the weights >= 3 generate, is 0, and
+    # coordinates on D_2: D_3 (trivial past the series' end) is 0, and
     # x·h_l adds bit l to x in D_3<h_1..h_(l-1)>
+    series = jennings_series(G)
     coord = np.full(G.n, -1, dtype=np.int64)
-    coord[G.generated([g for g, w in basis if w >= 3]).elems] = 0
+    coord[series[min(2, len(series) - 1)].elems] = 0
     for bit, h in enumerate(twos):
         known = np.flatnonzero(coord >= 0)
         coord[G.mul[known, h]] = coord[known] | (1 << bit)

@@ -66,9 +66,9 @@ def group_algebra(G: FiniteGroup, F: FiniteField,
     return G._cache[key]
 
 
-def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
-    """[Δ^1, Δ^2, ...] as echelon subspaces of FG; stops at the first zero
-    power or after n_max terms, whichever comes first.
+def augmentation_powers(A: GroupAlgebra):
+    """[Δ^1, Δ^2, ...] as echelon subspaces of FG, down to the first zero
+    power; a fresh list over the cached chain.
 
     Jennings: the monomials ∏(g_i - 1)^(a_i), 0 <= a_i < p, over a Jennings
     basis g_i of weights w_i, are a basis of FG, and those of weight
@@ -96,7 +96,7 @@ def augmentation_powers(A: GroupAlgebra, n_max: int | None = None):
                 raise AssertionError(f"the Jennings monomials of weight {m} are dependent")
             chain.append(b.freeze())
         A._cache["delta_chain"] = chain[::-1]
-    return A._cache["delta_chain"][:n_max]
+    return list(A._cache["delta_chain"])
 
 
 def jennings_dims(A: GroupAlgebra):
@@ -118,13 +118,12 @@ class QuotientAlgebra:
     its layer L_t is the image of Δ^t, and (Δ^i/Δ^j)^m = L_(i·m).
     """
 
-    def __init__(self, field, sc, reps=None, solver=None, label=""):
+    def __init__(self, field, sc, reps=None, solver=None):
         self.field = field
         self.sc = sc
         self.dim = sc.shape[0]
         self.reps = reps  # (dim, n) ambient lifts, or None for a prime restriction
         self._solver = solver
-        self.label = label
         self.first = None  # i of a radical section Δ^i/Δ^j
         self.powers = None  # [Δ^i, Δ^(i+1), ..., J] of a radical section
         self._cache = {}
@@ -205,11 +204,10 @@ class QuotientAlgebra:
         return -(-end // self.first)
 
     def __repr__(self):
-        tag = f" {self.label}" if self.label else ""
-        return f"QuotientAlgebra(dim={self.dim}, {self.field}{tag})"
+        return f"QuotientAlgebra(dim={self.dim}, {self.field})"
 
 
-def quotient_algebra(A: GroupAlgebra, I: Subspace, J: Subspace, label="") -> QuotientAlgebra:
+def quotient_algebra(A: GroupAlgebra, I: Subspace, J: Subspace) -> QuotientAlgebra:
     """The section I/J of two ideals of FG as a structure-constant algebra.
 
     The section basis is canonical: the echelon rows of I whose pivots are not
@@ -234,18 +232,18 @@ def quotient_algebra(A: GroupAlgebra, I: Subspace, J: Subspace, label="") -> Quo
     for j in range(d):
         # rep_i * rep_j for all i, then their section coordinates
         sc[:, j] = solver.solve(F.matmul(reps, A.right_mul_matrix(reps[j])))
-    return QuotientAlgebra(F, sc, reps=reps, solver=solver, label=label)
+    return QuotientAlgebra(F, sc, reps=reps, solver=solver)
 
 
-def radical_section(A: GroupAlgebra, i: int, j: int, label=None) -> QuotientAlgebra:
+def radical_section(A: GroupAlgebra, i: int, j: int) -> QuotientAlgebra:
     """The section Δ^i / Δ^j (i < j), carrying the powers Δ^i, Δ^(i+1), ...
     that its layers are read from."""
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
     # the chain ends at Δ^j or at zero, which stands for every later power
-    pows = augmentation_powers(A, n_max=j)
+    pows = augmentation_powers(A)[:j]
     powers = pows[min(i, len(pows)) - 1:]
-    Q = quotient_algebra(A, powers[0], powers[-1], label=label or f"rad[{i},{j}]")
+    Q = quotient_algebra(A, powers[0], powers[-1])
     Q.first, Q.powers = i, powers
     return Q
 
@@ -266,7 +264,7 @@ def _prime_restriction(Q: QuotientAlgebra) -> QuotientAlgebra:
         # axes (i, j, l, e2, e3, e1) -> (i, e1, j, e2, l, e3)
         sc_p = F.BLK[F.MUL[Q.sc[..., None], F.PW]].transpose(0, 5, 1, 3, 2, 4)
         Q._cache["prime_restriction"] = QuotientAlgebra(
-            make_field(F.p, 1), sc_p.reshape(dk, dk, dk), label=f"{Q.label}|prime")
+            make_field(F.p, 1), sc_p.reshape(dk, dk, dk))
     return Q._cache["prime_restriction"]
 
 

@@ -19,7 +19,7 @@ from .groups import (
     centralizer,
     char_series,
     conjugacy_classes,
-    dimension_subgroups_lazard,
+    jennings_series,
     min_generators,
     omega_in,
 )
@@ -242,11 +242,10 @@ def table_broche():
     for m, n in [(1, 2), (1, 3), (2, 3)]:
         for variant, want in (("G", 2), ("H", 1)):
             G = build(f"B2{variant}:{m},{n}")
-            U = omega_in(G, char_series(G).derived, m)
-            Ug, _ = U.as_group()
-            D = dimension_subgroups_lazard(Ug, n_max=2**m)
+            D = jennings_series(omega_in(G, char_series(G).derived, m))
+            # the series ends at its first trivial term, which stands for every later one
             rows.append(TableRow(f"case2[m={m},n={n}].{variant}",
-                                 f"|D_{2**m}(U)|", want, D[2**m - 1].order))
+                                 f"|D_{2**m}(U)|", want, D[min(2**m, len(D)) - 1].order))
     for m in (1, 2):
         for variant in ("G", "H"):
             G = build(f"B1{variant}:{m}")

@@ -29,8 +29,12 @@ of elements, where the product checks it on every element and generator. The
 checked group constructor here takes an arbitrary table and searches its
 identity, scans its inverses, checks associativity (exhaustively up to 512
 elements, on 100,000 sampled triples beyond) and generation, where the product
-builds every group by a route that proves its table: a regular coset action,
-a restriction to a closed subgroup or the cosets of a normal subgroup. The
+builds every group by a route that proves its table: a regular coset action
+or the cosets of a normal subgroup. A subgroup becomes a standalone group
+only here, through the checked constructor; the product reads every series
+of a subgroup in place. The Jennings series here is Lazard's product of
+powers of the lower central series, generated afresh for every n, where the
+product recurses on the terms before it. The
 associativity check of structure constants runs on the radical sections and
 prime restrictions the product builds, which are associative by
 construction. The closure-checked subgroup and ideal constructors, the
@@ -105,6 +109,15 @@ def checked_group(mul, gens, presentation=None, elem_words=None) -> FiniteGroup:
     if G.generated(G.gens).order != n:
         raise ValueError("distinguished generators do not generate the group")
     return G
+
+
+def subgroup_group(S: Subgroup):
+    """(S as a standalone group, the embedding of its indices in the
+    parent): the parent's table restricted to S, renumbered and checked."""
+    G, elems = S.parent, S.elems
+    local = np.full(G.n, -1, dtype=np.int32)
+    local[elems] = np.arange(S.order, dtype=np.int32)
+    return checked_group(local[G.mul[np.ix_(elems, elems)]], gens=local[S.gens]), elems
 
 
 def _check_table_associative(mul):
@@ -355,6 +368,24 @@ def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
     out = list(chain[:i_max])
     while len(out) < i_max:
         out.append(chain[-1])
+    return out
+
+
+def dimension_subgroups_lazard(G: FiniteGroup) -> list:
+    """The Jennings series by Lazard's product formula,
+    D_n = ∏ ℧_j(γ_i) over i·p^j >= n, down to the first trivial term."""
+    p, _ = G.require_p_group()
+    lc = char_series(G).lower_central
+    out = [G.full_subgroup()]
+    while out[-1].order > 1:
+        n = len(out) + 1
+        seeds = [np.array([G.id], dtype=np.int32)]
+        for i, gamma in enumerate(lc[:-1], start=1):  # the last term is trivial
+            pj = 1
+            while i * pj < n:
+                pj *= p
+            seeds.append(G.pow_map(pj)[gamma.elems])
+        out.append(G.generated(_index_set(np.concatenate(seeds), G.n)))
     return out
 
 

@@ -19,8 +19,8 @@ from modiso.groups import (
     abelian_type,
     center,
     char_series,
-    dimension_subgroups_lazard,
     is_metacyclic,
+    jennings_series,
     maximal_elem_abelian_classes,
     min_generators,
     omega_in,
@@ -141,9 +141,8 @@ def test_criterion_05_two_generated_class_two_pairs():
     for m, n in [(1, 2), (1, 3), (2, 3)]:
         for variant, want in (("G", 2), ("H", 1)):
             G = build(f"B2{variant}:{m},{n}")
-            U = omega_in(G, char_series(G).derived, m)
-            Ug, _ = U.as_group()
-            got = dimension_subgroups_lazard(Ug, n_max=2**m)[2**m - 1].order
+            D = jennings_series(omega_in(G, char_series(G).derived, m))
+            got = D[min(2**m, len(D)) - 1].order  # trivial from the series' end on
             if got != want:
                 failures.append(f"case2[{m},{n}].{variant}: |D_{2**m}| = {got} != {want}")
     for m in (1, 2):
@@ -188,18 +187,20 @@ def test_criterion_07_jennings_lazard_equivalence(corpus_medium):
         if G.n > 128:
             continue
         p = G.require_p_group()[0]
-        laz = dimension_subgroups_lazard(G)
+        series = list(jennings_series(G))
+        if oracles.dimension_subgroups_lazard(G) != series:
+            failures.append(f"{spec}: Jennings' recursion differs from Lazard's formula")
         predicted = predicted_jennings_dims(G)
         for k in (1, 2):
             F = make_field(p, k)
             A = modalg.group_algebra(G, F)
-            alg_side = oracles.dimension_subgroups_algebraic(A)
-            if len(alg_side) != len(laz) or any(a != b for a, b in zip(alg_side, laz)):
+            if oracles.dimension_subgroups_algebraic(A) != series:
                 failures.append(f"{spec}/GF({p}^{k}): dimension subgroups differ")
             if modalg.jennings_dims(A) != predicted:
                 failures.append(f"{spec}/GF({p}^{k}): radical dims != generating function")
-    _verdict(7, "algebra-side dimension subgroups and radical dims match the "
-                "group-side theory on the corpus (orders to 128, both field sizes)",
+    _verdict(7, "algebra-side dimension subgroups, Lazard's formula and Jennings' "
+                "recursion agree, and radical dims match the group-side theory on the "
+                "corpus (orders to 128, both field sizes)",
              failures)
 
 
@@ -212,9 +213,9 @@ def test_criterion_08_power_congruence(corpus_small):
         p = G.require_p_group()[0]
         F = make_field(p, 1)
         A = modalg.group_algebra(G, F)
-        D = dimension_subgroups_lazard(G)
+        D = jennings_series(G)
         depth = max((i + 1 for i, S in enumerate(D) if S.order > 1), default=0)
-        pows = modalg.augmentation_powers(A, n_max=depth + 1)
+        pows = modalg.augmentation_powers(A)
         for n in range(1, depth + 1):
             Dn = D[n - 1]
             Zn = oracles.zassenhaus_ideal(A, n)
@@ -308,7 +309,7 @@ def test_criterion_11_metacyclic_lemmas():
     for spec, G in meta + nonmeta:
         # quotient criterion: metacyclic iff metacyclic mod Frat(derived)
         derived = char_series(G).derived
-        Dg, embed = derived.as_group()
+        Dg, embed = oracles.subgroup_group(derived)
         fratD = oracles.subgroup(G, embed[char_series(Dg).frattini.elems]) if Dg.n > 1 \
             else G.trivial_subgroup()
         Q, _ = quotient_group(G, fratD) if fratD.order > 1 else (None, None)
@@ -321,7 +322,7 @@ def test_criterion_11_metacyclic_lemmas():
         for K in (char_series(G).frattini, derived):
             if K.order == 1 or G.n // K.order > 64:
                 continue
-            Kg, embedK = K.as_group()
+            Kg, embedK = oracles.subgroup_group(K)
             L_local = char_series(Kg).frattini
             L = oracles.subgroup(G, embedK[L_local.elems])
             if L.order == 1:

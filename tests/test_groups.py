@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from modiso.errors import CapExceeded
-from modiso.families import build
+from modiso.families import build, from_presentation
 from modiso.groups import (
     Subgroup,
     abelian_type,
@@ -15,9 +15,9 @@ from modiso.groups import (
     char_series,
     commutator_subgroup,
     conjugacy_classes,
-    dimension_subgroups_lazard,
     exponent,
     is_metacyclic,
+    jennings_series,
     max_elem_abelian_direct_factor,
     maximal_elem_abelian_classes,
     min_generators,
@@ -325,15 +325,18 @@ def test_classes_match_per_element_oracle(oracle_groups):
 
 # -- subgroup and quotient tables against the checked constructor ------------------
 
-def proved_tables(G):
-    """(label, group) for `as_group` and `quotient_group` on the centre, the
-    derived and Frattini subgroups, Ω_1(Z) and each Lazard D_j of G."""
+def normal_subgroups(G):
+    """(label, N) for the centre, the derived and Frattini subgroups, Ω_1(Z)
+    and each Jennings D_j of G."""
     cs = char_series(G)
     normal = [("Z", cs.center), ("G'", cs.derived), ("Frat", cs.frattini),
               ("Omega_1(Z)", omega(cs.center, 1))]
-    normal += [(f"D_{j}", D) for j, D in enumerate(dimension_subgroups_lazard(G), start=1)]
-    for name, N in normal:
-        yield f"{name} as group", N.as_group()[0]
+    return normal + [(f"D_{j}", D) for j, D in enumerate(jennings_series(G), start=1)]
+
+
+def proved_tables(G):
+    """(label, group) for `quotient_group` on each of `normal_subgroups(G)`."""
+    for name, N in normal_subgroups(G):
         yield f"G/{name}", quotient_group(G, N)[0]
 
 
@@ -349,6 +352,20 @@ def test_proved_subgroup_and_quotient_tables_match_checked_group(oracle_groups):
     for spec, G in oracle_groups:
         for label, H in proved_tables(G):
             assert_matches_checked_group(H, f"{spec}: {label}")
+
+
+def test_subgroup_series_matches_the_series_of_the_checked_subgroup(oracle_groups):
+    # the series of N read in place in G, against the series of N built as a
+    # standalone group through the checked constructor and mapped back to G
+    for spec, G in oracle_groups:
+        for name, N in normal_subgroups(G):
+            if N.order == 1:  # the trivial group is no p-group; its series is itself
+                assert jennings_series(N) == (N,), f"{spec}: {name}"
+                continue
+            H, embed = O.subgroup_group(N)
+            got = jennings_series(N)
+            want = [O.subgroup(G, embed[D.elems]) for D in jennings_series(H)]
+            assert list(got) == want, f"{spec}: {name}"
 
 
 def test_proved_tables_of_a_relabeled_group_keep_their_identity():
@@ -416,39 +433,45 @@ def test_abelian_type_mixed():
     assert abelian_type(build("C:16")) == (16,)
 
 
-# -- Lazard dimension subgroups ----------------------------------------------------
+# -- the Jennings series, against Lazard's formula ---------------------------------
 
 def test_lazard_c4():
     G = build("C:4")
-    D = dimension_subgroups_lazard(G)
+    D = jennings_series(G)
+    assert list(D) == O.dimension_subgroups_lazard(G)
     assert [S.order for S in D] == [4, 2, 1]
     a = G.gens[0]
     assert D[1] == G.generated([G.mul[a, a]])
 
 
 def test_lazard_broche_case2_unit():
-    G = build("B2G:1,2")
-    U = omega_in(G, char_series(G).derived, 1)
-    Ug, _ = U.as_group()
-    D = dimension_subgroups_lazard(Ug, n_max=2)
-    assert D[1].order == 2
-
-    H = build("B2H:1,2")
-    V = omega_in(H, char_series(H).derived, 1)
-    Vg, _ = V.as_group()
-    assert dimension_subgroups_lazard(Vg, n_max=2)[1].order == 1
+    # D_2(U) of U = Ω_1(G:G') in place, and by Lazard's formula on U built
+    # as a standalone group
+    for spec, want in [("B2G:1,2", 2), ("B2H:1,2", 1)]:
+        G = build(spec)
+        U = omega_in(G, char_series(G).derived, 1)
+        D = jennings_series(U)
+        assert D[1].order == want, spec
+        Ug, embed = O.subgroup_group(U)
+        assert [O.subgroup(G, embed[S.elems]) for S in O.dimension_subgroups_lazard(Ug)] == list(D)
 
 
 def test_lazard_elementary_abelian():
     G = build("EA:3,2")
-    D = dimension_subgroups_lazard(G)
+    D = jennings_series(G)
+    assert list(D) == O.dimension_subgroups_lazard(G)
     assert [S.order for S in D] == [9, 1]
 
 
 def test_lazard_chain_properties():
-    for spec in ["D8", "Q8", "T:1,4", "Ab:8,4", "B2G:1,2"]:
-        G = build(spec)
-        D = dimension_subgroups_lazard(G)
+    # C2 ≀ C4 is the one group here where [D_2, G] is not inside
+    # [D_2, D_2]·℧_1(D_2): its series needs the commutators with all of G
+    wreath = from_presentation("ac", ("a^2", "c^4", "[a,c^-1*a*c]", "[a,c^-2*a*c^2]",
+                                      "[a,c^-3*a*c^3]"), declared_order=64)
+    groups = [(spec, build(spec)) for spec in ["D8", "Q8", "T:1,4", "Ab:8,4", "B2G:1,2"]]
+    for spec, G in groups + [("C2 wr C4", wreath)]:
+        D = jennings_series(G)
+        assert list(D) == O.dimension_subgroups_lazard(G), spec
         assert D[0].order == G.n
         assert D[1] == char_series(G).frattini
         for a, b in zip(D, D[1:]):
@@ -550,7 +573,7 @@ def test_direct_factor_against_complement_search(spec):
     Z = center(G)
     best = 0
     for A in subs:
-        if not Z.contains_set(A) or exponent(A.as_group()[0]) not in (1, p):
+        if not Z.contains_set(A) or exponent(O.subgroup_group(A)[0]) not in (1, p):
             continue
         rank = 0
         o = A.order
@@ -573,14 +596,12 @@ def test_direct_factor_against_complement_search(spec):
 def test_rank_preserving_correspondence_instance():
     G = build("T:1,4")
     K = char_series(G).derived
-    Kg, _ = K.as_group()
-    L_local = char_series(Kg).frattini
-    # map local Frattini elements back to parent indices
-    _, embed = K.as_group()
-    L = O.subgroup(G, embed[L_local.elems])
+    Kg, embed = O.subgroup_group(K)
+    # map the Frattini elements of K as a standalone group back to G
+    L = O.subgroup(G, embed[char_series(Kg).frattini.elems])
     for extra in range(G.n):
         H = G.generated(list(K.elems) + [extra])
-        Hq = quotient_group(H, L)[0] if L.order > 1 else H.as_group()[0]
+        Hq = quotient_group(H, L)[0] if L.order > 1 else O.subgroup_group(H)[0]
         assert min_generators(H) == min_generators(Hq.full_subgroup())
 
 
@@ -613,7 +634,7 @@ def _commutator_cases(G):
     B = G, and each centralizer against itself."""
     full = G.full_subgroup()
     cents = list(dict.fromkeys(centralizer(G, c.rep) for c in conjugacy_classes(G)))
-    tops = (char_series(G).lower_central + dimension_subgroups_lazard(G)
+    tops = (char_series(G).lower_central + list(jennings_series(G))
             + [center(G)] + cents)
     return [(A, full) for A in tops] + [(C, C) for C in cents]
 

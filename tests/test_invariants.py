@@ -6,7 +6,7 @@ import pytest
 
 from modiso.caps import Caps
 from modiso.errors import CapExceeded
-from modiso.families import build
+from modiso.families import build, from_presentation
 from modiso.gfq import make_field
 from modiso.groups import (
     FiniteGroup,
@@ -31,6 +31,7 @@ from modiso.invariants import (
     transfer_sections,
     verdict_to_dict,
 )
+from modiso.iso import IsoWitness, NotIsomorphic, group_isomorphic, verify_witness
 from modiso import groups, invariants, modalg
 
 import oracles
@@ -291,12 +292,44 @@ def test_soundness_on_isomorphic_pair():
             v = compare(fingerprint(G, F), fingerprint(H, F))
             assert not v.distinguished, (a, b, v.witnesses)
 
+    # direct products with their factors swapped: equal fingerprints over
+    # GF(p) and GF(p^2), and a verified group witness each way
+    for a, b in [("X:D8*C:2", "X:C:2*D8"), ("X:Q8*C:4", "X:C:4*Q8"),
+                 ("X:T:1,4*C:3", "X:C:3*T:1,4"),
+                 ("X:Meta:2,3,1,0,5*EA:2,2", "X:EA:2,2*Meta:2,3,1,0,5")]:
+        G, H = build(a), build(b)
+        p, _ = G.require_p_group()
+        for F in (make_field(p, 1), make_field(p, 2)):
+            f, g = fingerprint(G, F), fingerprint(H, F)
+            assert fingerprint_to_dict(f) == fingerprint_to_dict(g), (a, b, F)
+            assert not compare(f, g).distinguished, (a, b, F)
+        for X, Y in [(G, H), (H, G)]:
+            w = group_isomorphic(X, Y)
+            assert isinstance(w, IsoWitness) and verify_witness(w, X, Y), (a, b)
+
     # the order-243 isomorphic pair: group-side entries (algebra capped)
     caps = Caps(algebra_order_cap=128)
     G, H = build("T:2,5"), build("T:3,5")
     for F in (F3, F9):
         v = compare(fingerprint(G, F, caps), fingerprint(H, F, caps))
         assert not v.distinguished, v.witnesses
+
+
+# the order-512 groups of García-Lucas, Margolis and del Río (arXiv
+# 2106.07231): not isomorphic, with FG ≅ FH over every field of
+# characteristic 2; z = [y,x], G has y^8 = 1 and H has y^8 = x^8
+GML_RELATORS = ("[y,x]^4", "x^-1*[y,x]*x*[y,x]", "y^-1*[y,x]*y*[y,x]", "x^16")
+
+
+def test_all_field_counterexample_is_never_distinguished():
+    # a distinguished verdict on this pair, over any field of characteristic
+    # 2, is a soundness bug: report the entry that separated, keep the pair
+    G = from_presentation("xy", GML_RELATORS + ("y^8",), declared_order=512)
+    H = from_presentation("xy", GML_RELATORS + ("y^8*x^-8",), declared_order=512)
+    for F in (F2, F4):
+        v = compare(fingerprint(G, F), fingerprint(H, F))
+        assert not v.distinguished, (F, v.witnesses)
+    assert isinstance(group_isomorphic(G, H), NotIsomorphic)
 
 
 def test_t2_t3_even_indistinguishable_small():
@@ -532,16 +565,21 @@ def test_square_cell_enum_cap_gate_matches_enumeration():
             assert isinstance(counts, tuple) == (enum_cap == size)
 
 
-def test_fingerprint_runs_the_lazard_series_once(monkeypatch):
-    # the Jennings basis is cached on the group, and jennings_ranks and the
-    # square cell (1,3,1) both read it; a fresh group, past build's cache
+def test_fingerprint_computes_the_jennings_series_once(monkeypatch):
+    # the series of a group is cached on it: jennings_ranks reads its orders,
+    # and for p = 2 the square cell (1,3,1) reads D_3 and the Jennings basis
+    # built from it; a p = 3 fingerprint's default cells are forced, so it
+    # builds no basis. Fresh groups, past build's cache
     calls = []
-    lazard = groups.dimension_subgroups_lazard
-    monkeypatch.setattr(groups, "dimension_subgroups_lazard",
-                        lambda G, *args, **kw: calls.append(G) or lazard(G, *args, **kw))
-    G = build.__wrapped__("X:C:2*D8")
-    assert isinstance(fingerprint(G, F4).kernel_sizes[1]["counts"], tuple)
-    assert calls == [G]
+    series = groups.jennings_series
+    monkeypatch.setattr(groups, "jennings_series", lambda X: calls.append(X) or series(X))
+    for spec, F, basis in [("X:C:2*D8", F4, True), ("Ab:9,3", F3, False)]:
+        calls.clear()
+        G = build.__wrapped__(spec)
+        fp = fingerprint(G, F)
+        assert all(isinstance(e["counts"], tuple) for e in fp.kernel_sizes), spec
+        assert [X for X in calls if isinstance(X, groups.Subgroup)] == [G.full_subgroup()], spec
+        assert ("jennings_basis" in G._cache) == basis, spec
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ from modiso.families import build
 from modiso.gfq import EchelonBuilder, make_field
 from modiso.groups import (
     char_series,
-    dimension_subgroups_lazard,
+    jennings_series,
     quotient_group,
 )
 from modiso import modalg as M
@@ -91,11 +91,13 @@ def test_aug_power_dims_field_independent():
 
 
 def test_capped_power_calls_do_not_pollute_the_chain():
-    # an n_max past the first zero power returns the chain as it is
+    # sections cut the chain at Δ^j, or keep it as it is when j is past the
+    # first zero power, and a caller that trims its copy leaves the cache whole
     A = alg("D8")
-    assert [I.dim for I in M.augmentation_powers(A, n_max=9)] == [7, 5, 3, 1, 0]
-    assert len(M.augmentation_powers(A, n_max=10**6)) == 5
-    assert [I.dim for I in M.augmentation_powers(A, n_max=2)] == [7, 5]
+    assert [I.dim for I in M.radical_section(A, 1, 9).powers] == [7, 5, 3, 1, 0]
+    assert [I.dim for I in M.radical_section(A, 1, 2).powers] == [7, 5]
+    pows = M.augmentation_powers(A)
+    del pows[2:]
     assert [I.dim for I in M.augmentation_powers(A)] == [7, 5, 3, 1, 0]
     assert M.jennings_dims(A) == [2, 2, 2, 1]
     padded_lie = O.lie_power_ideals(A, i_max=6)
@@ -272,7 +274,7 @@ def test_natural_quotient_iso_structure_constants():
 
 def test_unital_quotient_has_unit():
     A = alg("D8")
-    Q = O.unital_quotient(A, M.augmentation_powers(A, 4)[3])
+    Q = O.unital_quotient(A, M.augmentation_powers(A)[3])
     e = Q.unit
     for i in range(Q.dim):
         v = np.zeros(Q.dim, dtype=np.uint8)
@@ -368,10 +370,7 @@ def test_algebraic_matches_lazard_small():
     for spec, F in [("D8", F2), ("Q8", F2), ("EA:3,2", F3), ("B2G:1,2", F2)]:
         A = alg(spec, F)
         alg_side = O.dimension_subgroups_algebraic(A)
-        laz = dimension_subgroups_lazard(A.group)
-        assert len(alg_side) == len(laz)
-        for S, L in zip(alg_side, laz):
-            assert S == L
+        assert alg_side == O.dimension_subgroups_lazard(A.group) == list(jennings_series(A.group))
 
 
 # -- kernel sizes -------------------------------------------------------------------
@@ -498,9 +497,9 @@ def test_zassenhaus_z2_d8():
     Z2 = O.zassenhaus_ideal(A, 2)
     assert Z2.dim == 4
     # oracle: span(D_2 - 1) + Δ^3  (Passi-Sehgal over the prime field)
-    D2 = dimension_subgroups_lazard(G)[1]
+    D2 = jennings_series(G)[1]
     b = EchelonBuilder(F2, A.n)
-    for row in M.augmentation_powers(A, 3)[2].rows:
+    for row in M.augmentation_powers(A)[2].rows:
         b.add(row)
     for g in D2.elems.tolist():
         b.add(A.basis_minus_one(g))
@@ -512,7 +511,7 @@ def test_zassenhaus_over_extension_field_sandwich():
     # field-generic even though the prime-field case is the calibrated one)
     for spec in ("C:4", "D8"):
         A = alg(spec, F4)
-        pows = M.augmentation_powers(A, 3)
+        pows = M.augmentation_powers(A)
         Z2 = O.zassenhaus_ideal(A, 2)
         assert Z2.contains_rows(pows[2].rows).all()
         assert pows[1].contains_rows(Z2.rows).all()
@@ -524,7 +523,7 @@ def test_zassenhaus_z2_c4():
     a = A.group.gens[0]
     sq = A.basis_minus_one(int(A.group.mul[a, a]))
     assert Z2.contains_rows(sq)
-    delta3 = M.augmentation_powers(A, 3)[2]
+    delta3 = M.augmentation_powers(A)[2]
     assert Z2.dim == delta3.dim + 1
 
 

@@ -11,7 +11,7 @@ Every capped library function defaults to the cap `mip` uses, so a library
 call and the command line agree on every cap.
 
 Every group and every structure-constant algebra is built by a route that
-proves it: a `FiniteGroup` only by the three builders that prove its table,
+proves it: a `FiniteGroup` only by the two builders that prove its table,
 a `QuotientAlgebra` only as a section I/J or its prime restriction. The
 checks of an arbitrary table or tensor are oracles, so a new unproved
 construction route fails here.
@@ -58,8 +58,7 @@ CAP_DEFAULTS = {
 
 # class -> (module, enclosing function) of every call that builds one
 CONSTRUCTION_SITES = {
-    "FiniteGroup": {("words.py", "_table_group"), ("groups.py", "Subgroup.as_group"),
-                    ("groups.py", "quotient_group")},
+    "FiniteGroup": {("words.py", "_table_group"), ("groups.py", "quotient_group")},
     "QuotientAlgebra": {("modalg.py", "quotient_algebra"), ("modalg.py", "_prime_restriction")},
     "__new__": set(),
 }
