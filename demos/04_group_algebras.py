@@ -1,19 +1,18 @@
 """The modular group algebra: radical filtration, sections, kernel sizes."""
 
-from modiso import build, fingerprint, group_algebra, make_field
+from modiso import build, fingerprint, make_field
 from modiso import modalg
 from modiso.groups import jennings_series
 from modiso.invariants import predicted_jennings_dims
 
 F2 = make_field(2, 1)
 G = build("D8")
-A = group_algebra(G, F2)
 
-# the radical powers come from a Jennings basis g_i of G: the monomials
+# the radical powers of FG come from a Jennings basis g_i of G: the monomials
 # ∏(g_i - 1)^(a_i) of weight >= m span Δ^m, over every field of characteristic p
-powers = modalg.augmentation_powers(A)
+powers = modalg.augmentation_powers(G, F2)
 print("radical power dimensions:", [P.dim for P in powers])
-print("section dims:", modalg.jennings_dims(A),
+print("section dims:", modalg.jennings_dims(G, F2),
       " predicted from the group side:", predicted_jennings_dims(G))
 
 # Jennings' recursion D_n = [D_(n-1), G]·℧_1(D_⌈n/p⌉) gives the dimension
@@ -24,7 +23,7 @@ print("dimension subgroup orders:", [S.order for S in D])
 # the radical section between the first and third powers, as a
 # structure-constant algebra; its powers are images of radical powers,
 # (Δ/Δ^3)^m = (Δ^m + Δ^3)/Δ^3, so its degree and square are read off them
-S = modalg.radical_section(A, 1, 3)
+S = modalg.radical_section(G, F2, 1, 3)
 print("\nsection dim", S.dim, " nilpotency degree", S.nilpotency_degree(),
       " square dim", S.power_subspace().dim)
 kill, survive = modalg.kernel_size_power_map(S, 1)

@@ -3,7 +3,6 @@
 from modiso import (
     IsoWitness,
     build,
-    group_algebra,
     group_isomorphic,
     make_field,
     nilpotent_algebra_iso,
@@ -27,8 +26,8 @@ print("\norder-729 pair:", group_isomorphic(G6, H6))
 # over GF(4)
 F2, F4 = make_field(2, 1), make_field(2, 2)
 for F in (F2, F4):
-    lam = radical_section(group_algebra(build("D8"), F), 1, 3)
-    gam = radical_section(group_algebra(build("Q8"), F), 1, 3)
+    lam = radical_section(build("D8"), F, 1, 3)
+    gam = radical_section(build("Q8"), F, 1, 3)
     r = nilpotent_algebra_iso(lam, gam)
     print(f"\nsections over {F}:", type(r).__name__)
     if isinstance(r, IsoWitness):

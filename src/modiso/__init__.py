@@ -17,8 +17,7 @@ _EXPORTS = {
     "fingerprint": "invariants",
     "IsoWitness": "iso", "NotIsomorphic": "iso", "group_isomorphic": "iso",
     "nilpotent_algebra_iso": "iso", "verify_witness": "iso",
-    "GroupAlgebra": "modalg", "QuotientAlgebra": "modalg",
-    "group_algebra": "modalg",
+    "QuotientAlgebra": "modalg",
     "Presentation": "words", "parse_word": "words", "print_word": "words",
     "todd_coxeter": "words",
 }

@@ -8,6 +8,8 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
+from .errors import CapExceeded
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -22,6 +24,13 @@ class Caps:
     zassenhaus_order_cap: int = 64
     iso_cap: int = 10**7
     kernel_sections: tuple = ((1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 3, 2))
+
+    def check_algebra_order(self, n: int):
+        """Raise CapExceeded unless a group of order n is within
+        `algebra_order_cap`: the gate of every route that builds FG."""
+        if n > self.algebra_order_cap:
+            raise CapExceeded("algebra_order_cap",
+                              f"|G| = {n} exceeds the algebra-side cap {self.algebra_order_cap}")
 
     @staticmethod
     def from_json(data) -> "Caps":

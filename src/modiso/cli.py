@@ -87,11 +87,11 @@ def _fingerprint_or_die(G, F, caps):
         raise SystemExit(EX_BUILD) from None
 
 
-def _algebra_or_die(G, F, caps):
-    from . import modalg
-
+def _algebra_side(work, *args):
+    """work(*args) for a command that builds FG: a group that is not a
+    p-group of the field's characteristic exits 65."""
     try:
-        return modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
+        return work(*args)
     except ValueError as err:
         print(f"mip: cannot build the group algebra: {err}", file=sys.stderr)
         raise SystemExit(EX_BUILD) from None
@@ -177,16 +177,10 @@ def cmd_kernel_size(args) -> int:
     if args.power < 0:
         raise SpecParseError(f"bad --power {args.power}, need >= 0")
     try:
-        if G.n > caps.algebra_order_cap:  # the gate of modalg.group_algebra, before any FG
-            raise CapExceeded("algebra_order_cap",
-                              f"|G| = {G.n} exceeds the algebra-side cap {caps.algebra_order_cap}")
-        kill, survive = kernel_cell(G, F, i, j, args.power, caps)
+        kill, survive = _algebra_side(kernel_cell, G, F, i, j, args.power, caps)
     except CapExceeded as err:
         print(f"mip: {err}", file=sys.stderr)
         return EX_CAP
-    except ValueError as err:
-        print(f"mip: cannot build the group algebra: {err}", file=sys.stderr)
-        return EX_BUILD
     _emit({"spec": args.spec, "field": args.field, "section": [i, j], "power": args.power,
            "dim": sum(predicted_jennings_dims(G)[i - 1:j - 1]), "kill": kill, "survive": survive})
     return EX_OK
@@ -212,10 +206,13 @@ def cmd_iso(args) -> int:
                 raise SpecParseError("algebra mode needs --field")
             i, j = _parse_section(args.mode[len("algebra:"):], "algebra mode section")
             F = _parse_field(args.field)
-            from . import modalg
+            from .modalg import radical_section
 
-            A = modalg.radical_section(_algebra_or_die(G, F, caps), i, j)
-            B = modalg.radical_section(_algebra_or_die(H, F, caps), i, j)
+            def section(X):
+                caps.check_algebra_order(X.n)
+                return radical_section(X, F, i, j)
+
+            A, B = (_algebra_side(section, X) for X in (G, H))
             result = nilpotent_algebra_iso(A, B, cap=caps.iso_cap)
             if isinstance(result, IsoWitness):
                 _emit({"outcome": "isomorphic", "mode": args.mode, "field": args.field,

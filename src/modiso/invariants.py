@@ -143,12 +143,13 @@ def kernel_cell(G: FiniteGroup, F: FiniteField, i: int, j: int, k: int,
                 caps: Caps = DEFAULT_CAPS) -> tuple:
     """The kernel cell (i, j, k): (#x in Δ^i/Δ^j with x^(p^k) in Δ^j, #other
     x). The one route of every cell, and every gate of the work it does, in
-    order (notes/decisions.md, "One kernel-cell route"): the section's
-    F_p-dimension D is read off the Jennings dims; `enum_cap` bounds p^D; a
-    forced cell is the whole section; any other cell needs p^D < 2^63, and
-    is read off the group for p = 2 and (1,3,1), else counted by truncation
-    in FG. Raises CapExceeded, and ValueError unless G is a p-group of F's
+    order (notes/decisions.md, "One kernel-cell route"): `algebra_order_cap`
+    bounds |G|; the section's F_p-dimension D is read off the Jennings dims;
+    `enum_cap` bounds p^D; a forced cell is the whole section; any other
+    cell needs p^D < 2^63, and is read off the group for p = 2 and (1,3,1),
+    else counted by truncation in FG. Raises CapExceeded, and ValueError unless G is a p-group of F's
     characteristic."""
+    caps.check_algebra_order(G.n)
     p, _ = G.require_p_group(F.p)
     D = F.k * sum(predicted_jennings_dims(G)[i - 1:j - 1])
     if D > 0 and p**D > caps.enum_cap:
@@ -162,8 +163,7 @@ def kernel_cell(G: FiniteGroup, F: FiniteField, i: int, j: int, k: int,
         return square_cell(G, F, D)
     from . import modalg
 
-    A = modalg.group_algebra(G, F, order_cap=caps.algebra_order_cap)
-    return modalg.kernel_size_power_map(modalg.radical_section(A, i, j), k)
+    return modalg.kernel_size_power_map(modalg.radical_section(G, F, i, j), k)
 
 
 @dataclass
@@ -231,8 +231,10 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     except CapExceeded as err:
         factor_rank = Unavailable(err.cap_name)
 
-    if G.n > caps.algebra_order_cap:
-        jdims = sgr_dim = zass = Unavailable("algebra_order_cap")
+    try:
+        caps.check_algebra_order(G.n)
+    except CapExceeded as err:
+        jdims = sgr_dim = zass = Unavailable(err.cap_name)
     else:
         jdims = jennings_polynomial(p, ranks)[1:]
         sgr_dim = G.n // cs.derived.order + derived_rank
@@ -248,8 +250,8 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
 
     kernel = []
     for (i, j, k) in caps.kernel_sections:
-        if G.n > caps.algebra_order_cap:
-            counts = Unavailable("algebra_order_cap")
+        if isinstance(jdims, Unavailable):  # the algebra-side cap fired
+            counts = jdims
         elif G.n > caps.kernel_order_cap or F.q > caps.kernel_q_cap:
             counts = Unavailable("kernel_order_cap")
         else:

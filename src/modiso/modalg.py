@@ -1,74 +1,36 @@
 """Modular group algebra engine.
 
-Elements of FG are uint8 code vectors indexed by group elements. The module
-builds the radical filtration from a Jennings basis of G, radical sections
-Δ^i/Δ^j as structure-constant algebras that read their nilpotency degree and
-square off it, and power-map kernel sizes: the routes `mip` runs. The second
-routes to these, and to the entries that the fingerprint reads off the group
-side, live in `tests/oracles.py`.
+Elements of FG are uint8 code vectors indexed by group elements, and every
+route takes the group G and the field F itself. The module builds the
+radical filtration from a Jennings basis of G, cached on the group for each
+field, radical sections Δ^i/Δ^j as structure-constant algebras that read
+their nilpotency degree and square off it, and power-map kernel sizes: the
+routes `mip` runs. The second routes to these, and to the entries that the
+fingerprint reads off the group side, live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS
-from .errors import CapExceeded
-from .gfq import (EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _enumerate_coords,
-                  echelon_basis, make_field)
+from .gfq import (EchelonBuilder, FiniteField, Subspace, _enumerate_coords, echelon_basis,
+                  make_field)
 from .groups import FiniteGroup, _jennings_basis
 
 
-class GroupAlgebra:
-    """FG for a finite group G and finite field F."""
-
-    def __init__(self, group: FiniteGroup, field: FiniteField):
-        self.group = group
-        self.field = field
-        self.n = group.n
-        self._cache = {}
-
-    def basis_minus_one(self, g: int) -> np.ndarray:
-        """The vector g - 1."""
-        v = np.zeros(self.n, dtype=np.uint8)
-        F = self.field
-        v[g] = F.vadd(v[g], 1)
-        v[self.group.id] = F.vsub(v[self.group.id], 1)
-        return v
-
-    def right_mul_matrix(self, y: np.ndarray) -> np.ndarray:
-        """Matrix R with (x @ R) = x * y; row h of R is e_h * y."""
-        return np.asarray(y, dtype=np.uint8)[self.group.mul[self.group.inv]]
-
-    def translate(self, rows: np.ndarray, g: int, side: str) -> np.ndarray:
-        """rows * g (side='right') or g * rows (side='left'); a column permutation."""
-        G = self.group
-        invg = int(G.inv[g])
-        perm = G.mul[invg] if side == "left" else G.mul[:, invg]
-        return np.asarray(rows, dtype=np.uint8)[..., perm]
-
-    def __repr__(self):
-        return f"GroupAlgebra(|G|={self.n}, {self.field})"
+def basis_minus_one(G: FiniteGroup, F: FiniteField, g: int) -> np.ndarray:
+    """The vector g - 1 of FG."""
+    v = np.zeros(G.n, dtype=np.uint8)
+    v[g] = F.vadd(v[g], 1)
+    v[G.id] = F.vsub(v[G.id], 1)
+    return v
 
 
-def group_algebra(G: FiniteGroup, F: FiniteField,
-                  order_cap: int = DEFAULT_CAPS.algebra_order_cap) -> GroupAlgebra:
-    """FG for a p-group G and a field F of characteristic p, cached on the
-    group so radical filtrations are computed once."""
-    if G.n > order_cap:
-        raise CapExceeded(
-            "algebra_order_cap",
-            f"|G| = {G.n} exceeds the algebra-side cap {order_cap}")
-    G.require_p_group(F.p)
-    key = ("algebra", F.p, F.k)
-    if key not in G._cache:
-        G._cache[key] = GroupAlgebra(G, F)
-    return G._cache[key]
-
-
-def augmentation_powers(A: GroupAlgebra):
-    """[Δ^1, Δ^2, ...] as echelon subspaces of FG, down to the first zero
-    power; a fresh list over the cached chain.
+def augmentation_powers(G: FiniteGroup, F: FiniteField):
+    """[Δ^1, Δ^2, ...] of FG as echelon subspaces, down to the first zero
+    power; a fresh list over the chain, which is cached on the group for
+    each field. Raises ValueError unless G is a p-group of F's
+    characteristic.
 
     Jennings: the monomials ∏(g_i - 1)^(a_i), 0 <= a_i < p, over a Jennings
     basis g_i of weights w_i, are a basis of FG, and those of weight
@@ -77,31 +39,33 @@ def augmentation_powers(A: GroupAlgebra):
     basis from the top weight down, frozen after each weight: the canonical
     RREF of Δ^m (notes/decisions.md).
     """
-    if "delta_chain" not in A._cache:
-        F = A.field
-        mons = np.zeros((1, A.n), dtype=np.uint8)
-        mons[0, A.group.id] = 1
+    key = ("delta_chain", F.p, F.k)
+    if key not in G._cache:
+        G.require_p_group(F.p)
+        mons = np.zeros((1, G.n), dtype=np.uint8)
+        mons[0, G.id] = 1
         weights = np.zeros(1, dtype=np.int64)
-        for g, w in _jennings_basis(A.group):
+        for g, w in _jennings_basis(G):
+            right = G.mul[:, G.inv[g]]  # x·g is the column permutation x[h·g^-1]
             blocks = [mons]
             for _ in range(F.p - 1):
-                blocks.append(F.vsub(A.translate(blocks[-1], g, "right"), blocks[-1]))
+                blocks.append(F.vsub(blocks[-1][:, right], blocks[-1]))
             mons = np.vstack(blocks)
             weights = np.concatenate([weights + a * w for a in range(F.p)])
-        b = EchelonBuilder(F, A.n)
+        b = EchelonBuilder(F, G.n)
         chain = [b.freeze()]  # the zero ideal past the top weight
         for m in range(int(weights.max()), 0, -1):
             block = mons[weights == m]
             if b.add_block(block) != len(block):
                 raise AssertionError(f"the Jennings monomials of weight {m} are dependent")
             chain.append(b.freeze())
-        A._cache["delta_chain"] = chain[::-1]
-    return list(A._cache["delta_chain"])
+        G._cache[key] = chain[::-1]
+    return list(G._cache[key])
 
 
-def jennings_dims(A: GroupAlgebra):
-    """Dimensions of the radical-power sections Δ^m / Δ^(m+1)."""
-    dims = [P.dim for P in augmentation_powers(A)]  # the chain ends at zero
+def jennings_dims(G: FiniteGroup, F: FiniteField):
+    """Dimensions of the radical-power sections Δ^m / Δ^(m+1) of FG."""
+    dims = [P.dim for P in augmentation_powers(G, F)]  # the chain ends at zero
     return [a - b for a, b in zip(dims, dims[1:])]
 
 
@@ -118,21 +82,30 @@ class QuotientAlgebra:
     its layer L_t is the image of Δ^t, and (Δ^i/Δ^j)^m = L_(i·m).
     """
 
-    def __init__(self, field, sc, reps=None, solver=None):
+    def __init__(self, field, sc, reps=None, J=None, cols=None):
         self.field = field
         self.sc = sc
         self.dim = sc.shape[0]
         self.reps = reps  # (dim, n) ambient lifts, or None for a prime restriction
-        self._solver = solver
+        self._J, self._cols = J, cols  # the ideal divided out; the pivot columns of reps
         self.first = None  # i of a radical section Δ^i/Δ^j
         self.powers = None  # [Δ^i, Δ^(i+1), ..., J] of a radical section
         self._cache = {}
 
     def project(self, ambient_vec) -> np.ndarray:
-        """Coordinates of an FG vector's image in this section."""
-        if self._solver is None:
+        """Coordinates of an FG vector's (or each row's) image in this section
+        I/J. r = J.sift(v) is zero on J's pivots, so for v in I it is
+        Σ_t r[c_t]·rep_t over the pivot columns c_t of the reps
+        (notes/decisions.md, "A section's coordinates are one sift"); a v
+        outside I misses that reconstruction and raises ValueError."""
+        if self.reps is None:
             raise ValueError("abstract algebra has no ambient projection")
-        return self._solver.solve(ambient_vec)
+        r = self._J.sift(ambient_vec)
+        flat = r.reshape(-1, r.shape[-1])
+        coords = flat[:, self._cols]
+        if not np.array_equal(self.field.matmul(coords, self.reps), flat):
+            raise ValueError("vector outside the section's ideal")
+        return coords.reshape(r.shape[:-1] + (self.dim,))
 
     def mul(self, x, y) -> np.ndarray:
         F = self.field
@@ -207,43 +180,38 @@ class QuotientAlgebra:
         return f"QuotientAlgebra(dim={self.dim}, {self.field})"
 
 
-def quotient_algebra(A: GroupAlgebra, I: Subspace, J: Subspace) -> QuotientAlgebra:
+def quotient_algebra(G: FiniteGroup, F: FiniteField, I: Subspace, J: Subspace) -> QuotientAlgebra:
     """The section I/J of two ideals of FG as a structure-constant algebra.
 
     The section basis is canonical: the echelon rows of I whose pivots are not
     pivots of J.
     """
-    F = A.field
     if not J <= I:
         raise ValueError("J is not contained in I")
 
     jpiv = set(J.pivots)
-    reps = I.rows[[i for i, pv in enumerate(I.pivots) if pv not in jpiv]]
-    d = len(reps)
+    keep = [t for t, pv in enumerate(I.pivots) if pv not in jpiv]
+    d = len(keep)
     if d != I.dim - J.dim:
         raise AssertionError("the section basis does not complement J in I")
-
-    # J's rows carry the zero tag and rep_i carries e_i
-    solver = TaggedEchelon(F, A.n, d)
-    solver.add_block(np.block([[J.rows, np.zeros((J.dim, d), dtype=np.uint8)],
-                               [reps, np.eye(d, dtype=np.uint8)]]))
-
-    sc = np.zeros((d, d, d), dtype=np.uint8)
+    Q = QuotientAlgebra(F, np.zeros((d, d, d), dtype=np.uint8), reps=I.rows[keep], J=J,
+                        cols=[I.pivots[t] for t in keep])
+    right = G.mul[G.inv]  # y[right] is the matrix of x -> x * y: row h is e_h * y
     for j in range(d):
         # rep_i * rep_j for all i, then their section coordinates
-        sc[:, j] = solver.solve(F.matmul(reps, A.right_mul_matrix(reps[j])))
-    return QuotientAlgebra(F, sc, reps=reps, solver=solver)
+        Q.sc[:, j] = Q.project(F.matmul(Q.reps, Q.reps[j][right]))
+    return Q
 
 
-def radical_section(A: GroupAlgebra, i: int, j: int) -> QuotientAlgebra:
-    """The section Δ^i / Δ^j (i < j), carrying the powers Δ^i, Δ^(i+1), ...
-    that its layers are read from."""
+def radical_section(G: FiniteGroup, F: FiniteField, i: int, j: int) -> QuotientAlgebra:
+    """The section Δ^i / Δ^j (i < j) of FG, carrying the powers Δ^i, Δ^(i+1),
+    ... that its layers are read from."""
     if not 1 <= i < j:
         raise ValueError("need 1 <= i < j")
     # the chain ends at Δ^j or at zero, which stands for every later power
-    pows = augmentation_powers(A)[:j]
+    pows = augmentation_powers(G, F)[:j]
     powers = pows[min(i, len(pows)) - 1:]
-    Q = quotient_algebra(A, powers[0], powers[-1])
+    Q = quotient_algebra(G, F, powers[0], powers[-1])
     Q.first, Q.powers = i, powers
     return Q
 

@@ -210,25 +210,22 @@ def table_example_d8q8():
     rows = []
     F2, F4 = make_field(2, 1), make_field(2, 2)
     D8, Q8 = build("D8"), build("Q8")
-    lam2 = modalg.radical_section(modalg.group_algebra(D8, F2), 1, 3)
-    gam2 = modalg.radical_section(modalg.group_algebra(Q8, F2), 1, 3)
+    lam2 = modalg.radical_section(D8, F2, 1, 3)
+    gam2 = modalg.radical_section(Q8, F2, 1, 3)
     rows.append(TableRow("D8-section", "nonzero_squares_F2", 4,
                          modalg.kernel_size_power_map(lam2, 1)[1]))
     rows.append(TableRow("Q8-section", "nonzero_squares_F2", 8,
                          modalg.kernel_size_power_map(gam2, 1)[1]))
     rows.append(TableRow("pair", "not_isomorphic_F2", True,
                          isinstance(nilpotent_algebra_iso(lam2, gam2), NotIsomorphic)))
-    lam4 = modalg.radical_section(modalg.group_algebra(D8, F4), 1, 3)
-    gam4 = modalg.radical_section(modalg.group_algebra(Q8, F4), 1, 3)
+    lam4 = modalg.radical_section(D8, F4, 1, 3)
+    gam4 = modalg.radical_section(Q8, F4, 1, 3)
     found = nilpotent_algebra_iso(lam4, gam4)
     rows.append(TableRow("pair", "isomorphic_F4", True, isinstance(found, IsoWitness)))
 
     # the explicit reference witness x -> a, y -> w*a + b
-    AQ, AD = modalg.group_algebra(Q8, F4), modalg.group_algebra(D8, F4)
-    x = gam4.project(AQ.basis_minus_one(Q8.gens[0]))
-    y = gam4.project(AQ.basis_minus_one(Q8.gens[1]))
-    a = lam4.project(AD.basis_minus_one(D8.gens[0]))
-    b = lam4.project(AD.basis_minus_one(D8.gens[1]))
+    x, y = (gam4.project(modalg.basis_minus_one(Q8, F4, g)) for g in Q8.gens)
+    a, b = (lam4.project(modalg.basis_minus_one(D8, F4, g)) for g in D8.gens)
     wa_b = F4.vadd(F4.vsmul(F4.p, a), b)  # w is the code p
     wit = IsoWitness(kind="algebra", images=[a, wa_b], source_gens=[x, y])
     rows.append(TableRow("pair", "explicit_witness_verifies", True,
@@ -272,10 +269,9 @@ def table_jennings():
     for spec, (p, k) in JENNINGS_CORPUS:
         G = build(spec)
         F = make_field(p, k)
-        A = modalg.group_algebra(G, F)
         rows.append(TableRow(f"{spec}/GF({p}^{k})" if k > 1 else f"{spec}/GF({p})",
                              "radical_section_dims",
-                             predicted_jennings_dims(G), modalg.jennings_dims(A)))
+                             predicted_jennings_dims(G), modalg.jennings_dims(G, F)))
     return rows
 
 

@@ -21,6 +21,8 @@ nilpotency degree and the square of a section are echelonized from all
 products of basis vectors, where the product reads them off the section's
 layers. The power-map kernel cells here enumerate the whole section, where
 the product enumerates a complement of the layer that decides them. The
+coordinates of a section here are solved in a tagged echelon over J and the
+section basis, where the product reads them off one sift by J. The
 algebra search here evaluates each basis monomial from its
 whole word and checks all d² products of a candidate against the product
 tensor of the source in its monomial basis, where the product checks the
@@ -38,7 +40,8 @@ product recurses on the terms before it. The
 associativity check of structure constants runs on the radical sections and
 prime restrictions the product builds, which are associative by
 construction. The closure-checked subgroup and ideal constructors, the
-convolution product and the unital quotients FG/J serve the tests only: the
+translates and the convolution product in FG, and the unital quotients FG/J
+serve the tests only; every oracle takes the group and the field. The
 product trusts the subgroups and radical powers it generates, multiplies
 inside sections and builds radical sections I/J. No `mip` command runs them.
 """
@@ -49,10 +52,11 @@ import numpy as np
 
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
-from modiso.gfq import EchelonBuilder, Subspace, _enumerate_coords, echelon_basis
+from modiso.gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _enumerate_coords, echelon_basis
 from modiso.groups import BLOCK, ConjClass, FiniteGroup, Subgroup, _index_set, char_series, table_dtype
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
-from modiso.modalg import GroupAlgebra, QuotientAlgebra, _prime_restriction, quotient_algebra
+from modiso.modalg import (QuotientAlgebra, _prime_restriction, augmentation_powers,
+                           basis_minus_one, quotient_algebra)
 from modiso.words import Presentation, _columns, _live_action, _table_group
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
@@ -172,40 +176,71 @@ def subgroup(G: FiniteGroup, elems) -> Subgroup:
     return Subgroup(G, member)
 
 
-def ideal(A: GroupAlgebra, space: Subspace) -> Subspace:
+def translate(G: FiniteGroup, rows: np.ndarray, g: int, side: str) -> np.ndarray:
+    """rows * g (side='right') or g * rows (side='left') in FG: a column
+    permutation."""
+    invg = int(G.inv[g])
+    perm = G.mul[invg] if side == "left" else G.mul[:, invg]
+    return np.asarray(rows, dtype=np.uint8)[..., perm]
+
+
+def ideal(G: FiniteGroup, space: Subspace) -> Subspace:
     """An echelon subspace of FG, checked to be a two-sided ideal: closed
     under left and right multiplication by the group's generators (hence by
     all of G)."""
-    for g in A.group.gens:
+    for g in G.gens:
         for side in ("left", "right"):
-            if not space.contains_rows(A.translate(space.rows, g, side)).all():
+            if not space.contains_rows(translate(G, space.rows, g, side)).all():
                 raise ValueError("subspace is not a two-sided ideal")
     return space
 
 
-def zero_ideal(A: GroupAlgebra) -> Subspace:
-    return echelon_basis([], A.field, A.n)
+def zero_ideal(G: FiniteGroup, F: FiniteField) -> Subspace:
+    return echelon_basis([], F, G.n)
 
 
-def convolve(A: GroupAlgebra, x, y) -> np.ndarray:
+def convolve(G: FiniteGroup, F: FiniteField, x, y) -> np.ndarray:
     """The product x * y in FG."""
     x = np.asarray(x, dtype=np.uint8)
-    return A.field.matmul(x[None, :], A.right_mul_matrix(y))[0]
+    return F.matmul(x[None, :], np.asarray(y, dtype=np.uint8)[G.mul[G.inv]])[0]
 
 
-def unital_quotient(A: GroupAlgebra, J: Subspace) -> QuotientAlgebra:
+def unital_quotient(G: FiniteGroup, F: FiniteField, J: Subspace) -> QuotientAlgebra:
     """FG/J as a structure-constant algebra, with `unit` set to the
     coordinates of the identity and checked to act as one."""
-    whole = echelon_basis(list(np.eye(A.n, dtype=np.uint8)), A.field, A.n)
-    Q = quotient_algebra(A, whole, J)
-    one = np.zeros(A.n, dtype=np.uint8)
-    one[A.group.id] = 1
+    whole = echelon_basis(list(np.eye(G.n, dtype=np.uint8)), F, G.n)
+    Q = quotient_algebra(G, F, whole, J)
+    one = np.zeros(G.n, dtype=np.uint8)
+    one[G.id] = 1
     Q.unit = Q.project(one)
     E = np.eye(Q.dim, dtype=np.uint8)
     U = np.broadcast_to(Q.unit, E.shape)
     assert np.array_equal(Q.mul_batch(U, E), E)
     assert np.array_equal(Q.mul_batch(E, U), E)
     return Q
+
+
+def section_by_tagged_solver(G: FiniteGroup, F: FiniteField, i: int, j: int):
+    """(sc, reps, images) of the radical section Δ^i/Δ^j, on the basis that
+    `modalg.radical_section` takes, with every coordinate solved in one
+    `TaggedEchelon`: J's rows carry the zero tag and rep_t carries e_t, so
+    the tag block of a reconstruction is the coordinates mod J.
+    images[t - i] holds the coordinates of the echelon rows of Δ^t, which
+    span the layer L_t, for t = i..j."""
+    pows = augmentation_powers(G, F)  # the zero ideal stands for every power past it
+    I, J = (pows[min(t, len(pows)) - 1] for t in (i, j))
+    jpiv = set(J.pivots)
+    reps = I.rows[[t for t, pv in enumerate(I.pivots) if pv not in jpiv]]
+    d = len(reps)
+    solver = TaggedEchelon(F, G.n, d)
+    solver.add_block(np.block([[J.rows, np.zeros((J.dim, d), dtype=np.uint8)],
+                               [reps, np.eye(d, dtype=np.uint8)]]))
+    sc = np.zeros((d, d, d), dtype=np.uint8)
+    for b in range(d):
+        # rep_a * rep_b for all a, then their tags
+        sc[:, b] = solver.solve(F.matmul(reps, reps[b][G.mul[G.inv]]))
+    images = [solver.solve(pows[min(t, len(pows)) - 1].rows) for t in range(i, j + 1)]
+    return sc, reps, images
 
 
 def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -256,23 +291,24 @@ def abelian_type_of_table(Q: FiniteGroup) -> tuple:
     return tuple(parts)
 
 
-def augmentation_powers_by_translates(A: GroupAlgebra, n_max: int | None = None):
+def augmentation_powers_by_translates(G: FiniteGroup, F: FiniteField, n_max: int | None = None):
     """[Δ^1, Δ^2, ...] as `modalg.augmentation_powers` returns them, built
     without the group's dimension subgroups: Δ is spanned by the g - 1, and
     Δ^(m+1) by every basis row of Δ^m right-multiplied by every g - 1, one
-    right translate minus the row. Cached on the algebra apart from the
-    product's chain."""
-    if "translate_chain" not in A._cache:
-        b = EchelonBuilder(A.field, A.n)
-        b.add_block(np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8))
-        A._cache["translate_chain"] = [ideal(A, b.freeze())]
-    chain = A._cache["translate_chain"]
+    right translate minus the row. Cached on the group for each field, apart
+    from the product's chain."""
+    key = ("translate_chain", F.p, F.k)
+    if key not in G._cache:
+        b = EchelonBuilder(F, G.n)
+        b.add_block(np.array([basis_minus_one(G, F, g) for g in range(G.n)], dtype=np.uint8))
+        G._cache[key] = [ideal(G, b.freeze())]
+    chain = G._cache[key]
     while chain[-1].dim > 0 and (n_max is None or len(chain) < n_max):
         prev = chain[-1]
-        b = EchelonBuilder(A.field, A.n)
-        for g in range(A.n):
-            if g != A.group.id:
-                b.add_block(A.field.vsub(A.translate(prev.rows, g, "right"), prev.rows))
+        b = EchelonBuilder(F, G.n)
+        for g in range(G.n):
+            if g != G.id:
+                b.add_block(F.vsub(translate(G, prev.rows, g, "right"), prev.rows))
         nxt = b.freeze()
         assert nxt.dim < prev.dim
         chain.append(nxt)
@@ -320,47 +356,47 @@ def kernel_size_by_enumeration(Q: QuotientAlgebra, k: int, enum_cap: int = DEFAU
     return zero, total - zero
 
 
-def relative_augmentation_ideal(A: GroupAlgebra, N: Subgroup) -> Subspace:
+def relative_augmentation_ideal(G: FiniteGroup, F: FiniteField, N: Subgroup) -> Subspace:
     """Δ(N)FG for N normal in G: the ideal generated by {u - 1 : u in N}.
 
     Spanned by e_x - e_rep over the right cosets of N, so dim = |G| - [G:N].
     """
-    if N.parent is not A.group or not N.is_normal():
+    if N.parent is not G or not N.is_normal():
         raise ValueError("N must be a normal subgroup of G")
-    key = ("relaug", N._key)
-    if key not in A._cache:
-        rep = A.group.mul[N.elems].min(axis=0)  # least element of each coset Ng
-        xs = np.nonzero(rep != np.arange(A.n))[0]
-        rows = np.eye(A.n, dtype=np.uint8)[xs]
-        rows[np.arange(len(xs)), rep[xs]] = A.field.NEG[1]
-        b = EchelonBuilder(A.field, A.n)
+    key = ("relaug", F.p, F.k, N._key)
+    if key not in G._cache:
+        rep = G.mul[N.elems].min(axis=0)  # least element of each coset Ng
+        xs = np.nonzero(rep != np.arange(G.n))[0]
+        rows = np.eye(G.n, dtype=np.uint8)[xs]
+        rows[np.arange(len(xs)), rep[xs]] = F.NEG[1]
+        b = EchelonBuilder(F, G.n)
         b.add_block(rows)
         space = b.freeze()
-        assert space.dim == A.n - A.n // N.order
-        A._cache[key] = ideal(A, space)
-    return A._cache[key]
+        assert space.dim == G.n - G.n // N.order
+        G._cache[key] = ideal(G, space)
+    return G._cache[key]
 
 
-def lie_power_ideals(A: GroupAlgebra, i_max: int | None = None):
+def lie_power_ideals(G: FiniteGroup, F: FiniteField, i_max: int | None = None):
     """The Lie power series: first term Δ, each next the ideal closure of the
     span of commutators [g, u] with u running over the previous basis."""
-    chain = A._cache.setdefault("lie_chain", augmentation_powers_by_translates(A, 1))
+    chain = G._cache.setdefault(("lie_chain", F.p, F.k),
+                                augmentation_powers_by_translates(G, F, 1))
     while chain[-1].dim > 0 and (i_max is None or len(chain) < i_max):
         prev = chain[-1]
-        b = EchelonBuilder(A.field, A.n)
-        F = A.field
-        for g in range(A.n):
-            b.add_block(F.vsub(A.translate(prev.rows, g, "left"),
-                               A.translate(prev.rows, g, "right")))
+        b = EchelonBuilder(F, G.n)
+        for g in range(G.n):
+            b.add_block(F.vsub(translate(G, prev.rows, g, "left"),
+                               translate(G, prev.rows, g, "right")))
         # ideal closure to a fixed point (translation by every group element)
         grew = True
         while grew:
             grew = False
             cur = b.freeze()
-            for g in range(A.n):
+            for g in range(G.n):
                 for side in ("left", "right"):
-                    grew |= b.add_block(A.translate(cur.rows, g, side)) > 0
-        chain.append(ideal(A, b.freeze()))
+                    grew |= b.add_block(translate(G, cur.rows, g, side)) > 0
+        chain.append(ideal(G, b.freeze()))
         if chain[-1].dim == chain[-2].dim and chain[-1].dim > 0:
             raise AssertionError("Lie power series stalled above zero")
     if i_max is None:
@@ -389,13 +425,12 @@ def dimension_subgroups_lazard(G: FiniteGroup) -> list:
     return out
 
 
-def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
+def dimension_subgroups_algebraic(G: FiniteGroup, F: FiniteField, n_max: int | None = None):
     """D_n = {g : g - 1 in Δ^n}, read off the radical filtration built by
     translates."""
-    G = A.group
-    pows = augmentation_powers_by_translates(A, n_max=n_max)
+    pows = augmentation_powers_by_translates(G, F, n_max=n_max)
     out = []
-    g_minus_one = np.array([A.basis_minus_one(g) for g in range(A.n)], dtype=np.uint8)
+    g_minus_one = np.array([basis_minus_one(G, F, g) for g in range(G.n)], dtype=np.uint8)
     for P in pows:
         members = np.nonzero(P.contains_rows(g_minus_one))[0]
         out.append(subgroup(G, members))
@@ -404,18 +439,18 @@ def dimension_subgroups_algebraic(A: GroupAlgebra, n_max: int | None = None):
     return out
 
 
-def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_cap) -> Subspace:
+def zassenhaus_ideal(G: FiniteGroup, F: FiniteField, n: int,
+                     enum_cap: int = DEFAULT_CAPS.enum_cap) -> Subspace:
     """Z_n(FG): the sum over i * p^j >= n of the spans of p^j-th powers of the
     i-th Lie power ideal, plus Δ^(n+1); computed inside FG/Δ^(n+1) (legitimate
     because Z_n contains Δ^(n+1)) with the power images enumerated exhaustively.
     """
-    F = A.field
-    p = A.group.require_p_group()[0]
-    pows = augmentation_powers_by_translates(A, n_max=n + 1)
-    Jnp1 = pows[n] if len(pows) > n else zero_ideal(A)
-    Q = unital_quotient(A, Jnp1)
+    p = G.require_p_group()[0]
+    pows = augmentation_powers_by_translates(G, F, n_max=n + 1)
+    Jnp1 = pows[n] if len(pows) > n else zero_ideal(G, F)
+    Q = unital_quotient(G, F, Jnp1)
 
-    lies = lie_power_ideals(A)
+    lies = lie_power_ideals(G, F)
     b = EchelonBuilder(F, Q.dim)
     for i, L in enumerate(lies, start=1):
         if L.dim == 0:
@@ -440,22 +475,20 @@ def zassenhaus_ideal(A: GroupAlgebra, n: int, enum_cap: int = DEFAULT_CAPS.enum_
             j += 1
     span_q = b.freeze()
 
-    out = EchelonBuilder(F, A.n)
+    out = EchelonBuilder(F, G.n)
     out.add_block(np.vstack([Jnp1.rows, F.matmul(span_q.rows, Q.reps)]))
-    return ideal(A, out.freeze())
+    return ideal(G, out.freeze())
 
 
-def small_group_ring(A: GroupAlgebra) -> QuotientAlgebra:
+def small_group_ring(G: FiniteGroup, F: FiniteField) -> QuotientAlgebra:
     """FG / (Δ(FG) · Δ(G')FG) as a unital structure-constant algebra."""
-    F = A.field
-    derived = char_series(A.group).derived
-    rel = relative_augmentation_ideal(A, derived)
-    delta = augmentation_powers_by_translates(A, 1)[0]
-    b = EchelonBuilder(F, A.n)
+    rel = relative_augmentation_ideal(G, F, char_series(G).derived)
+    delta = augmentation_powers_by_translates(G, F, 1)[0]
+    b = EchelonBuilder(F, G.n)
     for v in rel.rows:
-        b.add_block(F.matmul(delta.rows, A.right_mul_matrix(v)))
-    K = ideal(A, b.freeze())
-    return unital_quotient(A, K)
+        b.add_block(F.matmul(delta.rows, v[G.mul[G.inv]]))
+    K = ideal(G, b.freeze())
+    return unital_quotient(G, F, K)
 
 
 def reducible_monics(p: int, k: int) -> set:

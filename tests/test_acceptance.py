@@ -97,8 +97,8 @@ def test_criterion_03_contribution_table():
 def test_criterion_04_radical_section_example():
     t0 = time.time()
     failures = []
-    lam = modalg.radical_section(modalg.group_algebra(build("D8"), F2), 1, 3)
-    gam = modalg.radical_section(modalg.group_algebra(build("Q8"), F2), 1, 3)
+    lam = modalg.radical_section(build("D8"), F2, 1, 3)
+    gam = modalg.radical_section(build("Q8"), F2, 1, 3)
     nz_lam = modalg.kernel_size_power_map(lam, 1)[1]
     nz_gam = modalg.kernel_size_power_map(gam, 1)[1]
     if nz_lam != 4:
@@ -114,17 +114,16 @@ def test_criterion_04_radical_section_example():
         failures.append(f"nonzero-square count over GF(2), quaternion side: {nz_gam} != 12")
     if not isinstance(nilpotent_algebra_iso(lam, gam), NotIsomorphic):
         failures.append("sections not separated over GF(2)")
-    lam4 = modalg.radical_section(modalg.group_algebra(build("D8"), F4), 1, 3)
-    gam4 = modalg.radical_section(modalg.group_algebra(build("Q8"), F4), 1, 3)
+    lam4 = modalg.radical_section(build("D8"), F4, 1, 3)
+    gam4 = modalg.radical_section(build("Q8"), F4, 1, 3)
     wit = nilpotent_algebra_iso(lam4, gam4)
     if not isinstance(wit, IsoWitness) or not verify_witness(wit, lam4, gam4):
         failures.append("no verified witness over GF(4)")
     D8, Q8 = build("D8"), build("Q8")
-    AD, AQ = modalg.group_algebra(D8, F4), modalg.group_algebra(Q8, F4)
-    x = gam4.project(AQ.basis_minus_one(Q8.gens[0]))
-    y = gam4.project(AQ.basis_minus_one(Q8.gens[1]))
-    a = lam4.project(AD.basis_minus_one(D8.gens[0]))
-    b = lam4.project(AD.basis_minus_one(D8.gens[1]))
+    x = gam4.project(modalg.basis_minus_one(Q8, F4, Q8.gens[0]))
+    y = gam4.project(modalg.basis_minus_one(Q8, F4, Q8.gens[1]))
+    a = lam4.project(modalg.basis_minus_one(D8, F4, D8.gens[0]))
+    b = lam4.project(modalg.basis_minus_one(D8, F4, D8.gens[1]))
     explicit = IsoWitness(kind="algebra",
                           images=[a, F4.vadd(F4.vsmul(F4.p, a), b)],  # w is the code p
                           source_gens=[x, y])
@@ -193,10 +192,9 @@ def test_criterion_07_jennings_lazard_equivalence(corpus_medium):
         predicted = predicted_jennings_dims(G)
         for k in (1, 2):
             F = make_field(p, k)
-            A = modalg.group_algebra(G, F)
-            if oracles.dimension_subgroups_algebraic(A) != series:
+            if oracles.dimension_subgroups_algebraic(G, F) != series:
                 failures.append(f"{spec}/GF({p}^{k}): dimension subgroups differ")
-            if modalg.jennings_dims(A) != predicted:
+            if modalg.jennings_dims(G, F) != predicted:
                 failures.append(f"{spec}/GF({p}^{k}): radical dims != generating function")
     _verdict(7, "algebra-side dimension subgroups, Lazard's formula and Jennings' "
                 "recursion agree, and radical dims match the group-side theory on the "
@@ -212,25 +210,24 @@ def test_criterion_08_power_congruence(corpus_small):
             continue
         p = G.require_p_group()[0]
         F = make_field(p, 1)
-        A = modalg.group_algebra(G, F)
         D = jennings_series(G)
         depth = max((i + 1 for i, S in enumerate(D) if S.order > 1), default=0)
-        pows = modalg.augmentation_powers(A)
+        pows = modalg.augmentation_powers(G, F)
         for n in range(1, depth + 1):
             Dn = D[n - 1]
-            Zn = oracles.zassenhaus_ideal(A, n)
-            b = EchelonBuilder(F, A.n)
+            Zn = oracles.zassenhaus_ideal(G, F, n)
+            b = EchelonBuilder(F, G.n)
             for row in pows[n].rows:
                 b.add(row)
             for g in Dn.elems.tolist():
-                b.add(A.basis_minus_one(g))
+                b.add(modalg.basis_minus_one(G, F, g))
             if b.freeze() != Zn:
                 failures.append(f"{spec}: Z_{n} != span(D_{n} - 1) + radical^{n + 1}")
             # elementwise congruence: λ(g-1) ≡ g^λ - 1 mod Δ^(n+1)
             for g in Dn.elems.tolist():
-                gm1 = A.basis_minus_one(g)
+                gm1 = modalg.basis_minus_one(G, F, g)
                 for lam in range(p):
-                    diff = F.vsub(F.vsmul(lam, gm1), A.basis_minus_one(G.power(g, lam)))
+                    diff = F.vsub(F.vsmul(lam, gm1), modalg.basis_minus_one(G, F, G.power(g, lam)))
                     if not pows[n].contains_rows(diff):
                         failures.append(f"{spec}: congruence fails at n={n}, λ={lam}")
     _verdict(8, "power-map congruence identifies dimension subgroups modulo the "
@@ -265,19 +262,18 @@ def test_criterion_10_structural_identities(corpus_small):
     for spec, G in corpus_small:
         p = G.require_p_group()[0]
         F = make_field(p, 1)
-        A = modalg.group_algebra(G, F)
         cs = char_series(G)
         for N in {cs.derived._key: cs.derived, cs.center._key: cs.center,
                   cs.frattini._key: cs.frattini}.values():
-            if oracles.relative_augmentation_ideal(A, N).dim != G.n - G.n // N.order:
+            if oracles.relative_augmentation_ideal(G, F, N).dim != G.n - G.n // N.order:
                 failures.append(f"{spec}: relative ideal dimension formula")
-        rel = oracles.relative_augmentation_ideal(A, cs.derived)
-        if oracles.lie_power_ideals(A, 2)[1] != rel:
+        rel = oracles.relative_augmentation_ideal(G, F, cs.derived)
+        if oracles.lie_power_ideals(G, F, 2)[1] != rel:
             failures.append(f"{spec}: second Lie power != commutator ideal")
-        Q = oracles.unital_quotient(A, rel)
+        Q = oracles.unital_quotient(G, F, rel)
         Gq, proj = quotient_group(G, cs.derived)
         reps = [int(np.nonzero(proj == c)[0].min()) for c in range(Gq.n)]
-        T = Q.project(np.eye(A.n, dtype=np.uint8)[reps])
+        T = Q.project(np.eye(G.n, dtype=np.uint8)[reps])
         for c1 in range(Gq.n):
             for c2 in range(Gq.n):
                 if not np.array_equal(Q.mul(T[c1], T[c2]), T[int(Gq.mul[c1, c2])]):

@@ -455,8 +455,7 @@ def test_jennings_prediction_matches_algebra(corpus_small):
     for spec, G in corpus_small:
         p = G.require_p_group()[0]
         F = make_field(p, 1)
-        A = modalg.group_algebra(G, F)
-        assert modalg.jennings_dims(A) == predicted_jennings_dims(G), spec
+        assert modalg.jennings_dims(G, F) == predicted_jennings_dims(G), spec
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -465,12 +464,11 @@ def test_group_side_entries_match_algebra_oracles(corpus_small, k):
         p = G.require_p_group()[0]
         F = make_field(p, k)
         fp = fingerprint(G, F)
-        A = modalg.group_algebra(G, F)
-        assert fp.jennings_dims == modalg.jennings_dims(A), spec
-        assert fp.small_group_ring_dim == oracles.small_group_ring(A).dim, spec
+        assert fp.jennings_dims == modalg.jennings_dims(G, F), spec
+        assert fp.small_group_ring_dim == oracles.small_group_ring(G, F).dim, spec
         if k == 1:
             depth = len(jennings_ranks(G))
-            assert fp.zassenhaus_dims == [oracles.zassenhaus_ideal(A, n).dim
+            assert fp.zassenhaus_dims == [oracles.zassenhaus_ideal(G, F, n).dim
                                           for n in range(1, depth + 1)], spec
         else:
             assert fp.zassenhaus_dims == Unavailable("prime_field_only"), spec
@@ -480,11 +478,10 @@ def test_zassenhaus_enum_cap_gate_matches_enumeration():
     # C16 has Jennings ranks [1, 1, 0, 1, 0, 0, 0, 1]: the widest section
     # enumerated is Δ/Δ^9, with 2^8 elements
     G = build("C:16")
-    A = modalg.group_algebra(G, F2)
     for cap, available in [(255, False), (256, True)]:
         zass = fingerprint(G, F2, Caps(enum_cap=cap)).zassenhaus_dims
         try:
-            dims = [oracles.zassenhaus_ideal(A, n, enum_cap=cap).dim for n in range(1, 9)]
+            dims = [oracles.zassenhaus_ideal(G, F2, n, enum_cap=cap).dim for n in range(1, 9)]
         except CapExceeded:
             dims = Unavailable("enum_cap")
         assert isinstance(zass, list) == available
@@ -494,7 +491,7 @@ def test_zassenhaus_enum_cap_gate_matches_enumeration():
 def _kernel_cell_by_enumeration(G, F, cell, enum_cap):
     i, j, k = cell
     try:
-        sect = modalg.radical_section(modalg.group_algebra(G, F), i, j)
+        sect = modalg.radical_section(G, F, i, j)
         return oracles.kernel_size_by_enumeration(sect, k, enum_cap=enum_cap)
     except CapExceeded as err:
         return Unavailable(err.cap_name)
@@ -544,7 +541,7 @@ def test_square_cell_matches_enumeration(corpus_medium):
             continue
         for F in (F2, F4, F8):
             counts = fingerprint(G, F, caps).kernel_sizes[0]["counts"]
-            sect = modalg.radical_section(modalg.group_algebra(G, F, order_cap=128), 1, 3)
+            sect = modalg.radical_section(G, F, 1, 3)
             if sect.dim * F.k <= 16:
                 want = oracles.kernel_size_by_enumeration(sect, 1)
                 enumerated += 1

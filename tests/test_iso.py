@@ -32,7 +32,7 @@ pytestmark = pytest.mark.usefixtures("associative_sections")
 
 
 def section(spec, F, i=1, j=3):
-    return modalg.radical_section(modalg.group_algebra(build_corpus_group(spec), F), i, j)
+    return modalg.radical_section(build_corpus_group(spec), F, i, j)
 
 
 # -- groups -----------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_searches_return_no_unverified_witness_under_optimize():
         "from modiso.families import build\n"
         "from modiso.gfq import make_field\n"
         "F = make_field(2, 2)\n"
-        "A, B = (modalg.radical_section(modalg.group_algebra(build(s), F), 1, 3) for s in ('D8', 'Q8'))\n"
+        "A, B = (modalg.radical_section(build(s), F, 1, 3) for s in ('D8', 'Q8'))\n"
         "print('found', type(iso.nilpotent_algebra_iso(A, B)).__name__)\n"
         "iso.verify_witness = lambda *args: False\n"
         "for search, X, Y in ((iso.nilpotent_algebra_iso, A, B),\n"
@@ -291,8 +291,8 @@ def test_algebra_identity_witness_verifies():
 
 def test_algebra_iso_rejects_unital():
     # FG itself: the nilpotency check rejects it
-    G4 = modalg.group_algebra(build("C:4"), F2)
-    A = oracles.unital_quotient(G4, oracles.zero_ideal(G4))
+    C4 = build("C:4")
+    A = oracles.unital_quotient(C4, F2, oracles.zero_ideal(C4, F2))
     B = section("D8", F2)
     with pytest.raises(ValueError):
         nilpotent_algebra_iso(A, B)
@@ -312,13 +312,12 @@ def test_algebra_iso_cap():
 
 def test_paper_explicit_witness():
     D8, Q8 = build("D8"), build("Q8")
-    AD, AQ = modalg.group_algebra(D8, F4), modalg.group_algebra(Q8, F4)
-    lam = modalg.radical_section(AD, 1, 3)
-    gam = modalg.radical_section(AQ, 1, 3)
-    x = gam.project(AQ.basis_minus_one(Q8.gens[0]))
-    y = gam.project(AQ.basis_minus_one(Q8.gens[1]))
-    a = lam.project(AD.basis_minus_one(D8.gens[0]))
-    b = lam.project(AD.basis_minus_one(D8.gens[1]))
+    lam = modalg.radical_section(D8, F4, 1, 3)
+    gam = modalg.radical_section(Q8, F4, 1, 3)
+    x = gam.project(modalg.basis_minus_one(Q8, F4, Q8.gens[0]))
+    y = gam.project(modalg.basis_minus_one(Q8, F4, Q8.gens[1]))
+    a = lam.project(modalg.basis_minus_one(D8, F4, D8.gens[0]))
+    b = lam.project(modalg.basis_minus_one(D8, F4, D8.gens[1]))
     images = [a, F4.vadd(F4.vsmul(F4.p, a), b)]  # x -> a, y -> w*a + b; w is the code p
     wit = IsoWitness(kind="algebra", images=images, source_gens=[x, y])
     assert verify_witness(wit, gam, lam)
@@ -326,13 +325,12 @@ def test_paper_explicit_witness():
 
 def test_swapped_witness_fails_over_f2():
     D8, Q8 = build("D8"), build("Q8")
-    AD, AQ = modalg.group_algebra(D8, F2), modalg.group_algebra(Q8, F2)
-    lam = modalg.radical_section(AD, 1, 3)
-    gam = modalg.radical_section(AQ, 1, 3)
-    x = gam.project(AQ.basis_minus_one(Q8.gens[0]))
-    y = gam.project(AQ.basis_minus_one(Q8.gens[1]))
-    a = lam.project(AD.basis_minus_one(D8.gens[0]))
-    b = lam.project(AD.basis_minus_one(D8.gens[1]))
+    lam = modalg.radical_section(D8, F2, 1, 3)
+    gam = modalg.radical_section(Q8, F2, 1, 3)
+    x = gam.project(modalg.basis_minus_one(Q8, F2, Q8.gens[0]))
+    y = gam.project(modalg.basis_minus_one(Q8, F2, Q8.gens[1]))
+    a = lam.project(modalg.basis_minus_one(D8, F2, D8.gens[0]))
+    b = lam.project(modalg.basis_minus_one(D8, F2, D8.gens[1]))
     wit = IsoWitness(kind="algebra", images=[a, F2.vadd(a, b)], source_gens=[x, y])
     assert not verify_witness(wit, gam, lam)
 

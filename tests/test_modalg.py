@@ -31,35 +31,34 @@ pytestmark = pytest.mark.usefixtures("associative_sections")
 
 
 def alg(spec, F=F2):
-    return M.group_algebra(build(spec), F)
+    """(G, F): the group of spec and the field its algebra FG is over."""
+    return build(spec), F
 
 
 # -- element arithmetic ---------------------------------------------------------
 
 def test_basis_times_inverse_is_unit():
-    A = alg("D8")
-    G = A.group
+    G, F = alg("D8")
     g = G.gens[0]
-    e = np.eye(A.n, dtype=np.uint8)
-    assert np.array_equal(O.convolve(A, e[g], e[int(G.inv[g])]), e[G.id])
+    e = np.eye(G.n, dtype=np.uint8)
+    assert np.array_equal(O.convolve(G, F, e[g], e[int(G.inv[g])]), e[G.id])
 
 
 def test_square_of_g_minus_one_in_f2c2():
-    A = alg("C:2")
-    v = A.basis_minus_one(A.group.gens[0])
-    assert not O.convolve(A, v, v).any()
+    G, F = alg("C:2")
+    v = M.basis_minus_one(G, F, G.gens[0])
+    assert not O.convolve(G, F, v, v).any()
 
 
 def test_cube_of_a_minus_one_in_f2c4():
-    A = alg("C:4")
-    a = A.group.gens[0]
-    v = A.basis_minus_one(a)
-    cube = O.convolve(A, O.convolve(A, v, v), v)
+    G, F = alg("C:4")
+    v = M.basis_minus_one(G, F, G.gens[0])
+    cube = O.convolve(G, F, O.convolve(G, F, v, v), v)
     assert cube.tolist() == [1, 1, 1, 1]  # a^3 + a^2 + a + 1
 
 
 def test_augmentation_is_multiplicative():
-    A = alg("Q8", F4)
+    G, F = alg("Q8", F4)
     rng = np.random.default_rng(5)
 
     def augmentation(x):
@@ -69,49 +68,52 @@ def test_augmentation_is_multiplicative():
         return out
 
     for _ in range(10):
-        x, y = rng.integers(0, 4, size=(2, A.n)).astype(np.uint8)
+        x, y = rng.integers(0, 4, size=(2, G.n)).astype(np.uint8)
         ex, ey = augmentation(x), augmentation(y)
-        assert augmentation(O.convolve(A, x, y)) == int(F4.MUL[ex, ey])
+        assert augmentation(O.convolve(G, F, x, y)) == int(F4.MUL[ex, ey])
 
 
 def test_order_cap():
-    with pytest.raises(CapExceeded):
-        M.group_algebra(build("T:2,6"), F3)  # 729 > 256
+    # the one algebra-side gate, read before FG is built: T:2,6 has 729 > 256
+    with pytest.raises(CapExceeded, match=r"^\|G\| = 729 exceeds the algebra-side cap 256$"):
+        Caps().check_algebra_order(build("T:2,6").n)
+    with pytest.raises(CapExceeded, match="algebra-side cap 256"):
+        kernel_cell(build("T:2,6"), F3, 1, 3, 1)  # forced, but still gated
+    Caps(algebra_order_cap=729).check_algebra_order(729)
 
 
 # -- augmentation powers -----------------------------------------------------------
 
 def test_aug_power_dims_d8():
-    assert [I.dim for I in M.augmentation_powers(alg("D8"))] == [7, 5, 3, 1, 0]
-    assert M.jennings_dims(alg("D8")) == [2, 2, 2, 1]
+    assert [I.dim for I in M.augmentation_powers(*alg("D8"))] == [7, 5, 3, 1, 0]
+    assert M.jennings_dims(*alg("D8")) == [2, 2, 2, 1]
 
 
 def test_aug_power_dims_field_independent():
-    assert [I.dim for I in M.augmentation_powers(alg("D8", F4))] == [7, 5, 3, 1, 0]
+    assert [I.dim for I in M.augmentation_powers(*alg("D8", F4))] == [7, 5, 3, 1, 0]
 
 
 def test_capped_power_calls_do_not_pollute_the_chain():
     # sections cut the chain at Δ^j, or keep it as it is when j is past the
     # first zero power, and a caller that trims its copy leaves the cache whole
     A = alg("D8")
-    assert [I.dim for I in M.radical_section(A, 1, 9).powers] == [7, 5, 3, 1, 0]
-    assert [I.dim for I in M.radical_section(A, 1, 2).powers] == [7, 5]
-    pows = M.augmentation_powers(A)
+    assert [I.dim for I in M.radical_section(*A, 1, 9).powers] == [7, 5, 3, 1, 0]
+    assert [I.dim for I in M.radical_section(*A, 1, 2).powers] == [7, 5]
+    pows = M.augmentation_powers(*A)
     del pows[2:]
-    assert [I.dim for I in M.augmentation_powers(A)] == [7, 5, 3, 1, 0]
-    assert M.jennings_dims(A) == [2, 2, 2, 1]
-    padded_lie = O.lie_power_ideals(A, i_max=6)
+    assert [I.dim for I in M.augmentation_powers(*A)] == [7, 5, 3, 1, 0]
+    assert M.jennings_dims(*A) == [2, 2, 2, 1]
+    padded_lie = O.lie_power_ideals(*A, i_max=6)
     assert len(padded_lie) == 6
-    assert [L.dim for L in O.lie_power_ideals(A)][-1] == 0
+    assert [L.dim for L in O.lie_power_ideals(*A)][-1] == 0
 
 
 def test_aug_power_dims_f3c3():
-    assert [I.dim for I in M.augmentation_powers(alg("C:3", F3))] == [2, 1, 0]
+    assert [I.dim for I in M.augmentation_powers(*alg("C:3", F3))] == [2, 1, 0]
 
 
 def test_aug_powers_strictly_decreasing_and_nested():
-    A = alg("B2G:1,2")
-    pows = M.augmentation_powers(A)
+    pows = M.augmentation_powers(*alg("B2G:1,2"))
     for a, b in zip(pows, pows[1:]):
         assert b.dim < a.dim
         assert a.contains_rows(b.rows).all()
@@ -120,18 +122,16 @@ def test_aug_powers_strictly_decreasing_and_nested():
 @pytest.mark.parametrize("spec,F", [("D8", F2), ("Q8", F2), ("C:8", F2), ("C:9", F3)])
 def test_ideal_power_coherence(spec, F):
     # Δ^a · Δ^b = Δ^(a+b) for all computed powers
-    A = alg(spec, F)
-    pows = M.augmentation_powers(A)
+    G = build(spec)
+    pows = M.augmentation_powers(G, F)
     nz = [P for P in pows if P.dim > 0]
     for a in range(1, len(nz) + 1):
         for b in range(1, len(nz) - a + 2):
             target = pows[a + b - 1] if a + b <= len(pows) else pows[-1]
-            built = EchelonBuilder(F, A.n)
+            built = EchelonBuilder(F, G.n)
             for u in pows[a - 1].rows:
-                RM = A.right_mul_matrix(u)
-                # u * v == (v^T rows of product); use rows of Δ^b on the right
                 for v in pows[b - 1].rows:
-                    built.add(O.convolve(A, u, v))
+                    built.add(O.convolve(G, F, u, v))
             got = built.freeze()
             assert got.dim == target.dim
             assert target.contains_rows(got.rows).all()
@@ -139,23 +139,23 @@ def test_ideal_power_coherence(spec, F):
 
 def test_two_sided_closure_under_every_group_element():
     for spec, F in [("D8", F2), ("Q8", F4), ("C:8", F2), ("Ab:4,2", F2)]:
-        A = alg(spec, F)
-        for P in M.augmentation_powers(A):
-            for g in range(A.n):
+        G = build(spec)
+        for P in M.augmentation_powers(G, F):
+            for g in range(G.n):
                 for side in ("left", "right"):
-                    assert P.contains_rows(A.translate(P.rows, g, side)).all()
+                    assert P.contains_rows(O.translate(G, P.rows, g, side)).all()
 
 
 def test_jennings_chain_matches_translate_oracle(corpus_medium):
     # the Jennings-basis filtration and the translate loop give the same
     # canonical RREF rows and pivots at every level; the corpus chains are
-    # shared with criterion 7 through the algebra cache
+    # shared with criterion 7 through the group's cache
     cases = [(spec, G, make_field(G.require_p_group()[0], k))
              for spec, G in corpus_medium if G.n <= 128 for k in (1, 2)]
     cases.append(("Meta:3,2,2,0,4", build("Meta:3,2,2,0,4"), make_field(3, 2)))
     for spec, G, F in cases:
-        A = M.group_algebra(G, F)
-        jennings, translates = M.augmentation_powers(A), O.augmentation_powers_by_translates(A)
+        jennings = M.augmentation_powers(G, F)
+        translates = O.augmentation_powers_by_translates(G, F)
         assert len(jennings) == len(translates), (spec, F)
         for m, (a, b) in enumerate(zip(jennings, translates), start=1):
             assert a.pivots == b.pivots, (spec, F, m)
@@ -174,13 +174,13 @@ def test_section_degree_and_square_match_the_product_loops(spec, p, k, max_dim):
     # the degree and the square read off the layers equal the loops over
     # all products, on every Δ^i/Δ^j with 1 <= i < j <= depth + 2
     A = alg(spec, make_field(p, k))
-    top = len(M.jennings_dims(A)) + 2
-    dims = [P.dim for P in M.augmentation_powers(A)] + [0] * top  # zero past the chain
+    top = len(M.jennings_dims(*A)) + 2
+    dims = [P.dim for P in M.augmentation_powers(*A)] + [0] * top  # zero past the chain
     for i in range(1, top):
         for j in range(i + 1, top + 1):
             if max_dim is not None and dims[i - 1] - dims[j - 1] > max_dim:
                 continue
-            S = M.radical_section(A, i, j)
+            S = M.radical_section(*A, i, j)
             assert S.nilpotency_degree() == O.nilpotency_degree_by_powers(S), (i, j)
             assert S.power_subspace() == O.square_by_products(S), (i, j)
 
@@ -201,71 +201,66 @@ def test_power_oracle_on_the_truncated_polynomial_algebra():
 # -- relative augmentation ideals ----------------------------------------------------
 
 def test_relative_ideal_dims():
-    A = alg("D8")
-    G = A.group
+    G, F = alg("D8")
     derived = char_series(G).derived
-    assert O.relative_augmentation_ideal(A, derived).dim == 4  # 8 - 8/2
-    assert O.relative_augmentation_ideal(A, G.trivial_subgroup()).dim == 0
-    full = O.relative_augmentation_ideal(A, G.full_subgroup())
+    assert O.relative_augmentation_ideal(G, F, derived).dim == 4  # 8 - 8/2
+    assert O.relative_augmentation_ideal(G, F, G.trivial_subgroup()).dim == 0
+    full = O.relative_augmentation_ideal(G, F, G.full_subgroup())
     assert full.dim == 7
-    assert full == M.augmentation_powers(A)[0]
+    assert full == M.augmentation_powers(G, F)[0]
 
 
 def test_relative_ideal_dim_formula_across_normals():
     for spec, F in [("T:1,4", F3), ("B2G:1,2", F2), ("Meta:2,3,1,0,5", F2)]:
-        A = alg(spec, F)
-        G = A.group
+        G = build(spec)
         cs = char_series(G)
         for N in [cs.derived, cs.center, cs.frattini]:
-            assert O.relative_augmentation_ideal(A, N).dim == G.n - G.n // N.order
+            assert O.relative_augmentation_ideal(G, F, N).dim == G.n - G.n // N.order
 
 
 def test_relative_ideal_requires_normal():
-    A = alg("D8")
-    G = A.group
+    G, F = alg("D8")
     s = next(g for g in range(G.n)
              if not G.generated([g]).is_normal())
     with pytest.raises(ValueError):
-        O.relative_augmentation_ideal(A, G.generated([s]))
+        O.relative_augmentation_ideal(G, F, G.generated([s]))
 
 
 # -- quotient algebras ---------------------------------------------------------------
 
 def test_lambda_section_is_nilpotent_degree_3():
-    A = alg("D8")
-    Lam = M.radical_section(A, 1, 3)
+    Lam = M.radical_section(*alg("D8"), 1, 3)
     assert Lam.dim == 4
     assert Lam.nilpotency_degree() == 3
 
 
 def test_zero_section():
     A = alg("D8")
-    pows = M.augmentation_powers(A)
-    Z = M.quotient_algebra(A, pows[1], pows[1])
+    pows = M.augmentation_powers(*A)
+    Z = M.quotient_algebra(*A, pows[1], pows[1])
     assert Z.dim == 0
 
 
 def test_quotient_requires_containment():
     A = alg("D8")
-    pows = M.augmentation_powers(A)
+    pows = M.augmentation_powers(*A)
     with pytest.raises(ValueError):
-        M.quotient_algebra(A, pows[2], pows[0])
+        M.quotient_algebra(*A, pows[2], pows[0])
 
 
 def test_natural_quotient_iso_structure_constants():
     # FG/Δ(N)FG has exactly the structure constants of F[G/N] on the
     # coset-representative basis
     for spec, F in [("D8", F2), ("Q8", F4), ("T:1,4", F3), ("Meta:2,3,1,0,5", F2)]:
-        A = alg(spec, F)
-        G = A.group
+        G = build(spec)
         N = char_series(G).derived
-        Q = O.unital_quotient(A, O.relative_augmentation_ideal(A, N))
+        Q = O.unital_quotient(G, F, O.relative_augmentation_ideal(G, F, N))
         Gq, proj = quotient_group(G, N)
         assert Q.dim == Gq.n
         # the images of one representative per coset form a basis; compute the
         # change of basis and drag the product through it
         reps = [int(np.nonzero(proj == c)[0].min()) for c in range(Gq.n)]
-        T = Q.project(np.eye(A.n, dtype=np.uint8)[reps])
+        T = Q.project(np.eye(G.n, dtype=np.uint8)[reps])
         for c1 in range(Gq.n):
             for c2 in range(Gq.n):
                 prod = Q.mul(T[c1], T[c2])
@@ -274,7 +269,7 @@ def test_natural_quotient_iso_structure_constants():
 
 def test_unital_quotient_has_unit():
     A = alg("D8")
-    Q = O.unital_quotient(A, M.augmentation_powers(A)[3])
+    Q = O.unital_quotient(*A, M.augmentation_powers(*A)[3])
     e = Q.unit
     for i in range(Q.dim):
         v = np.zeros(Q.dim, dtype=np.uint8)
@@ -293,10 +288,10 @@ def test_mul_batch_matches_rowwise_mul(spec, p, k, section):
     F = make_field(p, k)
     A = alg(spec, F)
     if section is None:
-        Q = M.quotient_algebra(A, M.augmentation_powers(A)[0], O.zero_ideal(A))
+        Q = M.quotient_algebra(*A, M.augmentation_powers(*A)[0], O.zero_ideal(*A))
         assert Q.dim > 24
     else:
-        Q = M.radical_section(A, *section)
+        Q = M.radical_section(*A, *section)
     rng = np.random.default_rng(Q.dim)
     X, Y = rng.integers(0, F.q, size=(2, 30, Q.dim)).astype(np.uint8)
     rowwise = np.array([Q.mul(x, y) for x, y in zip(X, Y)], dtype=np.uint8)
@@ -327,7 +322,7 @@ def test_associativity_oracle_on_both_branches(monkeypatch):
         drawn.append(args)
         return sample_ints(*args, **kwargs)
 
-    S = M.radical_section(alg("X:C:2*D8", F4), 1, 5)
+    S = M.radical_section(*alg("X:C:2*D8", F4), 1, 5)
     P = M._prime_restriction(S)
     assert (S.dim, P.dim) == (14, 28)
     monkeypatch.setattr(O, "sample_ints", recording)
@@ -340,12 +335,11 @@ def test_associativity_oracle_on_both_branches(monkeypatch):
 def test_sampled_associativity_checks_do_not_load_numpy_random():
     code = (
         "import sys\n"
-        "from modiso import build, group_algebra, make_field\n"
+        "from modiso import build, make_field\n"
         "from modiso import modalg\n"
         "G = build('T:1,6')\n"
         "assert G.n > 512\n"
-        "A = group_algebra(build('C:32'), make_field(2, 1))\n"
-        "Q = modalg.radical_section(A, 1, 32)  # all of Δ\n"
+        "Q = modalg.radical_section(build('C:32'), make_field(2, 1), 1, 32)  # all of Δ\n"
         "assert Q.dim > 24\n"
         "assert 'numpy.random' not in sys.modules\n"
     )
@@ -359,18 +353,18 @@ def test_sampled_associativity_checks_do_not_load_numpy_random():
 # -- algebra-side dimension subgroups ---------------------------------------------------
 
 def test_algebraic_dimension_subgroups_c4():
-    A = alg("C:4")
-    D = O.dimension_subgroups_algebraic(A)
+    G, F = alg("C:4")
+    D = O.dimension_subgroups_algebraic(G, F)
     assert [S.order for S in D] == [4, 2, 1]
-    a = A.group.gens[0]
-    assert sorted(D[1].elems.tolist()) == sorted([A.group.id, int(A.group.mul[a, a])])
+    a = G.gens[0]
+    assert sorted(D[1].elems.tolist()) == sorted([G.id, int(G.mul[a, a])])
 
 
 def test_algebraic_matches_lazard_small():
     for spec, F in [("D8", F2), ("Q8", F2), ("EA:3,2", F3), ("B2G:1,2", F2)]:
-        A = alg(spec, F)
-        alg_side = O.dimension_subgroups_algebraic(A)
-        assert alg_side == O.dimension_subgroups_lazard(A.group) == list(jennings_series(A.group))
+        G = build(spec)
+        alg_side = O.dimension_subgroups_algebraic(G, F)
+        assert alg_side == O.dimension_subgroups_lazard(G) == list(jennings_series(G))
 
 
 # -- kernel sizes -------------------------------------------------------------------
@@ -395,23 +389,22 @@ def _brute_kernel(Q, k):
 
 
 def test_kernel_sizes_lambda_gamma_with_oracle():
-    Lam = M.radical_section(alg("D8"), 1, 3)
-    Gam = M.radical_section(alg("Q8"), 1, 3)
+    Lam = M.radical_section(*alg("D8"), 1, 3)
+    Gam = M.radical_section(*alg("Q8"), 1, 3)
     assert M.kernel_size_power_map(Lam, 1) == (12, 4) == _brute_kernel(Lam, 1)
     assert M.kernel_size_power_map(Gam, 1) == (4, 12) == _brute_kernel(Gam, 1)
 
 
 def test_kernel_sizes_square_zero_section():
     # in a section with A^2 = 0 every element kills at k = 1
-    A = alg("D8")
-    S = M.radical_section(A, 2, 3)  # dim 2, products land in Δ^4 ∩ section = 0
+    S = M.radical_section(*alg("D8"), 2, 3)  # dim 2, products land in Δ^4 ∩ section = 0
     if S.nilpotency_degree() == 2:
         assert M.kernel_size_power_map(S, 1) == (4, 0)
 
 
 def test_kernel_sizes_over_f4_and_restriction_consistency():
-    Lam4 = M.radical_section(alg("D8", F4), 1, 3)
-    Gam4 = M.radical_section(alg("Q8", F4), 1, 3)
+    Lam4 = M.radical_section(*alg("D8", F4), 1, 3)
+    Gam4 = M.radical_section(*alg("Q8", F4), 1, 3)
     # isomorphic over F4, so the counts agree; oracle recomputes elementwise
     assert M.kernel_size_power_map(Lam4, 1) == _brute_kernel(Lam4, 1)
     assert M.kernel_size_power_map(Lam4, 1) == M.kernel_size_power_map(Gam4, 1)
@@ -425,8 +418,8 @@ def test_kernel_size_basis_independence_via_relabeled_group():
     inv_perm = np.argsort(perm)
     table = inv_perm[G.mul[np.ix_(perm, perm)]]
     H = O.checked_group(table, gens=[int(inv_perm[g]) for g in G.gens])
-    S1 = M.radical_section(M.group_algebra(G, F2), 1, 3)
-    S2 = M.radical_section(M.group_algebra(H, F2), 1, 3)
+    S1 = M.radical_section(G, F2, 1, 3)
+    S2 = M.radical_section(H, F2, 1, 3)
     assert M.kernel_size_power_map(S1, 1) == M.kernel_size_power_map(S2, 1)
 
 
@@ -436,7 +429,7 @@ def test_kernel_size_cap():
     G = build("D8")
     with pytest.raises(CapExceeded, match=r"^2\^6 elements exceed the enumeration cap 63$"):
         kernel_cell(G, F2, 1, 4, 1, Caps(enum_cap=63))
-    S = M.radical_section(M.group_algebra(G, F2), 1, 4)
+    S = M.radical_section(G, F2, 1, 4)
     assert kernel_cell(G, F2, 1, 4, 1, Caps(enum_cap=64)) == _brute_kernel(S, 1)
 
 
@@ -457,13 +450,13 @@ KERNEL_CELLS = [
 @pytest.mark.parametrize("spec,F,i,j,k", KERNEL_CELLS,
                          ids=[f"{s}-GF{F.q}-{i},{j},{k}" for s, F, i, j, k in KERNEL_CELLS])
 def test_truncated_kernel_count_matches_enumeration(spec, F, i, j, k):
-    S = M.radical_section(alg(spec, F), i, j)
+    S = M.radical_section(build(spec), F, i, j)
     assert F.p ** (S.dim * F.k) <= 1 << 16
     assert M.kernel_size_power_map(S, k) == O.kernel_size_by_enumeration(S, k)
 
 
 def test_kernel_size_needs_a_radical_section():
-    S = M.radical_section(alg("D8"), 1, 3)
+    S = M.radical_section(*alg("D8"), 1, 3)
     with pytest.raises(ValueError, match="radical section"):
         M.kernel_size_power_map(M.QuotientAlgebra(S.field, S.sc), 1)
 
@@ -472,37 +465,35 @@ def test_kernel_size_needs_a_radical_section():
 
 def test_lie_first_term_is_delta():
     A = alg("D8")
-    assert O.lie_power_ideals(A, 1)[0] == M.augmentation_powers(A)[0]
+    assert O.lie_power_ideals(*A, 1)[0] == M.augmentation_powers(*A)[0]
 
 
 def test_lie_second_term_is_commutator_ideal():
-    A = alg("D8")
-    rel = O.relative_augmentation_ideal(A, char_series(A.group).derived)
-    assert O.lie_power_ideals(A, 2)[1] == rel
+    G, F = alg("D8")
+    rel = O.relative_augmentation_ideal(G, F, char_series(G).derived)
+    assert O.lie_power_ideals(G, F, 2)[1] == rel
 
 
 def test_lie_abelian_vanishes():
-    A = alg("Ab:4,2")
-    assert O.lie_power_ideals(A, 2)[1].dim == 0
+    assert O.lie_power_ideals(*alg("Ab:4,2"), 2)[1].dim == 0
 
 
 def test_zassenhaus_z1_is_delta():
     A = alg("D8")
-    assert O.zassenhaus_ideal(A, 1) == M.augmentation_powers(A)[0]
+    assert O.zassenhaus_ideal(*A, 1) == M.augmentation_powers(*A)[0]
 
 
 def test_zassenhaus_z2_d8():
-    A = alg("D8")
-    G = A.group
-    Z2 = O.zassenhaus_ideal(A, 2)
+    G, F = alg("D8")
+    Z2 = O.zassenhaus_ideal(G, F, 2)
     assert Z2.dim == 4
     # oracle: span(D_2 - 1) + Δ^3  (Passi-Sehgal over the prime field)
     D2 = jennings_series(G)[1]
-    b = EchelonBuilder(F2, A.n)
-    for row in M.augmentation_powers(A)[2].rows:
+    b = EchelonBuilder(F2, G.n)
+    for row in M.augmentation_powers(G, F)[2].rows:
         b.add(row)
     for g in D2.elems.tolist():
-        b.add(A.basis_minus_one(g))
+        b.add(M.basis_minus_one(G, F, g))
     assert b.freeze() == Z2
 
 
@@ -511,46 +502,46 @@ def test_zassenhaus_over_extension_field_sandwich():
     # field-generic even though the prime-field case is the calibrated one)
     for spec in ("C:4", "D8"):
         A = alg(spec, F4)
-        pows = M.augmentation_powers(A)
-        Z2 = O.zassenhaus_ideal(A, 2)
+        pows = M.augmentation_powers(*A)
+        Z2 = O.zassenhaus_ideal(*A, 2)
         assert Z2.contains_rows(pows[2].rows).all()
         assert pows[1].contains_rows(Z2.rows).all()
 
 
 def test_zassenhaus_z2_c4():
-    A = alg("C:4")
-    Z2 = O.zassenhaus_ideal(A, 2)
-    a = A.group.gens[0]
-    sq = A.basis_minus_one(int(A.group.mul[a, a]))
+    G, F = alg("C:4")
+    Z2 = O.zassenhaus_ideal(G, F, 2)
+    a = G.gens[0]
+    sq = M.basis_minus_one(G, F, int(G.mul[a, a]))
     assert Z2.contains_rows(sq)
-    delta3 = M.augmentation_powers(A)[2]
+    delta3 = M.augmentation_powers(G, F)[2]
     assert Z2.dim == delta3.dim + 1
 
 
 # -- small group ring ---------------------------------------------------------------
 
 def test_small_group_ring_dims():
-    assert O.small_group_ring(alg("D8")).dim == 5
-    assert O.small_group_ring(alg("Q8")).dim == 5
+    assert O.small_group_ring(*alg("D8")).dim == 5
+    assert O.small_group_ring(*alg("Q8")).dim == 5
 
 
 def test_small_group_ring_product_ideal_oracle():
     # dim(Δ · Δ(G')FG) via a dense product span must equal |G| - small ring dim
-    A = alg("D8")
-    rel = O.relative_augmentation_ideal(A, char_series(A.group).derived)
-    delta = M.augmentation_powers(A)[0]
-    b = EchelonBuilder(F2, A.n)
+    G, F = alg("D8")
+    rel = O.relative_augmentation_ideal(G, F, char_series(G).derived)
+    delta = M.augmentation_powers(G, F)[0]
+    b = EchelonBuilder(F2, G.n)
     for u in delta.rows:
         for v in rel.rows:
-            b.add(O.convolve(A, u, v))
+            b.add(O.convolve(G, F, u, v))
     assert b.freeze().dim == 3
-    assert O.small_group_ring(A).dim == A.n - 3
+    assert O.small_group_ring(G, F).dim == G.n - 3
 
 
 def test_small_group_ring_abelian_is_whole_algebra():
-    A = alg("Ab:4,2")
-    assert O.small_group_ring(A).dim == A.n
+    G, F = alg("Ab:4,2")
+    assert O.small_group_ring(G, F).dim == G.n
 
 
 def test_small_group_ring_over_extension_field():
-    assert O.small_group_ring(alg("D8", F4)).dim == 5
+    assert O.small_group_ring(*alg("D8", F4)).dim == 5

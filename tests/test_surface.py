@@ -16,6 +16,10 @@ a `QuotientAlgebra` only as a section I/J or its prime restriction. The
 checks of an arbitrary table or tensor are oracles, so a new unproved
 construction route fails here.
 
+The algebra-side cap has one gate, `Caps.check_algebra_order`, and `mip`
+has one refusal for a group that is not a p-group of the field's
+characteristic: each message is written once.
+
 A power-map kernel cell has one route, `invariants.kernel_cell`, which
 holds its gates: the forced test, the 2^63 index guard and the cell's
 `enum_cap` comparison are each written once, and the cell routes are called
@@ -43,17 +47,17 @@ LIBRARY_API = {
     "Presentation.to_json",   # words: perfbench/pin.py writes presentations with it
 }
 
-# (module, function, parameter) -> the Caps field its default must equal
+# (module, function, parameter, the Caps field its default must equal)
 CAP_DEFAULTS = {
-    ("families", "build", "order_cap"): "group_order_cap",
-    ("families", "build", "coset_cap"): "coset_cap",
-    ("words", "todd_coxeter", "coset_cap"): "coset_cap",
-    ("modalg", "group_algebra", "order_cap"): "algebra_order_cap",
-    ("invariants", "kernel_cell", "caps"): "enum_cap",
-    ("groups", "maximal_elem_abelian_classes", "cap"): "elemab_cap",
-    ("groups", "max_elem_abelian_direct_factor", "cap"): "direct_factor_cap",
-    ("iso", "group_isomorphic", "cap"): "iso_cap",
-    ("iso", "nilpotent_algebra_iso", "cap"): "iso_cap",
+    ("families", "build", "order_cap", "group_order_cap"),
+    ("families", "build", "coset_cap", "coset_cap"),
+    ("words", "todd_coxeter", "coset_cap", "coset_cap"),
+    ("invariants", "kernel_cell", "caps", "algebra_order_cap"),
+    ("invariants", "kernel_cell", "caps", "enum_cap"),
+    ("groups", "maximal_elem_abelian_classes", "cap", "elemab_cap"),
+    ("groups", "max_elem_abelian_direct_factor", "cap", "direct_factor_cap"),
+    ("iso", "group_isomorphic", "cap", "iso_cap"),
+    ("iso", "nilpotent_algebra_iso", "cap", "iso_cap"),
 }
 
 # class -> (module, enclosing function) of every call that builds one
@@ -152,7 +156,7 @@ def test_allow_list_names_real_definitions():
 
 def test_cap_defaults_are_the_default_caps():
     drifted = []
-    for (module, name, param), field in CAP_DEFAULTS.items():
+    for module, name, param, field in sorted(CAP_DEFAULTS):
         fn = getattr(importlib.import_module(f"modiso.{module}"), name)
         default = inspect.signature(fn).parameters[param].default
         if isinstance(default, Caps):  # a whole Caps parameter: its field
@@ -226,6 +230,21 @@ def test_each_kernel_cell_gate_is_written_once():
                    and n.right.value == 63) == [("gfq.py", "_check_indexable")]
     assert written(lambda n: isinstance(n, ast.Compare) and "enum_cap" in _names(n)) == [
         ("invariants.py", "fingerprint"), ("invariants.py", "kernel_cell")]
+
+
+def test_the_algebra_side_gate_and_refusal_are_written_once():
+    # every route that builds FG reads `algebra_order_cap` through
+    # Caps.check_algebra_order, and `mip` refuses a group that is not a
+    # p-group of the field's characteristic in cli._algebra_side
+    compares = sorted((module, scope) for module, tree in _trees().items()
+                      for scope, node in _scoped(tree)
+                      if isinstance(node, ast.Compare) and "algebra_order_cap" in _names(node))
+    assert compares == [("caps.py", "Caps.check_algebra_order")]
+    for message, module in (("exceeds the algebra-side cap", "caps.py"),
+                            ("cannot build the group algebra", "cli.py")):
+        sites = [path.name for path in sorted(SRC.glob("*.py"))
+                 for _ in range(path.read_text(encoding="utf-8").count(message))]
+        assert sites == [module], message
 
 
 def test_table_checks_live_only_in_the_oracles():
