@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from modiso import echelon_basis, make_field
+from modiso import make_field
+from modiso.gfq import EchelonBuilder
 
 # GF(4) with the standard modulus x^2 + x + 1. Elements are integer codes
 # whose base-2 digits are coordinates in 1, w; w itself is the code p = 2,
@@ -16,11 +17,20 @@ print("w * w =", w2, "= w + 1 =", int(F4.ADD[w, 1]),
 print("inverse of w:", int(F4.INV[w]), "  check:", int(F4.MUL[w, F4.INV[w]]))
 print("multiplication table of GF(4):\n", F4.MUL)
 
-# subspaces are reduced-row-echelon bases; Subspace.builder extends one,
-# so adding another's rows gives the sum
+# subspaces are reduced-row-echelon bases, built by inserting blocks of rows
+# into an EchelonBuilder; Subspace.builder extends one, so adding another's
+# rows gives the sum
 F3 = make_field(3, 1)
-P1 = echelon_basis([np.array(v, dtype=np.uint8) for v in [(1, 0, 0), (0, 1, 0)]], F3)
-L = echelon_basis([np.array((0, 1, 1), dtype=np.uint8)], F3)
+
+
+def span(rows):
+    b = EchelonBuilder(F3, 3)
+    b.add_block(np.array(rows, dtype=np.uint8))
+    return b.freeze()
+
+
+P1 = span([(1, 0, 0), (0, 1, 0)])
+L = span([(0, 1, 1)])
 b = P1.builder()
 b.add_block(L.rows)
 total = b.freeze()

@@ -11,7 +11,7 @@ import importlib
 _EXPORTS = {
     "Caps": "caps", "DEFAULT_CAPS": "caps", "CapExceeded": "errors", "SpecParseError": "errors",
     "build": "families",
-    "FiniteField": "gfq", "Subspace": "gfq", "echelon_basis": "gfq", "make_field": "gfq",
+    "FiniteField": "gfq", "Subspace": "gfq", "make_field": "gfq",
     "FiniteGroup": "groups", "Subgroup": "groups",
     "Fingerprint": "invariants", "Verdict": "invariants", "compare": "invariants",
     "fingerprint": "invariants",

@@ -290,24 +290,8 @@ class Subspace:
                 and self.pivots == other.pivots
                 and np.array_equal(self.rows, other.rows))
 
-    def __le__(self, other):
-        return bool(other.contains_rows(self.rows).all())
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, {self.field})"
-
-
-def echelon_basis(vectors, field: FiniteField, ambient: int | None = None) -> Subspace:
-    """Reduced row echelon basis of the span of the given code vectors."""
-    vectors = [np.asarray(v, dtype=np.uint8) for v in vectors]
-    if ambient is None:
-        ambient = len(vectors[0]) if vectors else 0
-    for v in vectors:
-        if v.shape != (ambient,):
-            raise ValueError("ragged input lengths")
-    b = EchelonBuilder(field, ambient)
-    b.add_block(np.array(vectors, dtype=np.uint8).reshape(len(vectors), ambient))
-    return b.freeze()
 
 
 class TaggedEchelon(EchelonBuilder):
@@ -329,17 +313,6 @@ class TaggedEchelon(EchelonBuilder):
         if not np.array_equal(recon[:, : self.width], rows):
             raise ValueError("vector outside the accumulated span")
         return recon[:, self.width:].reshape(v.shape[:-1] + (self.ambient - self.width,))
-
-
-def invert_matrix(M, field: FiniteField) -> np.ndarray:
-    """Inverse of a square code matrix (rows must be independent)."""
-    M = np.asarray(M, dtype=np.uint8)
-    eye = np.eye(M.shape[0], dtype=np.uint8)
-    te = TaggedEchelon(field, M.shape[0], M.shape[0])
-    if te.add_block(np.hstack([M, eye])) < M.shape[0]:
-        raise ValueError("matrix is singular")
-    # row i of the result expresses e_i in the rows of M: out @ M = I
-    return te.solve(eye)
 
 
 def invertible(M, field: FiniteField) -> np.ndarray:

@@ -181,8 +181,9 @@ class FiniteGroup:
         return Subgroup(self, member, gens)
 
     def full_subgroup(self) -> "Subgroup":
+        """G as a subgroup of itself, generated by G.gens."""
         if "full" not in self._cache:
-            self._cache["full"] = Subgroup(self, np.ones(self.n, dtype=bool))
+            self._cache["full"] = Subgroup(self, np.ones(self.n, dtype=bool), list(self.gens))
         return self._cache["full"]
 
     def trivial_subgroup(self) -> "Subgroup":
@@ -284,16 +285,20 @@ def subgroup_intersection(A: Subgroup, B: Subgroup) -> Subgroup:
     return Subgroup(A.parent, A._member & B._member)
 
 
+def _commutators(G: FiniteGroup, a, b) -> np.ndarray:
+    """[a, b] = a^-1 b^-1 a b for index arrays a and b, broadcast together."""
+    mul, inv = G.mul, G.inv
+    return mul[mul[inv[a], inv[b]], mul[a, b]]
+
+
 def commutator_subgroup(A: Subgroup, B: Subgroup) -> Subgroup:
     """[A, B] for A ⊆ B, generated by [a, b] over a in A.gens and b in B.
     B normalizes that set, since [a,b]^c = [a,c]^-1 [a,bc]."""
     if not B.contains_set(A):
         raise AssertionError("A is not contained in B")
     G = A.parent
-    mul, inv = G.mul, G.inv
     a = np.asarray(A.gens, dtype=np.int32)[:, None]
-    b = B.elems[None, :]
-    return G.generated(mul[mul[inv[a], inv[b]], mul[a, b]].ravel())
+    return G.generated(_commutators(G, a, B.elems[None, :]).ravel())
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -466,9 +471,8 @@ def abelian_type(X, Y: Subgroup | None = None) -> tuple:
         raise ValueError(f"section of order {index} is not a p-group")
     p, e = pe
     # with Y normal, X/Y is abelian iff [a, b] in Y for generators a, b of X
-    mul, inv = G.mul, G.inv
     a = np.asarray(X.gens, dtype=np.int32)
-    if not Y._member[mul[mul[inv[a][:, None], inv[a]], mul[a[:, None], a]]].all():
+    if not Y._member[_commutators(G, a[:, None], a)].all():
         raise ValueError("section is not abelian")
     logs = [0]
     while logs[-1] < e:
@@ -485,10 +489,8 @@ def _jennings_step(X: Subgroup, A: Subgroup, B: Subgroup) -> Subgroup:
     are normal in X, so one walk of both seeds generates the product."""
     G = X.parent
     p, _ = G.require_p_group()
-    mul, inv = G.mul, G.inv
     a = np.asarray(A.gens, dtype=np.int32)[:, None]
-    x = X.elems[None, :]
-    comm = mul[mul[inv[a], inv[x]], mul[a, x]].ravel()
+    comm = _commutators(G, a, X.elems[None, :]).ravel()
     return G.generated(_index_set(np.concatenate([comm, G.pow_map(p)[B.elems]]), G.n))
 
 

@@ -19,6 +19,7 @@ from .errors import CapExceeded
 from .gfq import FiniteField, _check_indexable, _enumerate_coords
 from .groups import (
     FiniteGroup,
+    _commutators,
     _jennings_basis,
     _log_p,
     abelian_type,
@@ -125,11 +126,10 @@ def square_cell(G: FiniteGroup, F: FiniteField, D: int) -> tuple:
     for bit, h in enumerate(twos):
         known = np.flatnonzero(coord >= 0)
         coord[G.mul[known, h]] = coord[known] | (1 << bit)
-    mul, inv = G.mul, G.inv
     a = np.asarray(ones, dtype=np.int32)
     pairs = np.triu_indices(len(ones), 1)
-    comm = mul[mul[inv[a][:, None], inv[a]], mul[a[:, None], a]][pairs]
-    terms = np.concatenate([coord[mul[a, a]], coord[comm]])
+    comm = _commutators(G, a[:, None], a)[pairs]
+    terms = np.concatenate([coord[G.mul[a, a]], coord[comm]])
     C = ((terms[:, None] >> np.arange(len(twos))) & 1).astype(np.uint8)
     zero = 0
     for x in _enumerate_coords(F.q, len(ones), "enum_cap"):

@@ -176,27 +176,28 @@ def _monomial_basis(A: QuotientAlgebra, gens):
     The basis monomials are kept in BFS order (word length, then generator
     order). Every product V_j·g_t is either a later basis monomial or a
     relation (j, t, coordinates of V_j·g_t in V). A generator that depends
-    on the basis before it is skipped.
+    on the basis before it is skipped. One tagged echelon over the rows
+    [V_j | e_j] decides independence and reads every coordinate in V.
     """
-    from .gfq import EchelonBuilder, invert_matrix
+    from .gfq import TaggedEchelon
 
-    F = A.field
-    basis = EchelonBuilder(F, A.dim)
+    F, d = A.field, A.dim
+    basis = TaggedEchelon(F, d, d)
+    tags = np.eye(d + 1, d, dtype=np.uint8)  # row d: no tag once the basis is full
     gens = [np.asarray(g, dtype=np.uint8) for g in gens]
-    index, keep_vecs, products = {}, [], []
+    index, products = {}, []
     queue = [((t,), g) for t, g in enumerate(gens)]
     for w, v in queue:  # the queue grows while it is read
-        if basis.add(v):
-            index[w] = len(keep_vecs)
-            keep_vecs.append(v)
+        if basis.add(np.concatenate([v, tags[len(index)]])):
+            index[w] = len(index)
             queue.extend((w + (t,), A.mul(v, g)) for t, g in enumerate(gens))
         elif len(w) > 1:
             products.append((index[w[:-1]], w[-1], v))
-    if basis.dim != A.dim:
+    if basis.dim != d:
         return None
-    Vinv = invert_matrix(np.array(keep_vecs, dtype=np.uint8), F)
-    coords = F.matmul(np.array([v for *_, v in products]).reshape(-1, A.dim), Vinv)
-    return list(index), Vinv, [(j, t, c) for (j, t, _), c in zip(products, coords)]
+    coords = basis.solve(np.array([v for *_, v in products], dtype=np.uint8).reshape(-1, d))
+    return list(index), basis.solve(np.eye(d, dtype=np.uint8)), [
+        (j, t, c) for (j, t, _), c in zip(products, coords)]
 
 
 def _basis_images(words, images, mul):

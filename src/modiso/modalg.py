@@ -4,17 +4,17 @@ Elements of FG are uint8 code vectors indexed by group elements, and every
 route takes the group G and the field F itself. The module builds the
 radical filtration from a Jennings basis of G, cached on the group for each
 field, radical sections Δ^i/Δ^j as structure-constant algebras that read
-their nilpotency degree and square off it, and power-map kernel sizes: the
-routes `mip` runs. The second routes to these, and to the entries that the
-fingerprint reads off the group side, live in `tests/oracles.py`.
+their layers, nilpotency degree and square off it, and power-map kernel
+sizes: the routes `mip` runs. The second routes to these, and to the
+entries that the fingerprint reads off the group side, live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gfq import (EchelonBuilder, FiniteField, Subspace, _enumerate_coords, echelon_basis,
-                  make_field)
+from .gfq import EchelonBuilder, FiniteField, Subspace, _enumerate_coords, make_field
 from .groups import FiniteGroup, _jennings_basis
 
 
@@ -157,12 +157,16 @@ class QuotientAlgebra:
 
     def layer(self, t: int) -> "Subspace":
         """L_t, the image of Δ^t (t >= i) in coordinates: zero from the last
-        power on, which lies in Δ^j."""
-        key = ("layer", t)
-        if key not in self._cache:
-            P = self.powers[min(t - self.first, len(self.powers) - 1)]
-            self._cache[key] = echelon_basis(self.project(P.rows), self.field, self.dim)
-        return self._cache[key]
+        power on, which lies in Δ^j. The echelon rows of Δ^t whose pivots are
+        not pivots of Δ^j, read on the section's pivot columns, are already
+        its RREF (notes/decisions.md, "Each algebra object is echelonized
+        once")."""
+        P = self.powers[min(t - self.first, len(self.powers) - 1)]
+        jpiv = set(self._J.pivots)
+        keep = [s for s, pv in enumerate(P.pivots) if pv not in jpiv]
+        position = {c: s for s, c in enumerate(self._cols)}
+        return Subspace(self.field, self.dim, P.rows[keep][:, self._cols],
+                        tuple(position[P.pivots[s]] for s in keep))
 
     def power_subspace(self) -> "Subspace":
         """A^2 in coordinates: the layer L_(2i)."""
@@ -180,15 +184,19 @@ class QuotientAlgebra:
         return f"QuotientAlgebra(dim={self.dim}, {self.field})"
 
 
-def quotient_algebra(G: FiniteGroup, F: FiniteField, I: Subspace, J: Subspace) -> QuotientAlgebra:
-    """The section I/J of two ideals of FG as a structure-constant algebra.
+def radical_section(G: FiniteGroup, F: FiniteField, i: int, j: int) -> QuotientAlgebra:
+    """The section Δ^i / Δ^j (i < j) of FG as a structure-constant algebra,
+    carrying the powers Δ^i, Δ^(i+1), ... that its layers are read from.
 
-    The section basis is canonical: the echelon rows of I whose pivots are not
-    pivots of J.
+    The section basis is canonical: the echelon rows of Δ^i whose pivots are
+    not pivots of Δ^j, which lies in Δ^i on the one chain.
     """
-    if not J <= I:
-        raise ValueError("J is not contained in I")
-
+    if not 1 <= i < j:
+        raise ValueError("need 1 <= i < j")
+    # the chain ends at Δ^j or at zero, which stands for every later power
+    pows = augmentation_powers(G, F)[:j]
+    powers = pows[min(i, len(pows)) - 1:]
+    I, J = powers[0], powers[-1]
     jpiv = set(J.pivots)
     keep = [t for t, pv in enumerate(I.pivots) if pv not in jpiv]
     d = len(keep)
@@ -196,23 +204,11 @@ def quotient_algebra(G: FiniteGroup, F: FiniteField, I: Subspace, J: Subspace) -
         raise AssertionError("the section basis does not complement J in I")
     Q = QuotientAlgebra(F, np.zeros((d, d, d), dtype=np.uint8), reps=I.rows[keep], J=J,
                         cols=[I.pivots[t] for t in keep])
-    right = G.mul[G.inv]  # y[right] is the matrix of x -> x * y: row h is e_h * y
-    for j in range(d):
-        # rep_i * rep_j for all i, then their section coordinates
-        Q.sc[:, j] = Q.project(F.matmul(Q.reps, Q.reps[j][right]))
-    return Q
-
-
-def radical_section(G: FiniteGroup, F: FiniteField, i: int, j: int) -> QuotientAlgebra:
-    """The section Δ^i / Δ^j (i < j) of FG, carrying the powers Δ^i, Δ^(i+1),
-    ... that its layers are read from."""
-    if not 1 <= i < j:
-        raise ValueError("need 1 <= i < j")
-    # the chain ends at Δ^j or at zero, which stands for every later power
-    pows = augmentation_powers(G, F)[:j]
-    powers = pows[min(i, len(pows)) - 1:]
-    Q = quotient_algebra(G, F, powers[0], powers[-1])
     Q.first, Q.powers = i, powers
+    right = G.mul[G.inv]  # y[right] is the matrix of x -> x * y: row h is e_h * y
+    for b in range(d):
+        # rep_a * rep_b for all a, then their section coordinates
+        Q.sc[:, b] = Q.project(F.matmul(Q.reps, Q.reps[b][right]))
     return Q
 
 

@@ -75,17 +75,18 @@ def hh1_contributions(i: int, n: int) -> dict:
     return out
 
 
-def _defined_series(ns=(4, 5, 6)):
-    for n in ns:
+def _defined_series():
+    """(i, n) of every T:i,n row: series 5-7 start at n = 5."""
+    for n in (4, 5, 6):
         for i in range(1, 8):
             if i >= 5 and n < 5:
                 continue
             yield i, n
 
 
-def table_hh1(ns=(4, 5, 6)):
+def table_hh1():
     rows = []
-    for i, n in _defined_series(ns):
+    for i, n in _defined_series():
         G = build(f"T:{i},{n}")
         rows.append(TableRow(f"T{i}(n={n})", "hh1_dim",
                              hh1_closed_form(i, n), hh1_dimension(G)))
@@ -105,14 +106,14 @@ def _segment_stats(classes, cents, members):
     }
 
 
-def table_class_data(which: str, ns=None):
+def table_class_data(which: str):
     """Class-count/length/centralizer profiles: 'table2' covers series 1-4,
     'table3' covers series 5-7 (which have the extra class layer)."""
     rows = []
     if which == "table2":
-        series, ns = range(1, 5), ns or (4, 5, 6)
+        series, ns = range(1, 5), (4, 5, 6)
     elif which == "table3":
-        series, ns = range(5, 8), ns or (5, 6)
+        series, ns = range(5, 8), (5, 6)
     else:
         raise ValueError(which)
     for n in ns:
@@ -173,10 +174,10 @@ def table_class_data(which: str, ns=None):
     return rows
 
 
-def table_contributions(ns=(4, 5, 6)):
+def table_contributions():
     """Per-class-type breakdown of the hh1 sum."""
     rows = []
-    for i, n in _defined_series(ns):
+    for i, n in _defined_series():
         G = build(f"T:{i},{n}")
         label = f"T{i}(n={n})"
         got = {"type1": 0, "type2": 0, "type3": 0, "type4": 0}

@@ -22,9 +22,14 @@ products of basis vectors, where the product reads them off the section's
 layers. The power-map kernel cells here enumerate the whole section, where
 the product enumerates a complement of the layer that decides them. The
 coordinates of a section here are solved in a tagged echelon over J and the
-section basis, where the product reads them off one sift by J. The
-algebra search here evaluates each basis monomial from its
-whole word and checks all d² products of a candidate against the product
+section basis, for any two ideals J ⊆ I, where the product reads them off
+one sift by Δ^j; its layers are echelonized here from the projected rows of
+each power, where the product gathers them off the chain. The monomial
+basis of a presentation is kept here in one elimination and inverted in a
+second, where the product reads both off one tagged echelon; the span and
+inverse of arbitrary vectors (`echelon_basis`, `invert_matrix`) live here
+only. The algebra search here evaluates each basis monomial from its whole
+word and checks all d² products of a candidate against the product
 tensor of the source in its monomial basis, where the product checks the
 relations of a presentation. A group witness here is checked on every pair
 of elements, where the product checks it on every element and generator. The
@@ -43,7 +48,8 @@ construction. The closure-checked subgroup and ideal constructors, the
 translates and the convolution product in FG, and the unital quotients FG/J
 serve the tests only; every oracle takes the group and the field. The
 product trusts the subgroups and radical powers it generates, multiplies
-inside sections and builds radical sections I/J. No `mip` command runs them.
+inside sections and builds radical sections Δ^i/Δ^j. No `mip` command runs
+them.
 """
 
 from __future__ import annotations
@@ -52,11 +58,10 @@ import numpy as np
 
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
-from modiso.gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _enumerate_coords, echelon_basis
+from modiso.gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _enumerate_coords
 from modiso.groups import BLOCK, ConjClass, FiniteGroup, Subgroup, _index_set, char_series, table_dtype
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
-from modiso.modalg import (QuotientAlgebra, _prime_restriction, augmentation_powers,
-                           basis_minus_one, quotient_algebra)
+from modiso.modalg import QuotientAlgebra, _prime_restriction, basis_minus_one
 from modiso.words import Presentation, _columns, _live_action, _table_group
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
@@ -75,6 +80,30 @@ def sample_ints(high: int, shape, offset: int = 0) -> np.ndarray:
     z ^= z >> np.uint64(31)
     z %= np.uint64(high)
     return z.astype(np.int64).reshape(shape)
+
+
+def echelon_basis(vectors, field: FiniteField, ambient: int | None = None) -> Subspace:
+    """Reduced row echelon basis of the span of the given code vectors."""
+    vectors = [np.asarray(v, dtype=np.uint8) for v in vectors]
+    if ambient is None:
+        ambient = len(vectors[0]) if vectors else 0
+    for v in vectors:
+        if v.shape != (ambient,):
+            raise ValueError("ragged input lengths")
+    b = EchelonBuilder(field, ambient)
+    b.add_block(np.array(vectors, dtype=np.uint8).reshape(len(vectors), ambient))
+    return b.freeze()
+
+
+def invert_matrix(M, field: FiniteField) -> np.ndarray:
+    """Inverse of a square code matrix (rows must be independent)."""
+    M = np.asarray(M, dtype=np.uint8)
+    eye = np.eye(M.shape[0], dtype=np.uint8)
+    te = TaggedEchelon(field, M.shape[0], M.shape[0])
+    if te.add_block(np.hstack([M, eye])) < M.shape[0]:
+        raise ValueError("matrix is singular")
+    # row i of the result expresses e_i in the rows of M: out @ M = I
+    return te.solve(eye)
 
 
 def checked_group(mul, gens, presentation=None, elem_words=None) -> FiniteGroup:
@@ -206,10 +235,12 @@ def convolve(G: FiniteGroup, F: FiniteField, x, y) -> np.ndarray:
 
 
 def unital_quotient(G: FiniteGroup, F: FiniteField, J: Subspace) -> QuotientAlgebra:
-    """FG/J as a structure-constant algebra, with `unit` set to the
+    """FG/J as a structure-constant algebra on the unit vectors off J's
+    pivots, built by `section_by_tagged_solver`, with `unit` set to the
     coordinates of the identity and checked to act as one."""
     whole = echelon_basis(list(np.eye(G.n, dtype=np.uint8)), F, G.n)
-    Q = quotient_algebra(G, F, whole, J)
+    sc, reps, cols, _ = section_by_tagged_solver(G, F, whole, J)
+    Q = QuotientAlgebra(F, sc, reps=reps, J=J, cols=cols)
     one = np.zeros(G.n, dtype=np.uint8)
     one[G.id] = 1
     Q.unit = Q.project(one)
@@ -220,27 +251,50 @@ def unital_quotient(G: FiniteGroup, F: FiniteField, J: Subspace) -> QuotientAlge
     return Q
 
 
-def section_by_tagged_solver(G: FiniteGroup, F: FiniteField, i: int, j: int):
-    """(sc, reps, images) of the radical section Δ^i/Δ^j, on the basis that
-    `modalg.radical_section` takes, with every coordinate solved in one
-    `TaggedEchelon`: J's rows carry the zero tag and rep_t carries e_t, so
-    the tag block of a reconstruction is the coordinates mod J.
-    images[t - i] holds the coordinates of the echelon rows of Δ^t, which
-    span the layer L_t, for t = i..j."""
-    pows = augmentation_powers(G, F)  # the zero ideal stands for every power past it
-    I, J = (pows[min(t, len(pows)) - 1] for t in (i, j))
+def section_by_tagged_solver(G: FiniteGroup, F: FiniteField, I: Subspace, J: Subspace):
+    """(sc, reps, cols, solve) of the section I/J of two ideals J ⊆ I of FG,
+    on the basis that `modalg.radical_section` takes: the echelon rows
+    rep_t of I whose pivots c_t (cols) are not pivots of J. Every coordinate
+    is solved in one `TaggedEchelon`: J's rows carry the zero tag and rep_t
+    carries e_t, so the tag block of a reconstruction is the coordinates
+    mod J, which solve(v) returns for the vectors (or rows) v of I."""
+    if not I.contains_rows(J.rows).all():
+        raise ValueError("J is not contained in I")
     jpiv = set(J.pivots)
-    reps = I.rows[[t for t, pv in enumerate(I.pivots) if pv not in jpiv]]
+    keep = [t for t, pv in enumerate(I.pivots) if pv not in jpiv]
+    reps = I.rows[keep]
     d = len(reps)
     solver = TaggedEchelon(F, G.n, d)
-    solver.add_block(np.block([[J.rows, np.zeros((J.dim, d), dtype=np.uint8)],
-                               [reps, np.eye(d, dtype=np.uint8)]]))
+    assert solver.add_block(np.block([[J.rows, np.zeros((J.dim, d), dtype=np.uint8)],
+                                      [reps, np.eye(d, dtype=np.uint8)]])) == I.dim
     sc = np.zeros((d, d, d), dtype=np.uint8)
     for b in range(d):
         # rep_a * rep_b for all a, then their tags
         sc[:, b] = solver.solve(F.matmul(reps, reps[b][G.mul[G.inv]]))
-    images = [solver.solve(pows[min(t, len(pows)) - 1].rows) for t in range(i, j + 1)]
-    return sc, reps, images
+    return sc, reps, [I.pivots[t] for t in keep], solver.solve
+
+
+def monomial_basis_two_pass(A: QuotientAlgebra, gens):
+    """`iso._monomial_basis` in two eliminations: an `EchelonBuilder` keeps
+    the monomials, and `invert_matrix` then inverts the kept basis, whose
+    inverse gives every relation's coordinates."""
+    F = A.field
+    basis = EchelonBuilder(F, A.dim)
+    gens = [np.asarray(g, dtype=np.uint8) for g in gens]
+    index, keep_vecs, products = {}, [], []
+    queue = [((t,), g) for t, g in enumerate(gens)]
+    for w, v in queue:
+        if basis.add(v):
+            index[w] = len(keep_vecs)
+            keep_vecs.append(v)
+            queue.extend((w + (t,), A.mul(v, g)) for t, g in enumerate(gens))
+        elif len(w) > 1:
+            products.append((index[w[:-1]], w[-1], v))
+    if basis.dim != A.dim:
+        return None
+    Vinv = invert_matrix(np.array(keep_vecs, dtype=np.uint8), F)
+    coords = F.matmul(np.array([v for *_, v in products]).reshape(-1, A.dim), Vinv)
+    return list(index), Vinv, [(j, t, c) for (j, t, _), c in zip(products, coords)]
 
 
 def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:

@@ -160,7 +160,7 @@ def test_lazy_exports_are_the_defining_objects():
     assert _fresh(
         "import json, sys, modiso\n"
         "from modiso import build, cli\n"
-        "assert '__all__' in dir(modiso) and len(modiso.__all__) == 25\n"
+        "assert '__all__' in dir(modiso) and len(modiso.__all__) == 24\n"
         "for name in modiso.__all__:\n"
         "    value = getattr(modiso, name)\n"
         "    holders = [m for key, m in sys.modules.items() if key.startswith('modiso.')\n"

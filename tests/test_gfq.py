@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 
 from modiso.errors import CapExceeded
-from modiso.gfq import (
-    EchelonBuilder,
-    TaggedEchelon,
-    echelon_basis,
-    invert_matrix,
-    invertible,
-    make_field,
-)
+from modiso.gfq import EchelonBuilder, TaggedEchelon, invertible, make_field
 
-from oracles import reducible_monics
+from oracles import echelon_basis, invert_matrix, reducible_monics
 
 ALL_FIELDS = [(p, k) for p in range(2, 82) if all(p % d for d in range(2, p))
               for k in range(1, 7) if p**k <= 81]
@@ -320,7 +313,7 @@ def test_dim_formula_random(p, k):
         b = A.builder()
         b.add_block(B.rows)
         s = b.freeze()
-        assert A <= s and B <= s
+        assert s.contains_rows(np.vstack([A.rows, B.rows])).all()
         every = np.array(list(itertools.product(range(F.q), repeat=n)), dtype=np.uint8)
         common = int((A.contains_rows(every) & B.contains_rows(every)).sum())
         assert common == F.q ** (A.dim + B.dim - s.dim)

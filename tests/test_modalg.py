@@ -235,17 +235,18 @@ def test_lambda_section_is_nilpotent_degree_3():
 
 
 def test_zero_section():
+    # past the chain's end both powers are the zero ideal
     A = alg("D8")
-    pows = M.augmentation_powers(*A)
-    Z = M.quotient_algebra(*A, pows[1], pows[1])
+    depth = len(M.augmentation_powers(*A)) - 1  # Δ^(depth + 1) = 0
+    Z = M.radical_section(*A, depth + 2, depth + 4)
     assert Z.dim == 0
+    assert Z.layer(depth + 3).dim == 0
 
 
-def test_quotient_requires_containment():
-    A = alg("D8")
-    pows = M.augmentation_powers(*A)
-    with pytest.raises(ValueError):
-        M.quotient_algebra(*A, pows[2], pows[0])
+@pytest.mark.parametrize("i,j", [(0, 2), (2, 2), (3, 1)])
+def test_radical_section_needs_1_le_i_lt_j(i, j):
+    with pytest.raises(ValueError, match="need 1 <= i < j"):
+        M.radical_section(*alg("D8"), i, j)
 
 
 def test_natural_quotient_iso_structure_constants():
@@ -288,7 +289,8 @@ def test_mul_batch_matches_rowwise_mul(spec, p, k, section):
     F = make_field(p, k)
     A = alg(spec, F)
     if section is None:
-        Q = M.quotient_algebra(*A, M.augmentation_powers(*A)[0], O.zero_ideal(*A))
+        depth = len(M.augmentation_powers(*A)) - 1  # Δ^(depth + 1) = 0
+        Q = M.radical_section(*A, 1, depth + 1)
         assert Q.dim > 24
     else:
         Q = M.radical_section(*A, *section)

@@ -12,9 +12,11 @@ call and the command line agree on every cap.
 
 Every group and every structure-constant algebra is built by a route that
 proves it: a `FiniteGroup` only by the two builders that prove its table,
-a `QuotientAlgebra` only as a section I/J or its prime restriction. The
+a `QuotientAlgebra` only as a radical section or its prime restriction. The
 checks of an arbitrary table or tensor are oracles, so a new unproved
-construction route fails here.
+construction route fails here. `modalg` echelonizes only the Δ-chain, in
+`augmentation_powers`: a section is read off it, so a second echelon pass
+on a section fails here.
 
 The algebra-side cap has one gate, `Caps.check_algebra_order`, and `mip`
 has one refusal for a group that is not a p-group of the field's
@@ -45,6 +47,7 @@ LIBRARY_API = {
     "is_metacyclic",          # groups: the metacyclicity test behind criterion 11
     "from_presentation",      # families: a group from generators and relators
     "Presentation.to_json",   # words: perfbench/pin.py writes presentations with it
+    "Subspace.contains_rows",  # gfq: block membership, the one membership test of a subspace
 }
 
 # (module, function, parameter, the Caps field its default must equal)
@@ -63,9 +66,15 @@ CAP_DEFAULTS = {
 # class -> (module, enclosing function) of every call that builds one
 CONSTRUCTION_SITES = {
     "FiniteGroup": {("words.py", "_table_group"), ("groups.py", "quotient_group")},
-    "QuotientAlgebra": {("modalg.py", "quotient_algebra"), ("modalg.py", "_prime_restriction")},
+    "QuotientAlgebra": {("modalg.py", "radical_section"), ("modalg.py", "_prime_restriction")},
     "__new__": set(),
 }
+
+# callee -> the (module, enclosing function) of every call in modalg.py that
+# starts an echelon basis: the Δ-chain is the module's one elimination, and a
+# section's layers and coordinates are read off it
+MODALG_ECHELON = {"EchelonBuilder": {("modalg.py", "augmentation_powers")},
+                  "TaggedEchelon": set(), "builder": set()}
 
 # callee -> the (module, enclosing function) of every call: a kernel cell is
 # routed and gated in `kernel_cell` alone; the d8q8 table's reference cells
@@ -208,6 +217,10 @@ def _call_sites(trees, names):
 
 def test_groups_and_algebras_are_built_only_where_they_are_proved():
     assert _call_sites(_trees(), CONSTRUCTION_SITES) == CONSTRUCTION_SITES
+
+
+def test_modalg_echelonizes_only_the_chain():
+    assert _call_sites({"modalg.py": _trees()["modalg.py"]}, MODALG_ECHELON) == MODALG_ECHELON
 
 
 def test_each_kernel_cell_gate_is_written_once():
