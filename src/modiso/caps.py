@@ -4,26 +4,41 @@ unavailable rather than computed or guessed."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
 
 from .errors import CapExceeded
 
 
-@dataclass(frozen=True)
 class Caps:
-    coset_cap: int = 100000
-    group_order_cap: int = 2187
-    algebra_order_cap: int = 256
-    enum_cap: int = 1 << 24
-    elemab_cap: int = 10**6
-    direct_factor_cap: int = 64
-    kernel_order_cap: int = 32
-    kernel_q_cap: int = 4
-    zassenhaus_order_cap: int = 64
-    iso_cap: int = 10**7
-    kernel_sections: tuple = ((1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 3, 2))
+    """The caps, keyword-constructed over `DEFAULTS` and immutable, since
+    `DEFAULT_CAPS` is every capped function's default. `FIELDS` is the
+    schema that `from_json` reads."""
+
+    DEFAULTS = {
+        "coset_cap": 100000,
+        "group_order_cap": 2187,
+        "algebra_order_cap": 256,
+        "enum_cap": 1 << 24,
+        "elemab_cap": 10**6,
+        "direct_factor_cap": 64,
+        "kernel_order_cap": 32,
+        "kernel_q_cap": 4,
+        "zassenhaus_order_cap": 64,
+        "iso_cap": 10**7,
+        "kernel_sections": ((1, 2, 1), (1, 3, 1), (2, 3, 1), (1, 3, 2)),
+    }
+    FIELDS = tuple(DEFAULTS)
+    __slots__ = FIELDS
+
+    def __init__(self, **caps):
+        unknown = caps.keys() - Caps.DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"unknown cap names: {sorted(unknown)}")
+        for name, default in Caps.DEFAULTS.items():
+            object.__setattr__(self, name, caps.get(name, default))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Caps are immutable")
 
     def check_algebra_order(self, n: int):
         """Raise CapExceeded unless a group of order n is within
@@ -38,8 +53,7 @@ class Caps:
         and on values of the wrong shape."""
         if not isinstance(data, dict):
             raise ValueError("caps must be a JSON object")
-        fields = {f.name for f in dataclasses.fields(Caps)}
-        unknown = set(data) - fields
+        unknown = set(data) - set(Caps.FIELDS)
         if unknown:
             raise ValueError(f"unknown cap names: {sorted(unknown)}")
         data = dict(data)

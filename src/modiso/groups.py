@@ -13,8 +13,6 @@ ordered by least representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .caps import DEFAULT_CAPS
@@ -154,14 +152,25 @@ class FiniteGroup:
         return self._cache["orders"]
 
     def conj_perm(self, g: int) -> np.ndarray:
-        """The permutation x -> g^-1 x g."""
-        return self.mul[self.mul[int(self.inv[g])], g]
+        """The permutation x -> g^-1 x g, cached per g and read-only."""
+        key = ("conj_perm", int(g))
+        if key not in self._cache:
+            perm = self.mul[self.mul[int(self.inv[g])], g]
+            perm.setflags(write=False)
+            self._cache[key] = perm
+        return self._cache[key]
 
     # -- subgroup plumbing -------------------------------------------------------
 
     def generated(self, seed) -> "Subgroup":
         """The subgroup generated by the seed indices, walked in order; an
-        element is kept as a generator only if it is not yet a member."""
+        element is kept as a generator only if it is not yet a member.
+
+        Closed coset by coset (Dimino's method): with H the subgroup closed
+        so far, a kept g adds the right coset H·g, and each coset
+        representative r times a kept generator s outside the members adds
+        H·(r·s). A union of right H-cosets that is closed under right
+        multiplication by the generators is the subgroup they generate."""
         mul = self.mul
         seed = np.asarray(seed, dtype=np.int32)
         member = np.zeros(self.n, dtype=bool)
@@ -169,15 +178,18 @@ class FiniteGroup:
         gens, start = [], 0
         while (rest := np.flatnonzero(~member[seed[start:]])).size:
             start += int(rest[0])
-            gens.append(int(seed[start]))
-            # the members times the new generator, then new ones times all
-            frontier, cols = np.flatnonzero(member), gens[-1:]
-            while frontier.size:
-                fresh = np.zeros(self.n, dtype=bool)
-                fresh[mul[np.ix_(frontier, cols)]] = True
-                fresh &= ~member
-                member |= fresh
-                frontier, cols = np.flatnonzero(fresh), gens
+            g = int(seed[start])
+            gens.append(g)
+            H = np.flatnonzero(member)
+            member[mul[H, g]] = True
+            reps = [g]
+            for r in reps:
+                row = mul[r]
+                for s in gens:
+                    rs = row[s]
+                    if not member[rs]:
+                        member[mul[H, rs]] = True
+                        reps.append(rs)
         return Subgroup(self, member, gens)
 
     def full_subgroup(self) -> "Subgroup":
@@ -349,13 +361,16 @@ def _unpack(X):
     return X.parent, X.elems
 
 
-@dataclass(frozen=True)
 class CharSeries:
-    lower_central: list  # γ_1 = G down to the first trivial term
-    derived: Subgroup
-    center: Subgroup
-    frattini: Subgroup
-    nilpotency_class: int
+    __slots__ = ("lower_central", "derived", "center", "frattini", "nilpotency_class")
+
+    def __init__(self, lower_central: list, derived: Subgroup, center: Subgroup,
+                 frattini: Subgroup, nilpotency_class: int):
+        self.lower_central = lower_central  # γ_1 = G down to the first trivial term
+        self.derived = derived
+        self.center = center
+        self.frattini = frattini
+        self.nilpotency_class = nilpotency_class
 
 
 def char_series(G: FiniteGroup) -> CharSeries:
@@ -411,13 +426,16 @@ def quotient_group(X, N: Subgroup):
     return Q, proj
 
 
-@dataclass(frozen=True)
 class ConjClass:
     """A conjugacy class. It carries no centralizer: a reader that needs one
     builds it with `centralizer(G, c.rep)`."""
-    rep: int
-    elems: np.ndarray
-    length: int
+
+    __slots__ = ("rep", "elems", "length")
+
+    def __init__(self, rep: int, elems: np.ndarray, length: int):
+        self.rep = rep
+        self.elems = elems
+        self.length = length
 
 
 def conjugacy_classes(G: FiniteGroup):

@@ -10,8 +10,6 @@ caps must never manufacture an indistinguishability claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
 from .caps import DEFAULT_CAPS, Caps
@@ -39,9 +37,16 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
 class Unavailable:
-    cap: str
+    """An entry whose cap fired, named by the cap."""
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: str):
+        self.cap = cap
+
+    def __eq__(self, other):
+        return isinstance(other, Unavailable) and self.cap == other.cap
 
 
 def hh1_dimension(G: FiniteGroup) -> int:
@@ -166,28 +171,38 @@ def kernel_cell(G: FiniteGroup, F: FiniteField, i: int, j: int, k: int,
     return modalg.kernel_size_power_map(modalg.radical_section(G, F, i, j), k)
 
 
-@dataclass
 class Fingerprint:
-    """The fingerprint's schema is its field list: the field order is the JSON
-    key order, and `compare` reads the fields in three passes (see there)."""
-    field_spec: tuple  # (p, k)
-    order: int
-    abelianization: tuple
-    center_type: tuple
-    jennings_factors: list
-    min_gens: int
-    exponent: int
-    nilpotency_class: int
-    class_flags: dict
-    class_power_stats: list  # [{"k", "distinct_powers", "size_preserving"}]
-    hh1_dim: int
-    max_elem_ab_classes: object  # dict or Unavailable
-    transfer_sections: list  # [{section name: type}], row k at position k
-    elem_ab_direct_factor_rank: object
-    jennings_dims: object  # list or Unavailable
-    kernel_sizes: list  # [{"section": (i, j), "power": k, "counts": (z, nz) | Unavailable}]
-    small_group_ring_dim: object
-    zassenhaus_dims: object
+    """The fingerprint's schema is its field list `FIELDS`: the field order
+    is the JSON key order, and `compare` reads the fields in three passes
+    (see there)."""
+
+    FIELDS = (
+        "field_spec",  # (p, k)
+        "order",
+        "abelianization",
+        "center_type",
+        "jennings_factors",
+        "min_gens",
+        "exponent",
+        "nilpotency_class",
+        "class_flags",
+        "class_power_stats",  # [{"k", "distinct_powers", "size_preserving"}]
+        "hh1_dim",
+        "max_elem_ab_classes",  # dict or Unavailable
+        "transfer_sections",  # [{section name: type}], row k at position k
+        "elem_ab_direct_factor_rank",
+        "jennings_dims",  # list or Unavailable
+        "kernel_sizes",  # [{"section": (i, j), "power": k, "counts": (z, nz) | Unavailable}]
+        "small_group_ring_dim",
+        "zassenhaus_dims",
+    )
+    __slots__ = FIELDS
+
+    def __init__(self, **entries):
+        if entries.keys() != set(Fingerprint.FIELDS):
+            raise TypeError("a Fingerprint takes exactly its FIELDS")
+        for name, value in entries.items():
+            setattr(self, name, value)
 
 
 def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fingerprint:
@@ -284,12 +299,14 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     )
 
 
-@dataclass
 class Verdict:
-    outcome: str  # "distinguished" | "indistinguishable"
-    witnesses: list  # [(entry name, left, right)]
-    compared: list   # entry names that were available on both sides
-    notes: list = field(default_factory=list)
+    __slots__ = ("outcome", "witnesses", "compared", "notes")
+
+    def __init__(self, outcome: str, witnesses: list, compared: list, notes: list):
+        self.outcome = outcome  # "distinguished" | "indistinguishable"
+        self.witnesses = witnesses  # [(entry name, left, right)]
+        self.compared = compared  # entry names that were available on both sides
+        self.notes = notes
 
     @property
     def distinguished(self) -> bool:
@@ -341,9 +358,9 @@ def compare(f: Fingerprint, g: Fingerprint) -> Verdict:
         if a != b:
             witnesses.append((name, a, b))
 
-    for x in fields(Fingerprint):
-        if x.name not in ROWS + UNCOMPARED:
-            check(x.name, getattr(f, x.name), getattr(g, x.name))
+    for name in Fingerprint.FIELDS:
+        if name not in ROWS + UNCOMPARED:
+            check(name, getattr(f, name), getattr(g, name))
     for name in ROWS:
         fc, gc = _cells(name, getattr(f, name)), _cells(name, getattr(g, name))
         for cell in fc:
@@ -383,8 +400,8 @@ def fingerprint_to_dict(fp: Fingerprint) -> dict:
     "field"."""
     p, k = fp.field_spec
     out = {"field": f"{p}^{k}" if k > 1 else str(p)}
-    out.update((x.name, _jsonable(getattr(fp, x.name)))
-               for x in fields(fp) if x.name != "field_spec")
+    out.update((name, _jsonable(getattr(fp, name)))
+               for name in Fingerprint.FIELDS if name != "field_spec")
     return out
 
 

@@ -13,7 +13,6 @@ surjective. No pruning is heuristic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,17 +25,21 @@ if TYPE_CHECKING:
     from .modalg import QuotientAlgebra
 
 
-@dataclass
 class IsoWitness:
-    kind: str              # "group" | "algebra"
-    images: list           # per source generator: an H element index / a B coordinate vector
-    source_gens: list      # the source generators (element indices / coordinate vectors)
-    full_map: object = None
+    __slots__ = ("kind", "images", "source_gens", "full_map")
+
+    def __init__(self, kind: str, images: list, source_gens: list, full_map=None):
+        self.kind = kind  # "group" | "algebra"
+        self.images = images  # per source generator: an H element index / a B coordinate vector
+        self.source_gens = source_gens  # element indices / coordinate vectors
+        self.full_map = full_map
 
 
-@dataclass
 class NotIsomorphic:
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def _class_size_of(G: FiniteGroup):

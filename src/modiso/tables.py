@@ -9,8 +9,6 @@ from its own output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import build
 from .gfq import make_field
 from .groups import (
@@ -28,12 +26,14 @@ from . import modalg
 from .iso import IsoWitness, NotIsomorphic, nilpotent_algebra_iso, verify_witness
 
 
-@dataclass
 class TableRow:
-    group: str
-    item: str
-    expected: object
-    computed: object
+    __slots__ = ("group", "item", "expected", "computed")
+
+    def __init__(self, group: str, item: str, expected, computed):
+        self.group = group
+        self.item = item
+        self.expected = expected
+        self.computed = computed
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ signed 1-based generator numbers (-g means the inverse of generator g-1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,14 +170,14 @@ def print_word(w: Word, gens) -> str:
     return "*".join(parts)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation; relators are words set equal to the identity."""
 
-    generators: tuple
-    relators: tuple  # of Words
+    __slots__ = ("generators", "relators")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple, relators: tuple):
+        self.generators = generators
+        self.relators = relators  # of Words
         if len(set(self.generators)) != len(self.generators):
             raise SpecParseError("generator names must be unique")
         for g, name in enumerate(self.generators, start=1):
@@ -194,6 +193,10 @@ class Presentation:
             for x in w:
                 if not (1 <= abs(x) <= ngens):
                     raise ValueError(f"relator letter {x} out of range")
+
+    def __eq__(self, other):
+        return (isinstance(other, Presentation) and self.generators == other.generators
+                and self.relators == other.relators)
 
     @staticmethod
     def parse(generators, relator_texts) -> "Presentation":

@@ -39,7 +39,8 @@ elements, on 100,000 sampled triples beyond) and generation, where the product
 builds every group by a route that proves its table: a regular coset action
 or the cosets of a normal subgroup. A subgroup becomes a standalone group
 only here, through the checked constructor; the product reads every series
-of a subgroup in place. The Jennings series here is Lazard's product of
+of a subgroup in place. The subgroup closure here runs in frontier rounds of new elements, where
+the product closes coset by coset. The Jennings series here is Lazard's product of
 powers of the lower central series, generated afresh for every n, where the
 product recurses on the terms before it. The
 associativity check of structure constants runs on the radical sections and
@@ -295,6 +296,28 @@ def monomial_basis_two_pass(A: QuotientAlgebra, gens):
     Vinv = invert_matrix(np.array(keep_vecs, dtype=np.uint8), F)
     coords = F.matmul(np.array([v for *_, v in products]).reshape(-1, A.dim), Vinv)
     return list(index), Vinv, [(j, t, c) for (j, t, _), c in zip(products, coords)]
+
+
+def generated_by_frontier(G: FiniteGroup, seed) -> Subgroup:
+    """The subgroup generated by the seed indices, with the kept generators
+    of `FiniteGroup.generated`: closed in frontier rounds, the members times
+    the new generator and then the new elements times every kept generator."""
+    mul = G.mul
+    seed = np.asarray(seed, dtype=np.int32)
+    member = np.zeros(G.n, dtype=bool)
+    member[G.id] = True
+    gens, start = [], 0
+    while (rest := np.flatnonzero(~member[seed[start:]])).size:
+        start += int(rest[0])
+        gens.append(int(seed[start]))
+        frontier, cols = np.flatnonzero(member), gens[-1:]
+        while frontier.size:
+            fresh = np.zeros(G.n, dtype=bool)
+            fresh[mul[np.ix_(frontier, cols)]] = True
+            fresh &= ~member
+            member |= fresh
+            frontier, cols = np.flatnonzero(fresh), gens
+    return Subgroup(G, member, gens)
 
 
 def commutator_subgroup_all_pairs(A: Subgroup, B: Subgroup) -> Subgroup:

@@ -8,6 +8,8 @@ from modiso.errors import CapExceeded
 from modiso.families import build, from_presentation
 from modiso.groups import (
     Subgroup,
+    _commutators,
+    _index_set,
     abelian_type,
     agemo,
     center,
@@ -163,6 +165,52 @@ def test_generated_T1_maximal_subgroup():
 def test_generated_empty_seed():
     G = D8()
     assert G.generated([]).order == 1
+
+
+def _closure_seeds(G):
+    """The seed shapes the package passes to `generated`, and sampled ones:
+    the sorted walk of each Jennings and lower central term (the whole group
+    first), the Jennings basis walk, commutator seeds and the Frattini seed,
+    ℧/Ω seeds, whole-group images of the generators, and random seeds."""
+    p, _ = G.require_p_group()
+    full, D = G.full_subgroup(), jennings_series(G)
+    for S in D + tuple(char_series(G).lower_central):
+        yield S.elems
+        yield _commutators(G, np.asarray(S.gens, dtype=np.int32)[:, None],
+                           full.elems[None, :]).ravel()
+    for Dw, Dnext in zip(D, D[1:]):
+        yield list(Dnext.gens) + Dw.elems.tolist()
+    comm = _commutators(G, np.asarray(full.gens, dtype=np.int32)[:, None], full.elems[None, :])
+    yield _index_set(np.concatenate([comm.ravel(), G.pow_map(p)]), G.n)
+    for k in (1, 2):
+        powers = G.pow_map(p**k)
+        yield _index_set(powers, G.n)
+        yield np.flatnonzero(powers == G.id)
+        yield np.flatnonzero(char_series(G).derived._member[powers])
+    yield list(G.gens)
+    for x in sample_ints(G.n, (3,)).tolist():
+        yield G.conj_perm(x)[list(G.gens)]
+    for size, offset in ((1, 0), (2, 10), (3, 20), (5, 30), (8, 40)):
+        yield sample_ints(G.n, (size,), offset)
+
+
+def test_generated_matches_frontier_closure(corpus_medium):
+    # the coset closure keeps the frontier oracle's members and generators
+    groups = corpus_medium + [(spec, build(spec)) for spec in ("T:2,6", "C:128", "Ab:729,3")]
+    for spec, G in groups:
+        for seed in _closure_seeds(G):
+            got, want = G.generated(seed), O.generated_by_frontier(G, seed)
+            assert np.array_equal(got.elems, want.elems), spec
+            assert got.gens == want.gens, spec
+
+
+def test_conj_perm_is_cached_read_only(corpus_small):
+    for spec, G in corpus_small:
+        for g in range(G.n):
+            perm = G.conj_perm(g)
+            assert not perm.flags.writeable, spec
+            assert np.array_equal(perm, G.mul[G.mul[G.inv[g]], g]), spec
+            assert G.conj_perm(g) is perm, spec
 
 
 # -- characteristic series -----------------------------------------------------

@@ -27,6 +27,9 @@ holds its gates: the forced test, the 2^63 index guard and the cell's
 `enum_cap` comparison are each written once, and the cell routes are called
 only from there, so a second route with its own gates fails here.
 
+No module imports `dataclasses`: the records are plain classes, so a cold
+`mip` start generates no methods.
+
 The process ends in one place, `cli.run`: it alone freezes the collector and
 exits, and both `python -m modiso` and the `mip` script call it, so `main`
 stays safe to call in-process.
@@ -273,6 +276,16 @@ def test_table_checks_live_only_in_the_oracles():
                 continue
             defined += [f"{module}:{name}" for name in names if name.startswith(ORACLE_ONLY)]
     assert defined == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are plain classes: `@dataclass` generates and compiles
+    # methods at import, on every cold `mip` start
+    sites = [f"{module}:{node.lineno}" for module, tree in _trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert sites == []
 
 
 def test_no_assert_statement_in_the_package():
