@@ -5,10 +5,10 @@ subgroup operators, characteristic series, and section invariants work on
 index sets inside a parent group. A subgroup is a trusted membership mask
 plus the generators `FiniteGroup.generated` kept; no product route forms a
 subgroup from an arbitrary element set, and none builds a group from an
-arbitrary table: each builder of a `FiniteGroup` proves its table by
-construction. Everything is deterministic: kept generators follow seed
-order, coset representatives are minimal indices, conjugacy classes are
-ordered by least representative.
+arbitrary table: the one builder of a `FiniteGroup`, a regular coset
+action, proves its table by construction, and no route builds a quotient.
+Everything is deterministic: kept generators follow seed order, and
+conjugacy classes are ordered by least representative.
 """
 
 from __future__ import annotations
@@ -35,20 +35,22 @@ def _index_set(a, n: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _prime_divisors(m: int) -> list:
+    """The primes dividing m, ascending."""
+    out, r = [], 2
+    while r * r <= m:
+        if m % r == 0:
+            out.append(r)
+            while m % r == 0:
+                m //= r
+        r += 1
+    return out + [m] if m > 1 else out
+
+
 def _is_prime_power(n: int):
     """(p, e) with n = p^e, or None."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-        p += 1
-    return (n, 1)
+    primes = _prime_divisors(n)
+    return (primes[0], _log_p(n, primes[0])) if len(primes) == 1 else None
 
 
 def _log_p(n: int, p: int) -> int:
@@ -70,13 +72,12 @@ class FiniteGroup:
 
     The one constructor trusts its caller, which has proved that mul is a
     group table with identity `ident`, that inv is its inverse map and that
-    gens generate it. Two builders do: `words._table_group` proves a coset
-    action regular and `quotient_group` multiplies the cosets of a normal
-    subgroup through their representatives (notes/decisions.md, "Subgroup
-    and quotient tables are proved by construction"). A subgroup stays a
-    `Subgroup` of its parent: every series and invariant that the package
-    reads of one works on it in place. The checked constructor for an
-    arbitrary table is `checked_group` in `tests/oracles.py`."""
+    gens generate it. One builder does: `words._table_group` proves a coset
+    action regular (notes/decisions.md, "Subgroup and quotient tables are
+    proved by construction"). A subgroup stays a `Subgroup` of its parent,
+    and a quotient is never built: every series and invariant that the
+    package reads of a section works on it in place. The checked constructor
+    for an arbitrary table is `checked_group` in `tests/oracles.py`."""
 
     def __init__(self, mul, ident, inv, gens, presentation=None, elem_words=None):
         self.n = mul.shape[0]
@@ -362,14 +363,13 @@ def _unpack(X):
 
 
 class CharSeries:
-    __slots__ = ("lower_central", "derived", "center", "frattini", "nilpotency_class")
+    __slots__ = ("lower_central", "derived", "center", "nilpotency_class")
 
     def __init__(self, lower_central: list, derived: Subgroup, center: Subgroup,
-                 frattini: Subgroup, nilpotency_class: int):
+                 nilpotency_class: int):
         self.lower_central = lower_central  # γ_1 = G down to the first trivial term
         self.derived = derived
         self.center = center
-        self.frattini = frattini
         self.nilpotency_class = nilpotency_class
 
 
@@ -384,7 +384,6 @@ def char_series(G: FiniteGroup) -> CharSeries:
             lower_central=lc,
             derived=lc[1] if len(lc) > 1 else lc[0],
             center=center(G),
-            frattini=_jennings_step(full, full, full),
             nilpotency_class=len(lc) - 1,
         )
     return G._cache["char_series"]
@@ -398,32 +397,6 @@ def _check_normal_in(X: Subgroup, N: Subgroup):
     for x in X.gens:
         if not N._member[G.conj_perm(x)[N.elems]].all():
             raise ValueError("subgroup is not normal in X")
-
-
-def quotient_group(X, N: Subgroup):
-    """(X/N as a FiniteGroup, projection array G -> X/N, -1 off X), for a
-    group or subgroup X and N normal in X. Cosets are numbered in order of
-    their least elements, and the table, identity and inverses are those of
-    the least representatives, projected."""
-    if isinstance(X, FiniteGroup):
-        X = X.full_subgroup()
-    _check_normal_in(X, N)
-    G = X.parent
-    rep_of = np.full(G.n, -1, dtype=np.int32)
-    step = max(1, BLOCK // N.order)
-    for i in range(0, X.order, step):
-        rows = X.elems[i:i + step]
-        rep_of[rows] = G.mul[np.ix_(rows, N.elems)].min(axis=1)
-    reps = _index_set(rep_of[X.elems], G.n)
-    proj = np.full(G.n, -1, dtype=np.int32)
-    proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])
-    m = len(reps)
-    # proj narrowed first, so the gather is the table: two m x m arrays, not three
-    Q = FiniteGroup(proj.astype(table_dtype(m))[G.mul[np.ix_(reps, reps)]], int(proj[G.id]),
-                    proj[G.inv[reps]], _index_set(proj[X.gens], m))
-    if Q.n * N.order != X.order:
-        raise AssertionError("the cosets do not partition X")
-    return Q, proj
 
 
 class ConjClass:
@@ -564,13 +537,20 @@ def exponent(G: FiniteGroup) -> int:
 
 
 def is_metacyclic(G: FiniteGroup):
-    """(True, witness cyclic normal subgroup with cyclic quotient) or (False, None)."""
+    """(True, witness cyclic normal subgroup with cyclic quotient) or (False,
+    None), for any finite group; the witness is the first such subgroup by
+    decreasing order, then by least elements. G/S is cyclic iff some gS has
+    order m = |G:S|, that is, g^(m/r) is not in S for every prime r dividing
+    m: read off the power maps against S's mask, without building G/S."""
     cyclic = dict.fromkeys(G.generated([g]) for g in range(G.n))
     for S in sorted(cyclic, key=lambda S: (-S.order, S.elems.tolist())):
         if not S.is_normal():
             continue
-        Q, _ = quotient_group(G, S)
-        if exponent(Q) == Q.n:
+        m = G.n // S.order
+        generates = np.ones(G.n, dtype=bool)
+        for r in _prime_divisors(m):
+            generates &= ~S._member[G.pow_map(m // r)]
+        if generates.any():
             return True, S
     return False, None
 
@@ -654,5 +634,5 @@ def max_elem_abelian_direct_factor(G: FiniteGroup, cap: int = DEFAULT_CAPS.direc
         raise CapExceeded("direct_factor_cap", f"|G| = {G.n} exceeds the direct-factor cap {cap}")
     Z = center(G)
     om = omega(Z, 1)
-    frat = char_series(G).frattini
+    frat = jennings_series(G)[1]  # D_2 = G^p G' = Φ(G)
     return _log_p(om.order // _intersection_order(om, frat), p)

@@ -152,8 +152,10 @@ def kernel_cell(G: FiniteGroup, F: FiniteField, i: int, j: int, k: int,
     bounds |G|; the section's F_p-dimension D is read off the Jennings dims;
     `enum_cap` bounds p^D; a forced cell is the whole section; any other
     cell needs p^D < 2^63, and is read off the group for p = 2 and (1,3,1),
-    else counted by truncation in FG. Raises CapExceeded, and ValueError unless G is a p-group of F's
-    characteristic."""
+    else counted by truncation in FG. Raises CapExceeded, and ValueError
+    unless 1 <= i < j, k >= 0 and G is a p-group of F's characteristic."""
+    if not 1 <= i < j or k < 0:
+        raise ValueError(f"kernel cell ({i}, {j}, {k}) needs 1 <= i < j and k >= 0")
     caps.check_algebra_order(G.n)
     p, _ = G.require_p_group(F.p)
     D = F.k * sum(predicted_jennings_dims(G)[i - 1:j - 1])
@@ -215,10 +217,10 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     notes/decisions.md; the algebra-side routes are the test oracles in
     tests/oracles.py): `jennings_dims` from Jennings' product over the ranks
     d_n of D_n/D_(n+1), `small_group_ring_dim` = |G:G'| + d(G') and
-    `zassenhaus_dims` = dim Δ^(n+1) + d_n. Each entry keeps the availability
-    gates of its algebra route; `enum_cap` fires where enumerating the widest
-    Zassenhaus section, Δ/Δ^(depth+1), would have. `min_gens` is d_1, since
-    D_2 = G^p G' = Φ(G)."""
+    `zassenhaus_dims` = dim Δ^(n+1) + d_n. The three keep the
+    `algebra_order_cap` gate of their algebra routes, and `zassenhaus_dims`
+    also `prime_field_only` and `zassenhaus_order_cap`, which the report
+    prints. `min_gens` is d_1, since D_2 = G^p G' = Φ(G)."""
     p, _ = G.require_p_group(F.p)
     if G.n > caps.group_order_cap:
         raise CapExceeded("group_order_cap",
@@ -253,15 +255,12 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     else:
         jdims = jennings_polynomial(p, ranks)[1:]
         sgr_dim = G.n // cs.derived.order + derived_rank
-        depth = len(ranks)
         if F.k != 1:
             zass = Unavailable("prime_field_only")
         elif G.n > caps.zassenhaus_order_cap:
             zass = Unavailable("zassenhaus_order_cap")
-        elif p ** sum(jdims[:depth]) > caps.enum_cap:
-            zass = Unavailable("enum_cap")
         else:
-            zass = [sum(jdims[n:]) + ranks[n - 1] for n in range(1, depth + 1)]
+            zass = [sum(jdims[n:]) + ranks[n - 1] for n in range(1, len(ranks) + 1)]
 
     kernel = []
     for (i, j, k) in caps.kernel_sections:

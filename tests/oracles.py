@@ -36,10 +36,12 @@ of elements, where the product checks it on every element and generator. The
 checked group constructor here takes an arbitrary table and searches its
 identity, scans its inverses, checks associativity (exhaustively up to 512
 elements, on 100,000 sampled triples beyond) and generation, where the product
-builds every group by a route that proves its table: a regular coset action
-or the cosets of a normal subgroup. A subgroup becomes a standalone group
-only here, through the checked constructor; the product reads every series
-of a subgroup in place. The subgroup closure here runs in frontier rounds of new elements, where
+builds every group by a route that proves its table, a regular coset action.
+A subgroup becomes a standalone group only here, through the checked
+constructor, and a quotient only here, by multiplying the cosets of a normal
+subgroup through their least representatives, a table proved by that
+construction; the product reads every series of a subgroup and every section
+in place, and reads "G/S is cyclic" off power maps. The subgroup closure here runs in frontier rounds of new elements, where
 the product closes coset by coset. The Jennings series here is Lazard's product of
 powers of the lower central series, generated afresh for every n, where the
 product recurses on the terms before it. The
@@ -60,7 +62,8 @@ import numpy as np
 from modiso.caps import DEFAULT_CAPS
 from modiso.errors import CapExceeded
 from modiso.gfq import EchelonBuilder, FiniteField, Subspace, TaggedEchelon, _enumerate_coords
-from modiso.groups import BLOCK, ConjClass, FiniteGroup, Subgroup, _index_set, char_series, table_dtype
+from modiso.groups import (BLOCK, ConjClass, FiniteGroup, Subgroup, _check_normal_in, _index_set,
+                           char_series, table_dtype)
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
 from modiso.modalg import QuotientAlgebra, _prime_restriction, basis_minus_one
 from modiso.words import Presentation, _columns, _live_action, _table_group
@@ -152,6 +155,32 @@ def subgroup_group(S: Subgroup):
     local = np.full(G.n, -1, dtype=np.int32)
     local[elems] = np.arange(S.order, dtype=np.int32)
     return checked_group(local[G.mul[np.ix_(elems, elems)]], gens=local[S.gens]), elems
+
+
+def quotient_group(X, N: Subgroup):
+    """(X/N as a FiniteGroup, projection array G -> X/N, -1 off X), for a
+    group or subgroup X and N normal in X. Cosets are numbered in order of
+    their least elements, and the table, identity and inverses are those of
+    the least representatives, projected."""
+    if isinstance(X, FiniteGroup):
+        X = X.full_subgroup()
+    _check_normal_in(X, N)
+    G = X.parent
+    rep_of = np.full(G.n, -1, dtype=np.int32)
+    step = max(1, BLOCK // N.order)
+    for i in range(0, X.order, step):
+        rows = X.elems[i:i + step]
+        rep_of[rows] = G.mul[np.ix_(rows, N.elems)].min(axis=1)
+    reps = _index_set(rep_of[X.elems], G.n)
+    proj = np.full(G.n, -1, dtype=np.int32)
+    proj[X.elems] = np.searchsorted(reps, rep_of[X.elems])
+    m = len(reps)
+    # proj narrowed first, so the gather is the table: two m x m arrays, not three
+    Q = FiniteGroup(proj.astype(table_dtype(m))[G.mul[np.ix_(reps, reps)]], int(proj[G.id]),
+                    proj[G.inv[reps]], _index_set(proj[X.gens], m))
+    if Q.n * N.order != X.order:
+        raise AssertionError("the cosets do not partition X")
+    return Q, proj
 
 
 def _check_table_associative(mul):

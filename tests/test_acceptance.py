@@ -24,7 +24,6 @@ from modiso.groups import (
     maximal_elem_abelian_classes,
     min_generators,
     omega_in,
-    quotient_group,
 )
 from modiso.invariants import (
     class_power_stats,
@@ -38,6 +37,7 @@ from modiso import modalg
 from modiso.tables import TABLE_BUILDERS, hh1_closed_form
 
 import oracles
+from oracles import quotient_group
 from conftest import METACYCLIC_SPECS, NON_METACYCLIC_SPECS, build_corpus_group
 
 F2 = make_field(2, 1)
@@ -263,8 +263,9 @@ def test_criterion_10_structural_identities(corpus_small):
         p = G.require_p_group()[0]
         F = make_field(p, 1)
         cs = char_series(G)
+        frattini = jennings_series(G)[1]
         for N in {cs.derived._key: cs.derived, cs.center._key: cs.center,
-                  cs.frattini._key: cs.frattini}.values():
+                  frattini._key: frattini}.values():
             if oracles.relative_augmentation_ideal(G, F, N).dim != G.n - G.n // N.order:
                 failures.append(f"{spec}: relative ideal dimension formula")
         rel = oracles.relative_augmentation_ideal(G, F, cs.derived)
@@ -306,7 +307,7 @@ def test_criterion_11_metacyclic_lemmas():
         # quotient criterion: metacyclic iff metacyclic mod Frat(derived)
         derived = char_series(G).derived
         Dg, embed = oracles.subgroup_group(derived)
-        fratD = oracles.subgroup(G, embed[char_series(Dg).frattini.elems]) if Dg.n > 1 \
+        fratD = oracles.subgroup(G, embed[jennings_series(Dg)[1].elems]) if Dg.n > 1 \
             else G.trivial_subgroup()
         Q, _ = quotient_group(G, fratD) if fratD.order > 1 else (None, None)
         lhs = is_metacyclic(G)[0]
@@ -315,11 +316,11 @@ def test_criterion_11_metacyclic_lemmas():
             failures.append(f"{spec}: quotient criterion")
 
         # rank-preserving correspondence for K in {Frat(G), G'}, L = Frat(K)
-        for K in (char_series(G).frattini, derived):
+        for K in (jennings_series(G)[1], derived):
             if K.order == 1 or G.n // K.order > 64:
                 continue
             Kg, embedK = oracles.subgroup_group(K)
-            L_local = char_series(Kg).frattini
+            L_local = jennings_series(Kg)[1]
             L = oracles.subgroup(G, embedK[L_local.elems])
             if L.order == 1:
                 continue

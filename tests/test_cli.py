@@ -243,6 +243,27 @@ def test_benchmark_commands_print_their_goldens(capsys):
         assert got == want, line
 
 
+def test_traced_benchmark_replay_runs(tmp_path):
+    # perfbench/replay.py --trace 1 rebinds every public package function and
+    # the methods perfbench/spans.py names, then replays the command in
+    # process: a package edit that breaks the traced benchmark fails here
+    line = "iso D8 Q8 --mode algebra:1,3 --field 2^2"
+    goldens = json.loads((ROOT / "perfbench" / "data" / "goldens.json").read_text("utf-8"))
+    commands, out = tmp_path / "commands.json", tmp_path / "replay.json"
+    commands.write_text(json.dumps([line.split()]), encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "replay.py"), str(commands),
+                           str(out), "--trace", "1"], cwd=tmp_path, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    [result] = report["commands"]
+    assert {key: result[key] for key in ("exit", "stdout_sha256")} == goldens[line]
+    calls = report["spans"]["calls"]
+    assert calls.get("gfq.TaggedEchelon.solve", 0) > 0, calls
+    assert calls.get("gfq.FiniteField.matmul", 0) > 0, calls
+
+
 @pytest.mark.parametrize("argv,code,doc,err", [
     ("kernel-size T:2,5 --field 3 --section 1,3", 0,
      {"spec": "T:2,5", "field": "3", "section": [1, 3], "power": 1, "dim": 6,

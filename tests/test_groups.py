@@ -25,14 +25,14 @@ from modiso.groups import (
     min_generators,
     omega,
     omega_in,
-    quotient_group,
     subgroup_intersection,
     subgroup_product,
     table_dtype,
 )
 
 import oracles as O
-from oracles import ASSOC_EXHAUSTIVE_LIMIT, ASSOC_SAMPLES, sample_ints
+from oracles import ASSOC_EXHAUSTIVE_LIMIT, ASSOC_SAMPLES, quotient_group, sample_ints
+from conftest import METACYCLIC_SPECS, NON_METACYCLIC_SPECS, build_corpus_group
 
 
 def D8():
@@ -220,7 +220,7 @@ def test_char_series_dihedral():
     assert cs.derived.order == 2
     assert cs.nilpotency_class == 2
     assert cs.center.order == 2
-    assert cs.frattini.order == 2
+    assert jennings_series(D8())[1].order == 2
 
 
 def test_char_series_T2_5():
@@ -374,11 +374,10 @@ def test_classes_match_per_element_oracle(oracle_groups):
 # -- subgroup and quotient tables against the checked constructor ------------------
 
 def normal_subgroups(G):
-    """(label, N) for the centre, the derived and Frattini subgroups, Ω_1(Z)
-    and each Jennings D_j of G."""
+    """(label, N) for the centre, the derived subgroup, Ω_1(Z) and each
+    Jennings D_j of G, among them D_2 = Φ(G)."""
     cs = char_series(G)
-    normal = [("Z", cs.center), ("G'", cs.derived), ("Frat", cs.frattini),
-              ("Omega_1(Z)", omega(cs.center, 1))]
+    normal = [("Z", cs.center), ("G'", cs.derived), ("Omega_1(Z)", omega(cs.center, 1))]
     return normal + [(f"D_{j}", D) for j, D in enumerate(jennings_series(G), start=1)]
 
 
@@ -521,7 +520,7 @@ def test_lazard_chain_properties():
         D = jennings_series(G)
         assert list(D) == O.dimension_subgroups_lazard(G), spec
         assert D[0].order == G.n
-        assert D[1] == char_series(G).frattini
+        assert D[1] == subgroup_product(agemo(G, 1), char_series(G).derived)
         for a, b in zip(D, D[1:]):
             assert a.contains_set(b)
 
@@ -555,6 +554,47 @@ def test_is_metacyclic():
     assert not ok
     ok, _ = is_metacyclic(build("Meta:2,3,1,0,5"))
     assert ok
+
+
+# groups that are not p-groups: is_metacyclic takes any finite group
+NON_P_GROUPS = {
+    "S3": (("a", "b"), ("a^3", "b^2", "b^-1*a*b*a")),
+    "C6": (("a",), ("a^6",)),
+    "A4": (("a", "b"), ("a^2", "b^3", "(a*b)^3")),
+    "S4": (("a", "b"), ("a^2", "b^3", "(a*b)^4")),
+    "D10": (("a", "b"), ("a^5", "b^2", "b^-1*a*b*a")),
+    "C3xS3": (("a", "b", "c"), ("a^3", "b^2", "b^-1*a*b*a", "c^3", "[c,a]", "[c,b]")),
+    # the central C3 comes first here, and G/C3 = S3 has exponent 6 = |S3|
+    # but no element of order 6
+    "C3xS3, c first": (("c", "a", "b"), ("c^3", "a^3", "b^2", "b^-1*a*b*a", "[c,a]",
+                                         "[c,b]")),
+    "Dic3": (("a", "b"), ("a^6", "b^2*a^-3", "b^-1*a*b*a")),
+    "C2^2xC3": (("a", "b", "c"), ("a^2", "b^2", "c^3", "[a,b]", "[a,c]", "[b,c]")),
+}
+
+
+def _metacyclic_by_quotients(G):
+    """is_metacyclic's verdict and witness by building G/S: the first cyclic
+    normal S, by decreasing order and then least elements, whose quotient
+    has an element of order |G:S|. (The exponent of G/S equals |G:S| for a
+    cyclic G/S, but also for G/S = S3.)"""
+    cyclic = dict.fromkeys(G.generated([g]) for g in range(G.n))
+    for S in sorted(cyclic, key=lambda S: (-S.order, S.elems.tolist())):
+        if S.is_normal() and quotient_group(G, S)[0].element_orders().max() == G.n // S.order:
+            return True, S
+    return False, None
+
+
+def test_is_metacyclic_matches_the_quotient_oracle(corpus_medium):
+    groups = [(spec, build_corpus_group(spec))
+              for spec in METACYCLIC_SPECS + NON_METACYCLIC_SPECS]
+    groups += corpus_medium
+    groups += [(name, from_presentation(*pres)) for name, pres in NON_P_GROUPS.items()]
+    orders = {name: G.n for name, G in groups[-len(NON_P_GROUPS):]}
+    assert orders == {"S3": 6, "C6": 6, "A4": 12, "S4": 24, "D10": 10, "C3xS3": 18,
+                      "C3xS3, c first": 18, "Dic3": 12, "C2^2xC3": 12}
+    for spec, G in groups:
+        assert is_metacyclic(G) == _metacyclic_by_quotients(G), spec
 
 
 def test_maximal_elem_abelian_classes():
@@ -646,7 +686,7 @@ def test_rank_preserving_correspondence_instance():
     K = char_series(G).derived
     Kg, embed = O.subgroup_group(K)
     # map the Frattini elements of K as a standalone group back to G
-    L = O.subgroup(G, embed[char_series(Kg).frattini.elems])
+    L = O.subgroup(G, embed[jennings_series(Kg)[1].elems])
     for extra in range(G.n):
         H = G.generated(list(K.elems) + [extra])
         Hq = quotient_group(H, L)[0] if L.order > 1 else O.subgroup_group(H)[0]

@@ -16,7 +16,6 @@ from modiso.groups import (
     max_elem_abelian_direct_factor,
     maximal_elem_abelian_classes,
     min_generators,
-    quotient_group,
 )
 from modiso.invariants import (
     Unavailable,
@@ -34,7 +33,8 @@ from modiso.iso import IsoWitness, NotIsomorphic, group_isomorphic, verify_witne
 from modiso import groups, invariants, modalg
 
 import oracles
-from conftest import build_corpus_group
+from oracles import quotient_group
+from conftest import METACYCLIC_SPECS, NON_METACYCLIC_SPECS, build_corpus_group
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -473,18 +473,18 @@ def test_group_side_entries_match_algebra_oracles(corpus_small, k):
             assert fp.zassenhaus_dims == Unavailable("prime_field_only"), spec
 
 
-def test_zassenhaus_enum_cap_gate_matches_enumeration():
-    # C16 has Jennings ranks [1, 1, 0, 1, 0, 0, 0, 1]: the widest section
-    # enumerated is Δ/Δ^9, with 2^8 elements
-    G = build("C:16")
-    for cap, available in [(255, False), (256, True)]:
-        zass = fingerprint(G, F2, Caps(enum_cap=cap)).zassenhaus_dims
-        try:
-            dims = [oracles.zassenhaus_ideal(G, F2, n, enum_cap=cap).dim for n in range(1, 9)]
-        except CapExceeded:
-            dims = Unavailable("enum_cap")
-        assert isinstance(zass, list) == available
-        assert zass == dims
+def test_zassenhaus_dims_name_only_their_order_caps():
+    # zassenhaus_dims is a function of (p, ranks) and enumerates nothing: over
+    # GF(p) it is a list or names an order cap, whatever enum_cap says
+    for spec in METACYCLIC_SPECS + NON_METACYCLIC_SPECS:
+        G = build_corpus_group(spec)
+        F = make_field(G.require_p_group()[0], 1)
+        zass = fingerprint(G, F).zassenhaus_dims
+        assert fingerprint(G, F, Caps(enum_cap=1)).zassenhaus_dims == zass, spec
+        assert isinstance(zass, list) or zass.cap in ("algebra_order_cap",
+                                                      "zassenhaus_order_cap"), spec
+    # C64's widest Zassenhaus section, Δ/Δ^33, has 2^32 > enum_cap elements
+    assert isinstance(fingerprint(build("C:64"), F2).zassenhaus_dims, list)
 
 
 def _kernel_cell_by_enumeration(G, F, cell, enum_cap):

@@ -14,12 +14,12 @@ from modiso.gfq import EchelonBuilder, make_field
 from modiso.groups import (
     char_series,
     jennings_series,
-    quotient_group,
 )
 from modiso import modalg as M
-from modiso.invariants import kernel_cell
+from modiso.invariants import fingerprint, kernel_cell
 
 import oracles as O
+from oracles import quotient_group
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -214,7 +214,7 @@ def test_relative_ideal_dim_formula_across_normals():
     for spec, F in [("T:1,4", F3), ("B2G:1,2", F2), ("Meta:2,3,1,0,5", F2)]:
         G = build(spec)
         cs = char_series(G)
-        for N in [cs.derived, cs.center, cs.frattini]:
+        for N in [cs.derived, cs.center, jennings_series(G)[1]]:
             assert O.relative_augmentation_ideal(G, F, N).dim == G.n - G.n // N.order
 
 
@@ -433,6 +433,20 @@ def test_kernel_size_cap():
         kernel_cell(G, F2, 1, 4, 1, Caps(enum_cap=63))
     S = M.radical_section(G, F2, 1, 4)
     assert kernel_cell(G, F2, 1, 4, 1, Caps(enum_cap=64)) == _brute_kernel(S, 1)
+
+
+@pytest.mark.parametrize("cell", [(0, 2, 1), (-1, 2, 1), (3, 2, 1), (2, 2, 1), (1, 3, -1)],
+                         ids=["i=0", "i<0", "j<i", "j=i", "k<0"])
+def test_malformed_kernel_cell_is_refused_before_any_gate(cell):
+    # a cell needs 1 <= i < j and k >= 0; the refusal comes before the
+    # algebra-side gate, which these caps would fire, and before any count
+    G = build("D8")
+    for caps in (Caps(), Caps(algebra_order_cap=4, enum_cap=0)):
+        with pytest.raises(ValueError, match="needs 1 <= i < j and k >= 0"):
+            kernel_cell(G, F2, *cell, caps)
+    # a Python-built Caps reaches kernel_cell through fingerprint unchecked
+    with pytest.raises(ValueError, match="needs 1 <= i < j and k >= 0"):
+        fingerprint(G, F2, Caps(kernel_sections=(cell,)))
 
 
 # (spec, field, i, j, k): every F_p-dimension is at most 16. The cells

@@ -11,7 +11,7 @@ Every capped library function defaults to the cap `mip` uses, so a library
 call and the command line agree on every cap.
 
 Every group and every structure-constant algebra is built by a route that
-proves it: a `FiniteGroup` only by the two builders that prove its table,
+proves it: a `FiniteGroup` only by the one builder that proves its table,
 a `QuotientAlgebra` only as a radical section or its prime restriction. The
 checks of an arbitrary table or tensor are oracles, so a new unproved
 construction route fails here. `modalg` echelonizes only the Δ-chain, in
@@ -24,8 +24,9 @@ characteristic: each message is written once.
 
 A power-map kernel cell has one route, `invariants.kernel_cell`, which
 holds its gates: the forced test, the 2^63 index guard and the cell's
-`enum_cap` comparison are each written once, and the cell routes are called
-only from there, so a second route with its own gates fails here.
+`enum_cap` comparison, the package's only one, are each written once, and
+the cell routes are called only from there, so a second route with its own
+gates fails here.
 
 No module imports `dataclasses`: the records are plain classes, so a cold
 `mip` start generates no methods.
@@ -68,7 +69,7 @@ CAP_DEFAULTS = {
 
 # class -> (module, enclosing function) of every call that builds one
 CONSTRUCTION_SITES = {
-    "FiniteGroup": {("words.py", "_table_group"), ("groups.py", "quotient_group")},
+    "FiniteGroup": {("words.py", "_table_group")},
     "QuotientAlgebra": {("modalg.py", "radical_section"), ("modalg.py", "_prime_restriction")},
     "__new__": set(),
 }
@@ -237,15 +238,15 @@ def test_each_kernel_cell_gate_is_written_once():
     def is_pow(node):
         return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
 
-    # the forced test i·p^k >= j; the 2^63 index guard; and the enum_cap
-    # comparisons: the cell's, and fingerprint's Zassenhaus gate
+    # the forced test i·p^k >= j; the 2^63 index guard; and the one enum_cap
+    # comparison, the cell's
     assert written(lambda n: isinstance(n, ast.Compare) and isinstance(n.left, ast.BinOp)
                    and isinstance(n.left.op, ast.Mult) and is_pow(n.left.right)) == [
         ("invariants.py", "kernel_cell")]
     assert written(lambda n: isinstance(n, ast.BinOp) and isinstance(n.right, ast.Constant)
                    and n.right.value == 63) == [("gfq.py", "_check_indexable")]
     assert written(lambda n: isinstance(n, ast.Compare) and "enum_cap" in _names(n)) == [
-        ("invariants.py", "fingerprint"), ("invariants.py", "kernel_cell")]
+        ("invariants.py", "kernel_cell")]
 
 
 def test_the_algebra_side_gate_and_refusal_are_written_once():
