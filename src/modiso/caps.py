@@ -34,6 +34,8 @@ class Caps:
         unknown = caps.keys() - Caps.DEFAULTS.keys()
         if unknown:
             raise TypeError(f"unknown cap names: {sorted(unknown)}")
+        if "kernel_sections" in caps:
+            caps["kernel_sections"] = _kernel_sections(caps["kernel_sections"])
         for name, default in Caps.DEFAULTS.items():
             object.__setattr__(self, name, caps.get(name, default))
 
@@ -56,11 +58,8 @@ class Caps:
         unknown = set(data) - set(Caps.FIELDS)
         if unknown:
             raise ValueError(f"unknown cap names: {sorted(unknown)}")
-        data = dict(data)
         for name, value in data.items():
-            if name == "kernel_sections":
-                data[name] = _kernel_sections(value)
-            elif not _is_count(value):
+            if name != "kernel_sections" and not _is_count(value):
                 raise ValueError(f"cap {name} must be an integer >= 0, got {value!r}")
         return Caps(**data)
 
@@ -75,10 +74,11 @@ def _is_count(x) -> bool:
 
 
 def _kernel_sections(value) -> tuple:
-    """kernel_sections as a tuple of (i, j, k): the section Δ^i/Δ^j with
-    1 <= i < j and the power p^k, k >= 0."""
-    if not (isinstance(value, list) and all(
-            isinstance(entry, list) and len(entry) == 3 and all(map(_is_count, entry))
+    """kernel_sections, a list or tuple of lists or tuples (i, j, k), as a
+    tuple of tuples: the section Δ^i/Δ^j with 1 <= i < j and the power p^k,
+    k >= 0."""
+    if not (isinstance(value, (list, tuple)) and all(
+            isinstance(entry, (list, tuple)) and len(entry) == 3 and all(map(_is_count, entry))
             and 1 <= entry[0] < entry[1] for entry in value)):
         raise ValueError("kernel_sections must be a list of [i, j, k] with 1 <= i < j "
                          f"and k >= 0, got {value!r}")

@@ -36,8 +36,8 @@ def _abelian(*orders):
         raise ValueError("orders must be positive")
     yield prod(orders), 1
     gens = tuple(chr(ord("a") + i) if len(orders) <= 26 else f"g{i}" for i in range(len(orders)))
-    # commutators first: scanned after the long power relators, they leave
-    # Todd-Coxeter hundreds of thousands of cosets to define (Ab:243,9 ~ 413k)
+    # commutators first: the relator order fixes the element numbering,
+    # which `iso` prints
     rels = [f"[{gens[j]},{gens[i]}]" for i in range(len(gens)) for j in range(i + 1, len(gens))]
     rels += [f"{g}^{x}" for g, x in zip(gens, orders)]
     yield Presentation.parse(gens, rels)

@@ -582,7 +582,12 @@ def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = DEFAULT_CAPS.elemab_
             if ext.size == 0:
                 maximal.append(key)
                 continue
+            # a y in a child already built from this key builds that child
+            # again, since both have order p*|key|
+            built = np.zeros(G.n, dtype=bool)
             for y in ext.tolist():
+                if built[y]:
+                    continue
                 # extension of an elementary abelian set by a commuting order-p
                 # element: the closure is the set product with <y>
                 new = elems
@@ -590,7 +595,9 @@ def maximal_elem_abelian_classes(G: FiniteGroup, cap: int = DEFAULT_CAPS.elemab_
                 for _ in range(p - 1):
                     new = mul[new, y]
                     acc.append(new)
-                child = tuple(sorted(np.concatenate(acc).tolist()))
+                child = np.concatenate(acc)
+                built[child] = True
+                child = tuple(sorted(child.tolist()))
                 if child not in visited:
                     if len(visited) >= cap:
                         raise CapExceeded("elemab_cap", f"{len(visited) + 1} elementary abelian "

@@ -1,4 +1,5 @@
-"""Group presentations: a small word grammar and Todd-Coxeter coset enumeration.
+"""Group presentations: a small word grammar and Todd-Coxeter coset enumeration
+over a cyclic subgroup, lifted to the group's regular action.
 
 Grammar (whitespace ignored):
 
@@ -234,131 +235,134 @@ def _columns(w: Word):
     return [2 * (x - 1) if x > 0 else 2 * (-x - 1) + 1 for x in w]
 
 
-def _period(cols) -> int:
-    """The least d with cols = (cols[:d])^(len/d): a power relator u^n has
-    period len(u)."""
-    n = len(cols)
-    return next(d for d in range(1, n + 1) if n % d == 0 and cols == cols[:d] * (n // d))
-
-
 def _coset_table(P: Presentation, coset_cap: int):
-    """HLT coset enumeration of the trivial subgroup with immediate
-    coincidence handling: the action (ncols, n) int32 of every column on the
-    live cosets, numbered in creation order.
+    """The regular action (ncols, n) int32 of every column on the n elements
+    of the presented group, numbered as HLT coset enumeration of the trivial
+    subgroup numbers its live cosets (notes/decisions.md, "Elements are
+    numbered by the relator walk", and "Cosets of a cyclic subgroup,
+    lifted").
 
-    A relator u^n (n >= 2) is scanned once per closed u-cycle: when its scan
-    from alpha closes with nothing defined, the cosets alpha*u^t lie on that
-    cycle and are marked, and later scans of it from a marked live coset are
-    skipped. Such a scan would define nothing and find no coincidence, since
-    coincidence processing moves every defined entry of a live coset to its
-    representative. Definitions and coincidences come in the same order as
-    with every scan made (tests/oracles.py keeps that loop)."""
+    HLT enumerates the cosets of H = <h>, h the generator of the longest
+    single-letter power relator h^±E (the first on ties; with none, H is
+    trivial). An entry (d, e) of coset c in column x says t_c*g_x = h^e*t_d
+    mod E, for the coset representatives t_c (t_0 = 1); a merge carries the
+    offset k of t_a = h^k*t_b. By Reidemeister-Schreier |H| = N is the gcd of
+    E, of every relator's label sum at every coset and of h's label at coset
+    0 minus 1, and the m cosets lift to the regular action on the m*N
+    elements h^k*t_c. `coset_cap` bounds the cosets of H defined and m*N."""
+    from .groups import BLOCK
+
     ngens = len(P.generators)
     if ngens == 0:
         raise ValueError("empty generator list")
     if coset_cap < 1:
         raise ValueError("coset_cap must be >= 1")
     ncols = 2 * ngens
-    # each nonempty relator with its inverse columns, and for a power u^n
-    # (n >= 2) its root u and the cosets found on a closed u-cycle
-    relators = []
-    for w in P.relators:
-        if cols := _columns(w):
-            d = _period(cols)
-            power = (cols[:d], set()) if d < len(cols) else (None, None)
-            relators.append((cols, [x ^ 1 for x in cols], len(cols) - 1, *power))
+    relators = [(cols, [x ^ 1 for x in cols], len(cols) - 1)
+                for w in P.relators if (cols := _columns(w))]
+    # h: the longest relator that is one letter repeated, the first on ties
+    hx, E = 0, 1
+    for cols, _, last in relators:
+        if last >= E and cols.count(cols[0]) > last:
+            hx, E = cols[0] & ~1, last + 1
+    H = f"<{P.generators[hx // 2]}>" if E > 1 else "the trivial subgroup"
 
+    # an entry is (d, e) or None; t_c = h^off[c]*t_rep[c]
     table = [[None] * ncols]
     rep = [0]
+    off = [0]
     queue = []
+    if E > 1:
+        table[0][hx], table[0][hx ^ 1] = (0, 1), (0, E - 1)
 
     def find(c):
-        root = c
+        """(root, k) with t_c = h^k*t_root."""
+        root, k = c, 0
         while rep[root] != root:
+            k += off[root]
             root = rep[root]
+        total = k = k % E
         while rep[c] != root:
-            rep[c], c = root, rep[c]
-        return root
+            rep[c], off[c], c, k = root, k, rep[c], (k - off[c]) % E
+        return root, total
 
     def define(a, x):
         if len(table) >= coset_cap:
             raise CapExceeded(
-                "coset_cap",
-                f"coset enumeration exceeded {coset_cap} cosets "
-                "(presentation possibly infinite or cap too small)")
+                "coset_cap", f"coset enumeration of {H} defined {len(table)} cosets, the coset "
+                "cap (presentation possibly infinite or cap too small)")
         b = len(table)
         row = [None] * ncols
-        row[x ^ 1] = a
+        row[x ^ 1] = (a, 0)
         table.append(row)
         rep.append(b)
-        table[a][x] = b
+        off.append(0)
+        table[a][x] = (b, 0)
         return b
 
-    def merge(a, b):
-        a, b = find(a), find(b)
+    def merge(a, b, k):
+        # t_a = h^k*t_b; the larger root dies
+        a, ka = find(a)
+        b, kb = find(b)
         if a != b:
-            if a > b:
-                a, b = b, a
-            rep[b] = a
-            queue.append(b)
+            k = (k + kb - ka) % E
+            if a < b:
+                a, b, k = b, a, -k % E
+            rep[a], off[a] = b, k
+            queue.append(a)
 
-    def coincidence(a, b):
-        merge(a, b)
+    def coincidence(a, b, k):
+        merge(a, b, k)
         for y in queue:  # the queue grows while it is read
-            for x, d in enumerate(table[y]):
-                if d is None:
+            for x, entry in enumerate(table[y]):
+                if entry is None:
                     continue
+                d, e = entry
                 table[d][x ^ 1] = None
-                mu, nu = find(y), find(d)
-                if (e := table[mu][x]) is not None:
-                    merge(nu, e)
-                elif (e := table[nu][x ^ 1]) is not None:
-                    merge(mu, e)
+                mu, kmu = find(y)
+                nu, knu = find(d)
+                e += knu - kmu  # t_mu*g_x = h^e*t_nu
+                if (f := table[mu][x]) is not None:
+                    merge(nu, f[0], f[1] - e)
+                elif (f := table[nu][x ^ 1]) is not None:
+                    merge(mu, f[0], f[1] + e)
                 else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    table[mu][x] = (nu, e % E)
+                    table[nu][x ^ 1] = (mu, -e % E)
         queue.clear()
 
     # the scan of each relator from alpha is inlined: scan forward, then
-    # back, and fill the gap with one deduction, a coincidence or a new coset
-    # (a coset is live while it is its own representative)
+    # back, and fill the gap with one deduction, a coincidence or a new
+    # coset, summing labels on the way (a coset is live while it is its own
+    # representative)
     alpha = 0
     while alpha < len(table):
         if rep[alpha] != alpha:
             alpha += 1
             continue
-        for cols, icols, last, u, closed in relators:
-            if closed is not None and alpha in closed:
-                continue
-            f, i = alpha, 0
-            b, j = alpha, last
-            quiet = True
+        for cols, icols, last in relators:
+            f, i, sf = alpha, 0, 0
+            b, j, sb = alpha, last, 0
             while True:
                 while i <= j and (c := table[f][cols[i]]) is not None:
-                    f = c
+                    f, e = c
+                    sf += e
                     i += 1
                 if i > j:
                     if f != b:
-                        coincidence(f, b)
-                    elif quiet and closed is not None:
-                        # closed with nothing defined, deduced or merged:
-                        # mark the cosets on its u-cycle
-                        c = alpha
-                        for _ in range(len(cols) // len(u)):
-                            for x in u:
-                                c = table[c][x]
-                            closed.add(c)
+                        coincidence(f, b, sb - sf)
                     break
-                quiet = False
                 while j >= i and (c := table[b][icols[j]]) is not None:
-                    b = c
+                    b, e = c
+                    sb += e
                     j -= 1
                 if j < i:
-                    coincidence(f, b)
+                    coincidence(f, b, sb - sf)
                     break
                 if j == i:
-                    table[f][cols[i]] = b
-                    table[b][icols[i]] = f
+                    e = (sb - sf) % E
+                    table[f][cols[i]] = (b, e)
+                    table[b][icols[i]] = (f, -e % E)
                     break
                 f = define(f, cols[i])
                 i += 1
@@ -371,43 +375,99 @@ def _coset_table(P: Presentation, coset_cap: int):
                     define(alpha, x)
         alpha += 1
 
-    return _live_action(table, rep)
-
-
-def _live_action(table, rep):
-    """The action (ncols, n) int32 of each column of a coset table on its
-    live cosets, the c with rep[c] == c, renumbered 0..n-1 in creation
-    order; an entry is read through the live coset it was merged into. A
-    live coset with an undefined entry raises ValueError."""
-    root = np.array(rep, dtype=np.int64)
+    # the live cosets in creation order, each entry read through the live
+    # coset it was merged into
+    root = np.array(rep)
+    k = np.array(off)
     while not np.array_equal(up := root[root], root):
+        k += k[root]
         root = up
     live = np.flatnonzero(root == np.arange(len(rep)))
-    rows = np.array([table[c] for c in live.tolist()], dtype=np.float64)  # None -> nan
-    if np.isnan(rows).any():
+    m = live.size
+    entries = [entry for c in live.tolist() for entry in table[c]]
+    if None in entries:
         raise ValueError("incomplete coset table")
-    index = np.zeros(len(rep), dtype=np.int32)
-    index[live] = np.arange(len(live))
-    return np.ascontiguousarray(index[root[rows.astype(np.int64)]].T)
+    d, e = np.array(entries).reshape(m, ncols, 2).T
+    index = np.zeros(len(rep), dtype=np.int64)
+    index[live] = np.arange(m)
+    target, label = index[root[d]], e + k[d]
+
+    # every forward prefix of every relator in declaration order, then every
+    # column, as its target coset and label sum from each coset; a whole
+    # relator's label sums give N
+    T, L = list(target), list(label)  # rows index faster than a 2-D array
+    to, by = [], []
+    N = np.gcd(E, label[hx, 0] - 1)
+    for cols, _, _ in relators:
+        cur, s = np.arange(m), 0
+        for x in cols:
+            cur, s = T[x][cur], s + L[x][cur]
+            to.append(cur)
+            by.append(s)
+        N = np.gcd.reduce(s, initial=N)
+        del to[-1], by[-1]
+    N = int(N)
+    n = m * N
+    if n > coset_cap:
+        raise CapExceeded("coset_cap", f"a group of order {m}*{N} = {n} ({H} has order {N} "
+                                       f"and index {m}) exceeds the coset cap {coset_cap}")
+    to, by = np.array(to + T), np.array(by + L)
+
+    # the regular action on the elements h^k*t_c, numbered k*m + c, and the
+    # level-synchronous walk from the identity in which each element emits
+    # its prefixes in that order; discovery order is HLT's creation order
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    first = np.full(n, n * len(to))  # the first position reaching an element
+    order = [np.zeros(1, dtype=np.int64)]
+    count = 1
+    # a quarter block of emissions at a time: the last level mostly reaches
+    # seen elements, and the walk stops once every element is seen
+    step = max(1, (BLOCK >> 2) // len(to))
+    while count < n and order[-1].size:
+        layer, found = order[-1], []
+        for i in range(0, layer.size, step):
+            v = layer[i:i + step]
+            c = v % m
+            reached = ((v // m + by[:, c]) % N * m + to[:, c]).T.ravel()
+            pos = np.flatnonzero(~seen[reached])
+            new = reached[pos]
+            np.minimum.at(first, new, pos)
+            new = new[first[new] == pos]
+            seen[new] = True
+            found.append(new)
+            count += new.size
+            if count == n:
+                break
+        order.append(np.concatenate(found))
+    order.append(np.flatnonzero(~seen))  # left for _table_group to refuse
+    order = np.concatenate(order)
+    index = np.empty(n, dtype=np.int32)
+    index[order] = np.arange(n)
+    c = order % m
+    return np.ascontiguousarray(index[(order // m + label[:, c]) % N * m + target[:, c]])
 
 
 def todd_coxeter(P: Presentation, coset_cap: int = DEFAULT_CAPS.coset_cap,
                  order_cap: int | None = None):
-    """Enumerate the cosets of the trivial subgroup (`_coset_table`) and
-    return the resulting regular-action group. A group of order above
-    `order_cap` (None: no cap) is rejected with ValueError before its n x n
-    table is allocated.
+    """The group P presents: enumerate the cosets of a cyclic subgroup and
+    lift them to the regular action (`_coset_table`), then prove it regular
+    and build its table (`_table_group`). A group of order above `order_cap`
+    (None: no cap) is rejected with ValueError before its n x n table is
+    allocated.
 
-    Deterministic: relators are scanned in declaration order and cosets
-    processed in creation order, so the multiplication table is reproducible
-    bit for bit.
+    Deterministic: the elements are numbered as HLT enumeration of the
+    trivial subgroup numbers its cosets, scanning relators in declaration
+    order, a property of the finished action and not of the enumeration
+    strategy, so the multiplication table is reproducible bit for bit.
     """
     return _table_group(P, _coset_table(P, coset_cap), order_cap)
 
 
 def _table_group(P: Presentation, act, order_cap: int | None = None):
-    """The group of a coset table of the trivial subgroup, given as the
-    action act[x] (an int32 array per generator column x) on its n cosets.
+    """The group of a regular action, given as act[x] (an int32 array per
+    generator column x) on n points, the cosets of the trivial subgroup,
+    with the identity at 0.
 
     The action is proved regular before the table is built: each column pair
     is mutually inverse, every relator closes at every coset, the generators

@@ -66,7 +66,7 @@ from modiso.groups import (BLOCK, ConjClass, FiniteGroup, Subgroup, _check_norma
                            char_series, table_dtype)
 from modiso.iso import IsoWitness, NotIsomorphic, _monomial_basis
 from modiso.modalg import QuotientAlgebra, _prime_restriction, basis_minus_one
-from modiso.words import Presentation, _columns, _live_action, _table_group
+from modiso.words import Presentation, _columns, _table_group
 
 ASSOC_EXHAUSTIVE_LIMIT = 512
 ASSOC_SAMPLES = 100_000
@@ -697,6 +697,23 @@ def todd_coxeter_rescan(P: Presentation, coset_cap: int = 100000):
         alpha += 1
 
     return _table_group(P, _live_action(table, rep))
+
+
+def _live_action(table, rep):
+    """The action (ncols, n) int32 of each column of a coset table on its
+    live cosets, the c with rep[c] == c, renumbered 0..n-1 in creation
+    order; an entry is read through the live coset it was merged into. A
+    live coset with an undefined entry raises ValueError."""
+    root = np.array(rep, dtype=np.int64)
+    while not np.array_equal(up := root[root], root):
+        root = up
+    live = np.flatnonzero(root == np.arange(len(rep)))
+    rows = np.array([table[c] for c in live.tolist()], dtype=np.float64)  # None -> nan
+    if np.isnan(rows).any():
+        raise ValueError("incomplete coset table")
+    index = np.zeros(len(rep), dtype=np.int32)
+    index[live] = np.arange(len(live))
+    return np.ascontiguousarray(index[root[rows.astype(np.int64)]].T)
 
 
 def group_witness_holds_all_pairs(w: IsoWitness, G: FiniteGroup, H: FiniteGroup) -> bool:

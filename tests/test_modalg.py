@@ -16,7 +16,7 @@ from modiso.groups import (
     jennings_series,
 )
 from modiso import modalg as M
-from modiso.invariants import fingerprint, kernel_cell
+from modiso.invariants import kernel_cell
 
 import oracles as O
 from oracles import quotient_group
@@ -444,9 +444,16 @@ def test_malformed_kernel_cell_is_refused_before_any_gate(cell):
     for caps in (Caps(), Caps(algebra_order_cap=4, enum_cap=0)):
         with pytest.raises(ValueError, match="needs 1 <= i < j and k >= 0"):
             kernel_cell(G, F2, *cell, caps)
-    # a Python-built Caps reaches kernel_cell through fingerprint unchecked
-    with pytest.raises(ValueError, match="needs 1 <= i < j and k >= 0"):
-        fingerprint(G, F2, Caps(kernel_sections=(cell,)))
+    # a Python-built Caps checks its cells as Caps.from_json does, so no
+    # fingerprint gate can turn one into an unavailable entry
+    with pytest.raises(ValueError, match="with 1 <= i < j and k >= 0"):
+        Caps(kernel_sections=(cell,))
+
+
+def test_python_built_caps_normalize_their_cells():
+    # lists or tuples, as Caps.from_json reads them
+    assert Caps(kernel_sections=[[1, 3, 1], (2, 3, 1)]).kernel_sections == ((1, 3, 1), (2, 3, 1))
+    assert Caps.from_json({"kernel_sections": [[1, 3, 1]]}).kernel_sections == ((1, 3, 1),)
 
 
 # (spec, field, i, j, k): every F_p-dimension is at most 16. The cells

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 import random
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from modiso.errors import CapExceeded, SpecParseError
 from modiso.families import build
+from modiso.iso import IsoWitness, group_isomorphic, verify_witness
 from modiso.words import (
     EXPONENT_CAP,
     Presentation,
@@ -19,8 +22,15 @@ from modiso.words import (
     word_inverse,
 )
 
-from conftest import CORPUS_SMALL, adversarial_presentation, build_corpus_group, run_optimized
+from conftest import (CORPUS_MEDIUM, CORPUS_SMALL, adversarial_presentation, build_corpus_group,
+                      run_optimized)
 from oracles import checked_group, todd_coxeter_rescan
+
+# perfbench's seeded rewrite, read from the checkout (perfbench is not a package)
+_spec = importlib.util.spec_from_file_location(
+    "workloads", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 GENS = ("a", "b", "c")
 
@@ -247,26 +257,72 @@ def test_table_columns_are_regular_actions_of_element_words(corpus_small):
             assert np.array_equal(G.mul[:, v], action), (spec, v)
 
 
+# presentations whose cyclic subgroup H = <h> is special: no single-letter
+# power relator (H trivial, Q8), h trivial in G (a^7 and a^2*b*a^-1*b^-1
+# force a = 1, G = C4), h of order 4 below its relator's E = 12 (D8), and
+# groups that are not p-groups
+SPECIAL_PRESENTATIONS = {
+    "no power relator": (("x", "y"), ("x^2*y^-2", "x^2*(x*y)^-2")),
+    "h trivial": (("a", "b"), ("a^7", "b^4", "a^2*b*a^-1*b^-1")),
+    "h below E": (("r", "s"), ("r^12", "s^2", "(s*r)^2", "r^8")),
+    "S3": (("a", "b"), ("a^3", "b^2", "b^-1*a*b*a")),
+    "C3xS3": (("a", "b", "c"), ("a^3", "b^2", "b^-1*a*b*a", "c^3", "[c,a]", "[c,b]")),
+}
+
+
 def _hlt_cases():
-    for spec in CORPUS_SMALL + ["T:2,6", "T:3,6", "T:2,7", "T:3,7"]:
+    # each case is a thunk, so that a faulty enumeration fails the case that
+    # builds it and not the collection
+    def corpus(spec, seed=None):
         P = build_corpus_group(spec).presentation
-        yield pytest.param(P, id=spec)
-        if len(P.generators) >= 2:
+        return P if seed is None else adversarial_presentation(P, random.Random(seed))
+
+    for spec in CORPUS_MEDIUM + ["T:2,6", "T:3,6", "T:2,7", "T:3,7"]:
+        yield pytest.param(lambda spec=spec: corpus(spec), id=spec)
+        if not spec.startswith("C:"):  # a rewrite needs two generators
             for seed in range(3):
-                P_seed = adversarial_presentation(P, random.Random(seed))
-                yield pytest.param(P_seed, id=f"{spec}-rewrite{seed}")
-    yield pytest.param(Presentation.parse(("a",), ("a^729",)), id="C:729")
-    yield pytest.param(build("Ab:27,9").presentation, id="Ab:27,9")
+                yield pytest.param(lambda spec=spec, seed=seed: corpus(spec, seed),
+                                   id=f"{spec}-rewrite{seed}")
+    for spec, doc in workloads.load_json("presentations.json").items():
+        for seed in range(1, 6):
+            yield pytest.param(lambda doc=doc, seed=seed: Presentation.from_json(
+                workloads.rewrite_presentation(doc, random.Random(seed))), id=f"{spec}-bench{seed}")
+    for name, spec in SPECIAL_PRESENTATIONS.items():
+        yield pytest.param(lambda spec=spec: Presentation.parse(*spec), id=name)
+    yield pytest.param(lambda: Presentation.parse(("a",), ("a^729",)), id="C:729")
+    yield pytest.param(lambda: build("Ab:27,9").presentation, id="Ab:27,9")
 
 
 @pytest.mark.parametrize("P", list(_hlt_cases()))
 def test_power_relator_marks_match_rescanning_hlt(P):
-    # scanning a power relator once per closed cycle must leave the
-    # definitions and coincidences, and so the numbering, unchanged
+    # enumerating the cosets of <h>, lifting them and renumbering by the
+    # relator walk must give HLT's table on the trivial subgroup: the same
+    # elements in the same order, so the same table, generators and words.
+    # (The name is kept from the marked-cycle HLT this test first checked,
+    # so that each case keeps its id.)
+    P = P()
     G, H = todd_coxeter(P), todd_coxeter_rescan(P)
     assert np.array_equal(G.mul, H.mul)
     assert G.gens == H.gens
     assert G.elem_words == H.elem_words
+
+
+def test_special_presentations_have_their_orders():
+    # the cases above are what their names say
+    orders = {name: todd_coxeter(Presentation.parse(*spec)).n
+              for name, spec in SPECIAL_PRESENTATIONS.items()}
+    assert orders == {"no power relator": 8, "h trivial": 4, "h below E": 8, "S3": 6, "C3xS3": 18}
+
+
+def test_adversarial_rewrite_of_ab_729_3_builds():
+    # seed 1 gives the relators x8^3, (x8*w7^-1)^729 and [x8, w7]; HLT on the
+    # trivial subgroup defined more than 10^5 cosets for its 2,187 elements
+    G = build("Ab:729,3")
+    P = adversarial_presentation(G.presentation, random.Random(1))
+    H = todd_coxeter(P)
+    assert H.n == 2187
+    w = group_isomorphic(H, G)
+    assert isinstance(w, IsoWitness) and verify_witness(w, H, G)
 
 
 # -- the regularity proof ---------------------------------------------------------
