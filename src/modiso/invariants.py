@@ -253,7 +253,7 @@ def fingerprint(G: FiniteGroup, F: FiniteField, caps: Caps = DEFAULT_CAPS) -> Fi
     except CapExceeded as err:
         jdims = sgr_dim = zass = Unavailable(err.cap_name)
     else:
-        jdims = jennings_polynomial(p, ranks)[1:]
+        jdims = predicted_jennings_dims(G)
         sgr_dim = G.n // cs.derived.order + derived_rank
         if F.k != 1:
             zass = Unavailable("prime_field_only")

@@ -12,6 +12,8 @@ surjective. No pruning is heuristic.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -66,7 +68,7 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAPS.iso
     socle.
 
     Generators that occur exactly once in some relator whose other letters are
-    already assigned are deduced instead of searched. An assignment that
+    earlier generators are deduced instead of searched. An assignment that
     satisfies every relator is a homomorphism between groups of equal order;
     it is dropped if it sends an element of a central subgroup of prime order
     to the identity, since for nilpotent G every nontrivial normal subgroup,
@@ -88,85 +90,50 @@ def group_isomorphic(G: FiniteGroup, H: FiniteGroup, cap: int = DEFAULT_CAPS.iso
         return NotIsomorphic("order/class-size profile prune")
 
     P = G.presentation
-    ngens = len(P.generators)
     socle = _socle_words(G, g_sizes, g_orders)
-
-    # decide which generators are deduced from a relator (single occurrence,
-    # all other letters earlier) and which must be searched
-    plan = []
-    assigned = set()
-    for t in range(ngens):
-        deduction = None
+    # a generator that occurs once in a relator whose other letters are all
+    # earlier generators is deduced from it; the others are searched
+    deduced, pools = {}, {}
+    for t, g in enumerate(G.gens):
         for w in P.relators:
-            occ = [(pos, x) for pos, x in enumerate(w) if abs(x) - 1 == t]
-            others_ok = all(abs(x) - 1 in assigned for x in w if abs(x) - 1 != t)
-            if len(occ) == 1 and others_ok:
-                deduction = (w, occ[0][0], 1 if occ[0][1] > 0 else -1)
+            later = [pos for pos, x in enumerate(w) if abs(x) - 1 >= t]
+            if len(later) == 1 and abs(w[later[0]]) - 1 == t:
+                deduced[t] = (w, later[0])
                 break
-        if deduction is not None:
-            plan.append(("deduce", t, deduction))
         else:
-            plan.append(("search", t))
-        assigned.add(t)
-
-    pools = {}
-    space = 1
-    for step in plan:
-        if step[0] != "search":
-            continue
-        t = step[1]
-        g = G.gens[t]
-        pool = np.nonzero((h_orders == int(g_orders[g])) & (h_sizes == int(g_sizes[g])))[0]
-        if pool.size == 0:
-            return NotIsomorphic("no candidate images for a generator")
-        pools[t] = pool.astype(np.int32)
-        space *= pool.size
+            pools[t] = np.flatnonzero((h_orders == g_orders[g]) & (h_sizes == g_sizes[g]))
+            if pools[t].size == 0:
+                return NotIsomorphic("no candidate images for a generator")
+    space = math.prod(pool.size for pool in pools.values())
     if space > cap:
         raise CapExceeded("iso_cap", f"search space {space} exceeds cap {cap}")
 
-    searched = [step[1] for step in plan if step[0] == "search"]
-    vector_gen = searched[-1] if searched else None
-
-    def run(prefix_values, idx):
-        if idx < len(searched) - 1:
-            t = searched[idx]
-            for h in pools[t].tolist():
-                hit = run(prefix_values + [(t, h)], idx + 1)
-                if hit is not None:
-                    return hit
-            return None
-        # innermost searched generator is evaluated for its whole pool at once
-        images = [None] * ngens
-        for t, h in prefix_values:
-            images[t] = h
-        cands = pools[vector_gen] if vector_gen is not None else np.array([0], dtype=np.int32)
-        if vector_gen is not None:
-            images[vector_gen] = cands
-        for step in plan:
-            if step[0] == "deduce":
-                t, (w, pos, sign) = step[1], step[2]
-                pre = H.word_image(w[:pos], images)
-                suf = H.word_image(w[pos + 1:], images)
-                val = H.mul[H.inv[pre], H.inv[suf]]
-                images[t] = H.inv[val] if sign < 0 else val
+    # lexicographic over the searched generators: each prefix of scalar
+    # images meets the whole pool of the last one at once, or a
+    # one-element vector when every generator is deduced
+    searched = [*pools]
+    cands = pools[searched[-1]] if searched else np.zeros(1, dtype=np.intp)
+    for prefix in itertools.product(*(pools[t].tolist() for t in searched[:-1])):
+        images = dict(zip(searched, [*prefix, cands]))
+        for t, (w, pos) in deduced.items():  # in order of t
+            val = H.mul[H.inv[H.word_image(w[:pos], images)],
+                        H.inv[H.word_image(w[pos + 1:], images)]]
+            images[t] = val if w[pos] > 0 else H.inv[val]
         ok = np.ones(cands.shape, dtype=bool)
         for w in P.relators:
             ok &= H.word_image(w, images) == H.id
         for w in socle:
             ok &= H.word_image(w, images) != H.id
-        for ci in np.nonzero(ok)[0].tolist():
-            final = [int(im[ci]) if isinstance(im, np.ndarray) else int(im)
-                     for im in images]
+        for ci in np.flatnonzero(ok).tolist():
+            final = [int(images[t][ci] if np.ndim(images[t]) else images[t])
+                     for t in range(len(G.gens))]
             if H.generated(final).order != H.n:
                 continue
             w = IsoWitness(kind="group", images=final, source_gens=list(G.gens))
             if verify_witness(w, G, H):
                 return w
             raise AssertionError("accepted assignment failed verification")
-        return None
-
-    hit = run([], 0)
-    return hit if hit is not None else NotIsomorphic("exhausted")
+    return NotIsomorphic("exhausted")
 
 
 # -- nilpotent algebra isomorphism ------------------------------------------------
@@ -357,12 +324,12 @@ def verify_witness(w: IsoWitness, source, target) -> bool:
             return False
         if EchelonBuilder(F, d).add_block(M) != d:
             return False
-        for i in range(d):
-            for j in range(d):
-                lhs = F.matmul(A.sc[i, j][None, :], M)[0]
-                rhs = B.mul(M[i], M[j])
-                if not np.array_equal(lhs, rhs):
-                    return False
-        return True
+        # all d² products at once: lhs[i, j] = M(e_i e_j) = A.sc[i, j] @ M,
+        # and M(e_i)M(e_j) = sum_b M[j, b] R[i, b] with R[i] = M[i] @ B.sc,
+        # one product over b whose rows come out indexed (j, i)
+        lhs = F.matmul(A.sc.reshape(d * d, d), M).reshape(d, d, d)
+        R = F.matmul(M, B.sc.reshape(d, d * d)).reshape(d, d, d)
+        rhs = F.matmul(M, R.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d)
+        return np.array_equal(lhs, rhs.transpose(1, 0, 2))
 
     raise ValueError(f"unknown witness kind {w.kind!r}")

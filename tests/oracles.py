@@ -33,6 +33,10 @@ word and checks all d² products of a candidate against the product
 tensor of the source in its monomial basis, where the product checks the
 relations of a presentation. A group witness here is checked on every pair
 of elements, where the product checks it on every element and generator. The
+least group isomorphism here is found by scanning every tuple of target
+elements in lexicographic order, where the product searches only the
+generators it cannot deduce, over pools of equal order and class size, with
+the socle prune and a closure check. The
 checked group constructor here takes an arbitrary table and searches its
 identity, scans its inverses, checks associativity (exhaustively up to 512
 elements, on 100,000 sampled triples beyond) and generation, where the product
@@ -723,6 +727,48 @@ def group_witness_holds_all_pairs(w: IsoWitness, G: FiniteGroup, H: FiniteGroup)
     if sorted(phi.tolist()) != list(range(H.n)):
         return False
     return bool(np.array_equal(phi[G.mul], H.mul[np.ix_(phi, phi)]))
+
+
+def least_group_isomorphism(G: FiniteGroup, H: FiniteGroup):
+    """The lexicographically least tuple of H elements, one for each of G's
+    presentation generators, that satisfies every relator of G and whose map
+    on G's element words is a bijection onto H; None if there is none.
+
+    Every tuple is scanned in lexicographic order, coordinate t over all of
+    H at once. The tuples under a prefix that already fails a relator in its
+    own letters are skipped: none of them satisfies that relator. No
+    element order, class size, deduction, socle or closure is used."""
+    if G.n != H.n:
+        return None
+    r, every = len(G.gens), np.arange(H.n)
+    # the relators whose last letter is generator t, checked at coordinate t
+    by_top = [[w for w in G.presentation.relators if max(map(abs, w), default=0) == t + 1]
+              for t in range(r)]
+    # the element words as rows of letters x + r, padded with r (the identity)
+    depth = max(map(len, G.elem_words))
+    letters = np.array([w + (0,) * (depth - len(w)) for w in G.elem_words]).reshape(G.n, depth) + r
+
+    def scan(prefix):
+        t = len(prefix)
+        images = dict(enumerate([*prefix, every]))
+        ok = np.ones(H.n, dtype=bool)
+        for w in by_top[t]:
+            ok &= H.word_image(w, images) == H.id
+        survivors = every[ok]
+        if t + 1 < r:
+            for h in survivors.tolist():
+                if (hit := scan(prefix + (h,))) is not None:
+                    return hit
+            return None
+        gens = np.array([np.broadcast_to(x, survivors.shape) for x in [*prefix, survivors]])
+        image = np.concatenate([H.inv[gens[::-1]], np.full((1, survivors.size), H.id), gens])
+        phi = np.full((G.n, survivors.size), H.id)
+        for col in letters.T:
+            phi = H.mul[phi, image[col]]
+        onto = (np.sort(phi, axis=0) == every[:, None]).all(axis=0)
+        return (*prefix, int(survivors[onto][0])) if onto.any() else None
+
+    return scan(())
 
 
 def unit_generators(A: QuotientAlgebra) -> list:

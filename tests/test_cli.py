@@ -693,6 +693,28 @@ def test_presentation_file_spec(tmp_path, capsys):
     assert json.loads(out)["hh1_dim"] == 9
 
 
+def test_group_iso_with_deduced_generators(tmp_path, capsys):
+    # every generator deduced (C:1, and a two-generator presentation of the
+    # trivial group), and b deduced from a*b after the searched a: the exact
+    # stdout, with exit 0
+    trivial, c4 = tmp_path / "trivial.json", tmp_path / "c4.json"
+    trivial.write_text(json.dumps({"generators": ["a", "b"], "relators": ["a", "a*b"]}),
+                       encoding="utf-8")
+    c4.write_text(json.dumps({"generators": ["a", "b"], "relators": ["a^4", "a*b", "b^4"]}),
+                  encoding="utf-8")
+    one = {"generator": "a", "image_index": 0, "image_word": "1"}
+    cases = [
+        (("C:1", "C:1"), [one]),
+        ((f"Pres:{trivial}", "C:1"), [one, {"generator": "b", "image_index": 0, "image_word": "1"}]),
+        ((f"Pres:{c4}", "C:4"), [{"generator": "a", "image_index": 1, "image_word": "a"},
+                                 {"generator": "b", "image_index": 3, "image_word": "a^-1"}]),
+    ]
+    for specs, images in cases:
+        code, out, err = run(capsys, "iso", *specs)
+        want = {"outcome": "isomorphic", "mode": "group", "images": images}
+        assert (code, out, err) == (0, json.dumps(want, indent=2) + "\n", ""), specs
+
+
 def test_usage_error_exit_64(capsys):
     assert main(["report"]) == 64  # missing required arguments
     assert main(["nosuchcommand"]) == 64

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -241,6 +242,55 @@ def test_adversarial_presentation_is_isomorphic(spec):
     assert fingerprint_to_dict(fg) == fingerprint_to_dict(fh)
 
 
+def assert_least_isomorphism(G, H):
+    # the search returns the brute-force scan's least isomorphism, and
+    # NotIsomorphic exactly when the scan finds none
+    want = oracles.least_group_isomorphism(G, H)
+    got = group_isomorphic(G, H)
+    if want is None:
+        assert isinstance(got, NotIsomorphic)
+    else:
+        assert isinstance(got, IsoWitness) and got.images == list(want), (got, want)
+
+
+def test_group_witness_is_the_least_isomorphism_on_the_corpus(corpus_small):
+    for spec, G in corpus_small:
+        targets = [G]
+        if len(G.gens) >= 2:
+            targets += [todd_coxeter(adversarial_presentation(G.presentation, random.Random(f"{spec}/{k}")))
+                        for k in (1, 2)]
+        for H in targets:
+            for X, Y in ((G, H), (H, G)):
+                assert_least_isomorphism(X, Y)
+
+
+LEAST_ISO_PAIRS = [
+    # direct products with their factors swapped
+    ("X:D8*C:2", "X:C:2*D8"), ("X:Q8*C:4", "X:C:4*Q8"), ("X:T:1,4*C:3", "X:C:3*T:1,4"),
+    ("X:Meta:2,3,1,0,5*EA:2,2", "X:EA:2,2*Meta:2,3,1,0,5"),
+    # every generator deduced; b deduced from a*b after the searched a
+    ("C:1", "C:1"), ("TRIVIAL", "C:1"), ("C4-DEDUCED", "C:4"),
+    # C4 ⋊ C4 and C2 × Q8 share their order and class-size profile, so the
+    # search is exhausted; D8 and Q8 part at the order profile
+    ("Meta:2,2,2,0,3", "X:C:2*Q8"), ("D8", "Q8"),
+]
+
+
+def least_iso_group(spec):
+    if spec == "TRIVIAL":
+        return from_presentation(("a", "b"), ("a", "a*b"), declared_order=1)
+    if spec == "C4-DEDUCED":
+        return from_presentation(("a", "b"), ("a^4", "a*b", "b^4"), declared_order=4)
+    return build(spec)
+
+
+@pytest.mark.parametrize("s1,s2", LEAST_ISO_PAIRS)
+def test_group_witness_is_the_least_isomorphism(s1, s2):
+    G, H = least_iso_group(s1), least_iso_group(s2)
+    for X, Y in ((G, H), (H, G)):
+        assert_least_isomorphism(X, Y)
+
+
 def test_group_witness_full_map_is_isomorphism():
     G, H = build("Q8"), build("Meta:2,2,1,1,3")
     r = group_isomorphic(G, H)
@@ -333,6 +383,29 @@ def test_swapped_witness_fails_over_f2():
     b = lam.project(modalg.basis_minus_one(D8, F2, D8.gens[1]))
     wit = IsoWitness(kind="algebra", images=[a, F2.vadd(a, b)], source_gens=[x, y])
     assert not verify_witness(wit, gam, lam)
+
+
+@pytest.mark.parametrize("s1,s2,accepted,rejected", [
+    ("D8", "Q8", 0, 96), ("D8", "D8", 32, 64), ("Q8", "Q8", 96, 0)])
+def test_algebra_witness_check_is_the_pairwise_product_check(s1, s2, accepted, rejected):
+    # every generator assignment of Δ/Δ^3 over GF(2): the witness check
+    # accepts exactly the maps of rank d that respect each of the d²
+    # products, checked pair by pair with B.mul_batch. Of the 96 maps of
+    # rank d, D8 -> D8 has 64 that are not multiplicative and D8 -> Q8 has
+    # no other kind
+    A, B = section(s1, F2), section(s2, F2)
+    gens = oracles.unit_generators(A)
+    verdicts = Counter()
+    for flat in gfq._enumerate_coords(F2.q, A.dim * len(gens), "iso_cap"):
+        for imgs in flat.reshape(-1, len(gens), A.dim):
+            w = IsoWitness(kind="algebra", images=list(imgs), source_gens=gens)
+            got = verify_witness(w, A, B)
+            if gfq.EchelonBuilder(F2, A.dim).add_block(w.full_map) < A.dim:
+                assert not got
+                continue
+            assert got == bool(oracles.products_hold(B, A.sc, w.full_map[None])[0]), imgs
+            verdicts[got] += 1
+    assert (verdicts[True], verdicts[False]) == (accepted, rejected)
 
 
 def test_kernel_size_preserved_by_witness():
